@@ -50,14 +50,14 @@ print(f"  |orthogonal| {np.linalg.norm(dec.orthogonal):.4f} <= "
 print("\npair classification:")
 same = delta + sample_harmless(basis, seed=3, target_norm=7.0)
 print("  delta vs delta + harmless:     ",
-      classify_pair(basis, eq, delta, same).kind)
+      classify_pair(basis, delta, same).kind)
 scaled = 3.0 * dec.orthogonal + sample_harmless(basis, seed=4, target_norm=2.0)
-verdict = classify_pair(basis, eq, scaled, delta)
+verdict = classify_pair(basis, scaled, delta)
 print(f"  3x orthogonal vs delta:         {verdict.kind} "
       f"(alpha = {verdict.alpha:.6f})")
 other = rng.standard_normal(20)
 print("  two independent perturbations: ",
-      classify_pair(basis, eq, delta, other).kind)
+      classify_pair(basis, delta, other).kind)
 
 # contour view: output norm depends on the orthogonal multiplier only
 print("\n|A(a * orth + b * par)| over a small grid (rows: a, cols: b):")

@@ -58,8 +58,8 @@ scales = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 gauss = np.random.default_rng(11).standard_normal((3, 16, 16))
 gauss *= (8 / 255) / np.max(np.abs(gauss))
 
-harmless_rows = rmse_report(net, inputs, delta, scales, 0, kind="harmless").rows
-gauss_rows = rmse_report(net, inputs, gauss, scales, 0, kind="gaussian").rows
+harmless_rows = rmse_report(net, inputs, delta, scales, 0, kind="harmless")
+gauss_rows = rmse_report(net, inputs, gauss, scales, 0, kind="gaussian")
 
 print("\nlogit RMSE over 6 images:")
 print("  scale      harmless       gaussian")

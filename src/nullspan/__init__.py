@@ -38,7 +38,6 @@ from .network import (
     Network,
     NetworkSpec,
     Relu,
-    RmseReport,
     forward,
     forward_from_layer,
     init_network,

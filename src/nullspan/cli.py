@@ -26,12 +26,12 @@ from .layers import (
     predict_nullspace_dim,
     verify_equivalence,
 )
-from .linalg import numerical_rank, singular_values
 from .network import init_network, load_network_spec
 from .imaging import read_ppm, save_float_image, write_ppm
 from .seeding import make_rng, subseed
 from .subspace import harmless_basis, load_basis, save_basis
 from .verification import (
+    DIM_SWEEP_HEADER,
     CheckResult,
     default_network_spec,
     full_battery,
@@ -62,6 +62,11 @@ def _write_json(path: Path, doc) -> None:
         fh.write("\n")
 
 
+def _write_checks_csv(path: Path, checks) -> None:
+    _write_csv(path, ["name", "measured", "tolerance", "passed", "detail"],
+               [[c.name, c.measured, c.tolerance, c.passed, c.detail] for c in checks])
+
+
 def _check_dict(c: CheckResult) -> dict:
     return {"name": c.name, "passed": bool(c.passed), "measured": c.measured,
             "tolerance": c.tolerance, "detail": c.detail}
@@ -87,8 +92,7 @@ def cmd_lower(args) -> int:
     spec = load_layer_json(args.layer)
     eq = build_equivalent(spec)
     pred = predict_nullspace_dim(spec)
-    sv = singular_values(eq.matrix)
-    rank = numerical_rank(sv, eq.rows, eq.cols)
+    nullity = verification.numerical_nullity(eq)
     residual = verify_equivalence(eq, spec, samples=args.samples, seed=args.seed)
 
     coo = eq.matrix.tocoo()
@@ -101,8 +105,8 @@ def cmd_lower(args) -> int:
         "rows": eq.rows,
         "cols": eq.cols,
         "nnz": eq.nnz,
-        "rank": rank,
-        "nullity": eq.cols - rank,
+        "rank": eq.cols - nullity,
+        "nullity": nullity,
         "predicted_dim": pred.dim,
         "formula_guaranteed": pred.guaranteed,
         "verify_residual": residual,
@@ -124,61 +128,52 @@ def cmd_lower(args) -> int:
 
 # --- dim-sweep -----------------------------------------------------------
 
+def _ints(text: str) -> list[int]:
+    return [int(v) for v in text.split(",")]
+
+
 def _sweep_rows(args, root_seed: int):
-    rows = []
+    """One nullity row per requested geometry. An invalid geometry is
+    reported on stderr and gives an error row; the sweep continues."""
     if args.kind == "conv":
-        c, h, w = (int(v) for v in args.in_shape.split(","))
-        strides = [int(s) for s in args.strides.split(",")]
-        channel_list = [int(v) for v in args.out_channels.split(",")]
-        idx = 0
-        for stride in strides:
-            for c_out in channel_list:
-                in_dim = c * h * w
-                try:
-                    rng = make_rng(root_seed, 20, idx)
-                    kernels = rng.standard_normal((c_out, c, args.kernel, args.kernel))
-                    spec = ConvLayerSpec(in_channels=c, in_height=h, in_width=w,
-                                         out_channels=c_out, kernel_h=args.kernel,
-                                         kernel_w=args.kernel, stride=stride,
-                                         zero_padding=args.pad, kernels=kernels)
-                    eq = build_equivalent(spec)
-                    pred = predict_nullspace_dim(spec)
-                    numerical = verification.numerical_nullity(eq)
-                    rows.append([spec.input_dim, spec.output_dim, pred.dim, numerical,
-                                 numerical == pred.dim])
-                except ValueError as exc:
-                    print(f"skipping invalid geometry (stride={stride}, "
-                          f"out_channels={c_out}): {exc}", file=sys.stderr)
-                    rows.append([in_dim, "", "", "", "error"])
-                idx += 1
+        c, h, w = _ints(args.in_shape)
+        k = args.kernel
+        in_dim, stream = c * h * w, 20
+        params = [{"stride": s, "out_channels": n}
+                  for s in _ints(args.strides) for n in _ints(args.out_channels)]
+
+        def build(rng, stride, out_channels):
+            return ConvLayerSpec(in_channels=c, in_height=h, in_width=w,
+                                 out_channels=out_channels, kernel_h=k, kernel_w=k,
+                                 stride=stride, zero_padding=args.pad,
+                                 kernels=rng.standard_normal((out_channels, c, k, k)))
     else:
-        n_in = args.in_features
-        for idx, n_out in enumerate(int(v) for v in args.out_features.split(",")):
-            try:
-                rng = make_rng(root_seed, 21, idx)
-                spec = FcLayerSpec(in_features=n_in, out_features=n_out,
-                                   weight=rng.standard_normal((n_in, n_out)))
-                eq = build_equivalent(spec)
-                pred = predict_nullspace_dim(spec)
-                numerical = verification.numerical_nullity(eq)
-                rows.append([spec.input_dim, spec.output_dim, pred.dim, numerical,
-                             numerical == pred.dim])
-            except ValueError as exc:
-                print(f"skipping invalid geometry (out_features={n_out}): {exc}",
-                      file=sys.stderr)
-                rows.append([n_in, "", "", "", "error"])
+        in_dim, stream = args.in_features, 21
+        params = [{"out_features": n} for n in _ints(args.out_features)]
+
+        def build(rng, out_features):
+            return FcLayerSpec(in_features=in_dim, out_features=out_features,
+                               weight=rng.standard_normal((in_dim, out_features)))
+
+    rows = []
+    for idx, p in enumerate(params):
+        try:
+            rows.append(verification.nullity_row(build(make_rng(root_seed, stream, idx), **p)))
+        except ValueError as exc:
+            label = ", ".join(f"{name}={value}" for name, value in p.items())
+            print(f"skipping invalid geometry ({label}): {exc}", file=sys.stderr)
+            rows.append([in_dim, "", "", "", "error"])
     return rows
 
 
 def cmd_dim_sweep(args) -> int:
     out = _out_dir(args)
     rows = _sweep_rows(args, args.seed)
-    header = ["in_dim", "out_dim", "predicted", "numerical", "agree"]
     if args.format == "json":
         _write_json(out / "dim_sweep.json",
-                    [dict(zip(header, row)) for row in rows])
+                    [dict(zip(DIM_SWEEP_HEADER, row)) for row in rows])
     else:
-        _write_csv(out / "dim_sweep.csv", header, rows)
+        _write_csv(out / "dim_sweep.csv", list(DIM_SWEEP_HEADER), rows)
     for row in rows:
         print(",".join(_fmt(v) for v in row))
     return 0
@@ -207,16 +202,11 @@ def cmd_verify(args) -> int:
         }
         _write_json(out / "verify_report.json", doc)
     else:
-        _write_csv(out / "checks.csv",
-                   ["name", "measured", "tolerance", "passed", "detail"],
-                   [[c.name, c.measured, c.tolerance, c.passed, c.detail]
-                    for c in report.checks])
+        _write_checks_csv(out / "checks.csv", report.checks)
         _write_csv(out / "rmse.csv", ["kind", "scale", "rmse"], rmse_rows)
         if report.dim_rows:
-            _write_csv(out / "dim_sweep.csv",
-                       ["in_dim", "out_dim", "predicted", "numerical", "agree"],
-                       [[r["in_dim"], r["out_dim"], r["predicted"], r["numerical"],
-                         r["agree"]] for r in report.dim_rows])
+            _write_csv(out / "dim_sweep.csv", list(DIM_SWEEP_HEADER),
+                       [[r[k] for k in DIM_SWEEP_HEADER] for r in report.dim_rows])
 
     _print_checks(report.checks)
     if not report.passed:
@@ -303,10 +293,7 @@ def cmd_privacy(args) -> int:
     else:
         _write_csv(out / "privacy_report.csv", header,
                    [[r[k] for k in header] for r in battery.rows])
-        _write_csv(out / "privacy_checks.csv",
-                   ["name", "measured", "tolerance", "passed", "detail"],
-                   [[c.name, c.measured, c.tolerance, c.passed, c.detail]
-                    for c in battery.checks])
+        _write_checks_csv(out / "privacy_checks.csv", battery.checks)
     _print_checks(battery.checks)
     if not battery.passed:
         print("privacy checks FAILED", file=sys.stderr)

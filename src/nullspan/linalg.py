@@ -60,10 +60,6 @@ class SvdResult:
     singular_values: np.ndarray
     right_vectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        k = self.singular_values.size
-        return (self.left_vectors[:, :k] * self.singular_values) @ self.right_vectors[:, :k].T
-
 
 def svd(m) -> SvdResult:
     """Full singular value decomposition of a dense or sparse matrix."""

@@ -36,7 +36,6 @@ __all__ = [
     "NetworkSpec",
     "Network",
     "FeatureTrace",
-    "RmseReport",
     "init_network",
     "forward",
     "forward_from_layer",
@@ -162,17 +161,6 @@ class FeatureTrace:
         return np.ravel(self.activations[-1])
 
 
-@dataclass(frozen=True)
-class RmseReport:
-    """RMSE between perturbed and clean logits, keyed by (kind, scale).
-
-    RMSE = mean over inputs of ||perturbed_logits - clean_logits||_2
-    divided by sqrt(n_out).
-    """
-
-    rows: dict
-
-
 def init_network(spec: NetworkSpec, seed: int, with_bias: bool = True) -> Network:
     """Draw parameters for every linear layer: each weight entry is a
     seeded standard normal scaled by 1/sqrt(fan_in), bias likewise when
@@ -239,10 +227,13 @@ def forward_from_layer(net: Network, layer_index: int, z: np.ndarray) -> np.ndar
 
 
 def rmse_report(net: Network, inputs, delta: np.ndarray, scales,
-                inject_layer: int = 0, kind: str = "perturbation") -> RmseReport:
+                inject_layer: int = 0, kind: str = "perturbation") -> dict:
     """RMSE of the logit change caused by adding scale*delta to the
-    activation entering net.layers[inject_layer], for each scale,
-    averaged over the batch in input order."""
+    activation entering net.layers[inject_layer], keyed by (kind, scale).
+
+    RMSE = mean over inputs, in input order, of
+    ||perturbed_logits - clean_logits||_2 divided by sqrt(n_out).
+    """
     delta = np.asarray(delta, dtype=np.float64)
     want = net.spec.activation_shapes()[inject_layer]
     if delta.shape != want:
@@ -261,7 +252,7 @@ def rmse_report(net: Network, inputs, delta: np.ndarray, scales,
             y_hat = forward_from_layer(net, inject_layer, z + s * delta)
             total += np.linalg.norm(y_hat - y) / sqrt_n
         rows[(kind, float(s))] = total / len(clean)
-    return RmseReport(rows=rows)
+    return rows
 
 
 # --- serialization ------------------------------------------------------

@@ -15,7 +15,6 @@ matrix.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +22,7 @@ import scipy.sparse as sp
 
 from .layers import EquivalentMatrix
 from .linalg import orthonormal_nullspace, smallest_eigenpair_gram
+from .tensorio import read_tensors, write_tensors
 
 __all__ = [
     "EmptySubspaceError",
@@ -35,9 +35,10 @@ __all__ = [
     "DIFFERENT_OUTPUT",
     "harmless_basis",
     "orthogonal_decompose",
-    "projection_matrix",
     "sample_harmless",
+    "sigma_max_bound",
     "least_harmful",
+    "relate_outputs",
     "classify_pair",
     "save_basis",
     "load_basis",
@@ -120,16 +121,6 @@ def orthogonal_decompose(basis: NullspaceBasis, delta: np.ndarray) -> Decomposit
     return Decomposition(parallel=parallel, orthogonal=delta - parallel)
 
 
-def projection_matrix(basis: NullspaceBasis, max_dim: int = 512) -> np.ndarray:
-    """Materialized projector U @ U.T, for inspection at small sizes only."""
-    if basis.ambient_dim > max_dim:
-        raise ValueError(
-            f"refusing to materialize a {basis.ambient_dim}x{basis.ambient_dim} projector "
-            f"(limit {max_dim}); use orthogonal_decompose instead"
-        )
-    return basis.basis @ basis.basis.T
-
-
 def sample_harmless(basis: NullspaceBasis, seed: int, target_norm: float,
                     norm_kind: str = "l2") -> np.ndarray:
     """Seeded random direction inside the harmless subspace, rescaled so
@@ -147,8 +138,8 @@ def sample_harmless(basis: NullspaceBasis, seed: int, target_norm: float,
     return delta * (target_norm / cur)
 
 
-def _sigma_max_bound(matrix: sp.csr_matrix) -> float:
-    # Schur bound: sigma_max^2 <= ||A||_1 * ||A||_inf, computable in O(nnz).
+def sigma_max_bound(matrix: sp.csr_matrix) -> float:
+    """Schur bound sigma_max <= sqrt(||A||_1 * ||A||_inf), computable in O(nnz)."""
     a = abs(matrix)
     col_sums = np.asarray(a.sum(axis=0)).ravel()
     row_sums = np.asarray(a.sum(axis=1)).ravel()
@@ -170,64 +161,54 @@ def least_harmful(eq: EquivalentMatrix) -> LeastHarmful:
     if m.shape[1] > m.shape[0]:
         m = sp.vstack([m, sp.csr_matrix((m.shape[1] - m.shape[0], m.shape[1]))]).tocsr()
     v, lam = smallest_eigenpair_gram(m)
-    bound = _sigma_max_bound(eq.matrix)
+    bound = sigma_max_bound(eq.matrix)
     tol = bound * max(eq.rows, eq.cols) * np.finfo(np.float64).eps
     return LeastHarmful(direction=v, residual=lam, in_nullspace=lam <= tol * tol)
 
 
-def classify_pair(basis: NullspaceBasis, eq: EquivalentMatrix,
-                  delta: np.ndarray, delta_hat: np.ndarray) -> PairVerdict:
-    """Relate the layer outputs of two perturbations via their orthogonal
-    components.
-
-    Returns identical-output when the orthogonal components coincide,
-    proportional(alpha) when they are parallel with ratio alpha (so the
-    outputs satisfy A delta = alpha * A delta_hat), and different-output
-    otherwise. Comparisons use VERDICT_RTOL relative to the component
-    norms. Two outright-harmless perturbations (both components zero)
-    count as identical-output: both outputs are zero.
+def relate_outputs(y: np.ndarray, y_hat: np.ndarray) -> PairVerdict:
+    """Relate two layer outputs: identical-output when they coincide,
+    proportional(alpha) when y = alpha * y_hat, different-output
+    otherwise. Comparisons use VERDICT_RTOL relative to the output
+    norms, so two zero outputs count as identical-output.
     """
-    d = orthogonal_decompose(basis, delta).orthogonal
-    dh = orthogonal_decompose(basis, delta_hat).orthogonal
-    nd, ndh = np.linalg.norm(d), np.linalg.norm(dh)
-    tol = VERDICT_RTOL * max(nd, ndh, 1.0)
-    if np.linalg.norm(d - dh) <= tol:
+    ny, nyh = np.linalg.norm(y), np.linalg.norm(y_hat)
+    tol = VERDICT_RTOL * max(ny, nyh, 1.0)
+    if np.linalg.norm(y - y_hat) <= tol:
         return PairVerdict(IDENTICAL_OUTPUT)
-    if ndh <= tol:
+    if nyh <= tol:
         return PairVerdict(DIFFERENT_OUTPUT)
-    alpha = float(d @ dh) / float(dh @ dh)
-    if np.linalg.norm(d - alpha * dh) <= tol:
+    alpha = float(y @ y_hat) / float(y_hat @ y_hat)
+    if np.linalg.norm(y - alpha * y_hat) <= tol:
         return PairVerdict(PROPORTIONAL, alpha=alpha)
     return PairVerdict(DIFFERENT_OUTPUT)
 
 
-# --- binary serialization ----------------------------------------------
-#
-# Frozen layout: magic "NSPB", then little-endian u32 version (currently
-# 1), u32 n, u32 d, then n*d float64 little-endian, column-major.
+def classify_pair(basis: NullspaceBasis, delta: np.ndarray,
+                  delta_hat: np.ndarray) -> PairVerdict:
+    """Relate the layer outputs of two perturbations via their orthogonal
+    components, which alone determine the outputs: relate_outputs applied
+    to the two components. Two outright-harmless perturbations (both
+    components zero) count as identical-output: both outputs are zero.
+    """
+    return relate_outputs(orthogonal_decompose(basis, delta).orthogonal,
+                          orthogonal_decompose(basis, delta_hat).orthogonal)
 
-_MAGIC = b"NSPB"
-_VERSION = 1
+
+# --- serialization -------------------------------------------------------
+#
+# A basis file is a tensor container (see tensorio) holding exactly one
+# 2-d tensor named "basis" of shape (n, d).
 
 
 def save_basis(basis: NullspaceBasis, path) -> None:
-    n, d = basis.ambient_dim, basis.dim
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<III", _VERSION, n, d))
-        fh.write(np.asfortranarray(basis.basis, dtype="<f8").tobytes(order="F"))
+    write_tensors(path, {"basis": basis.basis})
 
 
 def load_basis(path) -> NullspaceBasis:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"not a basis file: bad magic {magic!r}")
-        version, n, d = struct.unpack("<III", fh.read(12))
-        if version != _VERSION:
-            raise ValueError(f"unsupported basis file version {version}")
-        data = fh.read(8 * n * d)
-        if len(data) != 8 * n * d:
-            raise ValueError("truncated basis file")
-        u = np.frombuffer(data, dtype="<f8").reshape((n, d), order="F")
-    return NullspaceBasis(basis=np.ascontiguousarray(u), source=f"file:{path}")
+    tensors = read_tensors(path)
+    u = tensors.get("basis")
+    if len(tensors) != 1 or u is None or u.ndim != 2:
+        shapes = {name: t.shape for name, t in tensors.items()}
+        raise ValueError(f"not a basis file: expected one 2-d 'basis' tensor, got {shapes}")
+    return NullspaceBasis(basis=u, source=f"file:{path}")

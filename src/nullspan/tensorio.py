@@ -17,6 +17,7 @@ produce byte-identical files.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -52,28 +53,57 @@ def write_tensors(path, tensors: dict[str, np.ndarray]) -> None:
             fh.write(a.tobytes())
 
 
+def _unpack(fmt: str, blob: bytes, pos: int) -> tuple[tuple, int]:
+    end = pos + struct.calcsize(fmt)
+    if end > len(blob):
+        raise ValueError("truncated header")
+    return struct.unpack_from(fmt, blob, pos), end
+
+
 def read_tensors(path) -> dict[str, np.ndarray]:
+    """Read a container written by write_tensors.
+
+    The layout the writer produces is recomputed from the table
+    (contiguous blocks in table order, starting right after the table)
+    and any difference raises ValueError naming the cause: bad magic,
+    unsupported version, truncated header, invalid name, duplicate
+    name, offset mismatch, truncated data or trailing bytes. Sizes are
+    checked against the file length before any array is allocated.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != _MAGIC:
         raise ValueError(f"not a tensor file: bad magic {blob[:4]!r}")
-    version, count = struct.unpack_from("<II", blob, 4)
+    (version, count), pos = _unpack("<II", blob, 4)
     if version != _VERSION:
         raise ValueError(f"unsupported tensor file version {version}")
-    pos = 12
-    out: dict[str, np.ndarray] = {}
+    table = []
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", blob, pos)
-        pos += 4
-        name = blob[pos:pos + name_len].decode("utf-8")
-        pos += name_len
-        (ndim,) = struct.unpack_from("<I", blob, pos)
-        pos += 4
-        shape = struct.unpack_from(f"<{ndim}I", blob, pos)
-        pos += 4 * ndim
-        (offset,) = struct.unpack_from("<Q", blob, pos)
-        pos += 8
-        size = int(np.prod(shape, dtype=np.int64)) if ndim else 1
+        (name_len,), pos = _unpack("<I", blob, pos)
+        (name_b,), pos = _unpack(f"<{name_len}s", blob, pos)
+        try:
+            name = name_b.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"tensor name {name_b!r} is not valid UTF-8") from None
+        (ndim,), pos = _unpack("<I", blob, pos)
+        shape, pos = _unpack(f"<{ndim}I", blob, pos)
+        (offset,), pos = _unpack("<Q", blob, pos)
+        table.append((name, shape, offset))
+
+    out: dict[str, np.ndarray] = {}
+    expected = pos
+    for name, shape, offset in table:
+        if name in out:
+            raise ValueError(f"duplicate tensor name {name!r}")
+        if offset != expected:
+            raise ValueError(f"offset mismatch for tensor {name!r}: "
+                             f"recorded {offset}, expected {expected}")
+        size = math.prod(shape)
+        if expected + 8 * size > len(blob):
+            raise ValueError(f"truncated data for tensor {name!r}")
         data = np.frombuffer(blob, dtype="<f8", count=size, offset=offset)
         out[name] = data.reshape(shape).copy()
+        expected += 8 * size
+    if expected != len(blob):
+        raise ValueError(f"trailing bytes: {len(blob) - expected} after the last tensor")
     return out

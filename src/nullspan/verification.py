@@ -9,7 +9,6 @@ over full_battery; the acceptance tests call the same functions.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,16 +36,16 @@ from .privacy import PrivacyConfig, maximize_dissimilarity, sample_reconstructio
 from .seeding import make_rng, subseed
 from .subspace import (
     NullspaceBasis,
-    PairVerdict,
     DIFFERENT_OUTPUT,
     IDENTICAL_OUTPUT,
     PROPORTIONAL,
-    VERDICT_RTOL,
     classify_pair,
     harmless_basis,
     least_harmful,
     orthogonal_decompose,
+    relate_outputs,
     sample_harmless,
+    sigma_max_bound,
 )
 
 __all__ = [
@@ -58,6 +57,7 @@ __all__ = [
     "cited_geometries",
     "seeded_geometries",
     "numerical_nullity",
+    "nullity_row",
     "dimension_agreement",
     "lowering_residuals",
     "basis_integrity",
@@ -71,6 +71,7 @@ __all__ = [
 ]
 
 RMSE_SCALES = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
+DIM_SWEEP_HEADER = ("in_dim", "out_dim", "predicted", "numerical", "agree")
 BASE_LINF = 8.0 / 255.0
 
 
@@ -242,6 +243,14 @@ def numerical_nullity(eq) -> int:
     return eq.cols - numerical_rank(sv, eq.rows, eq.cols)
 
 
+def nullity_row(spec) -> list:
+    """One dim-sweep row for a layer geometry: input and output
+    dimensions, predicted and numerical nullity, and whether they agree."""
+    pred = predict_nullspace_dim(spec)
+    numerical = numerical_nullity(build_equivalent(spec))
+    return [spec.input_dim, spec.output_dim, pred.dim, numerical, numerical == pred.dim]
+
+
 def _describe(spec) -> str:
     if isinstance(spec, ConvLayerSpec):
         return (f"conv {spec.in_channels}x{spec.in_height}x{spec.in_width}"
@@ -256,31 +265,15 @@ def dimension_agreement(geometries) -> tuple[list[dict], CheckResult]:
     Returns the per-geometry rows (for the dim-sweep CSV) and one
     summary check requiring exact integer agreement everywhere.
     """
-    t0 = time.monotonic()
-    rows = []
-    disagreements = 0
-    for spec in geometries:
-        eq = build_equivalent(spec)
-        pred = predict_nullspace_dim(spec)
-        numerical = numerical_nullity(eq)
-        agree = numerical == pred.dim
-        disagreements += 0 if agree else 1
-        rows.append({
-            "description": _describe(spec),
-            "in_dim": spec.input_dim,
-            "out_dim": spec.output_dim,
-            "predicted": pred.dim,
-            "numerical": numerical,
-            "agree": agree,
-        })
-    elapsed = time.monotonic() - t0
+    rows = [{"description": _describe(spec), **dict(zip(DIM_SWEEP_HEADER, nullity_row(spec)))}
+            for spec in geometries]
+    disagreements = sum(not r["agree"] for r in rows)
     check = CheckResult(
         name="dimension-agreement",
         passed=disagreements == 0,
         measured=float(disagreements),
         tolerance=0.0,
-        detail=f"{len(rows) - disagreements}/{len(rows)} geometries agree exactly "
-               f"in {elapsed:.1f}s",
+        detail=f"{len(rows) - disagreements}/{len(rows)} geometries agree exactly",
     )
     return rows, check
 
@@ -312,7 +305,7 @@ def basis_integrity(eq, basis: NullspaceBasis) -> list[CheckResult]:
     u = basis.basis
     d = basis.dim
     ortho = 0.0 if d == 0 else float(np.max(np.abs(u.T @ u - np.eye(d))))
-    sigma_bound = _schur_sigma_bound(eq.matrix)
+    sigma_bound = sigma_max_bound(eq.matrix)
     residual = 0.0 if d == 0 else float(np.max(np.abs(eq.matrix @ u)))
     return [
         CheckResult("basis-orthonormality", ortho <= 1e-12, ortho, 1e-12,
@@ -321,15 +314,6 @@ def basis_integrity(eq, basis: NullspaceBasis) -> list[CheckResult]:
                     residual, 1e-10 * sigma_bound,
                     detail="max |A u| against 1e-10 * sigma_max bound"),
     ]
-
-
-def _schur_sigma_bound(matrix) -> float:
-    a = abs(matrix)
-    col = np.asarray(a.sum(axis=0)).ravel()
-    row = np.asarray(a.sum(axis=1)).ravel()
-    if col.size == 0 or row.size == 0:
-        return 0.0
-    return float(np.sqrt(col.max() * row.max()))
 
 
 def _zero_nullity_probe_index(net) -> int | None:
@@ -364,8 +348,8 @@ def rmse_table(net, first_basis: NullspaceBasis, root_seed: int,
     gaussian *= BASE_LINF / np.max(np.abs(gaussian))
 
     rows = {}
-    rows.update(rmse_report(net, images, harmless, scales, 0, kind="harmless").rows)
-    rows.update(rmse_report(net, images, gaussian, scales, 0, kind="gaussian").rows)
+    rows.update(rmse_report(net, images, harmless, scales, 0, kind="harmless"))
+    rows.update(rmse_report(net, images, gaussian, scales, 0, kind="gaussian"))
 
     zcl = _zero_nullity_probe_index(net)
     if zcl is not None:
@@ -376,9 +360,9 @@ def rmse_table(net, first_basis: NullspaceBasis, root_seed: int,
         gaussian_feat = gf_rng.standard_normal(feat_shape)
         gaussian_feat /= np.linalg.norm(gaussian_feat)
         rows.update(rmse_report(net, images, lh_delta, scales, zcl,
-                                kind="least-harmful").rows)
+                                kind="least-harmful"))
         rows.update(rmse_report(net, images, gaussian_feat, scales, zcl,
-                                kind="gaussian-feature").rows)
+                                kind="gaussian-feature"))
 
     harmless_vals = [rows[("harmless", s)] for s in scales]
     gauss_vals = [rows[("gaussian", s)] for s in scales]
@@ -448,19 +432,6 @@ def least_harmful_minimality(root_seed: int, n_matrices: int = 10,
                     detail=f"lower bound: min sampled energy minus residual, "
                            f"{n_samples} unit directions per matrix"),
     ]
-
-
-def _direct_output_verdict(y: np.ndarray, y_hat: np.ndarray) -> PairVerdict:
-    ny, nyh = np.linalg.norm(y), np.linalg.norm(y_hat)
-    tol = VERDICT_RTOL * max(ny, nyh, 1.0)
-    if np.linalg.norm(y - y_hat) <= tol:
-        return PairVerdict(IDENTICAL_OUTPUT)
-    if nyh <= tol:
-        return PairVerdict(DIFFERENT_OUTPUT)
-    beta = float(y @ y_hat) / float(y_hat @ y_hat)
-    if np.linalg.norm(y - beta * y_hat) <= tol:
-        return PairVerdict(PROPORTIONAL, alpha=beta)
-    return PairVerdict(DIFFERENT_OUTPUT)
 
 
 def decomposition_laws(root_seed: int, trials: int = 1000) -> list[CheckResult]:
@@ -540,8 +511,8 @@ def decomposition_laws(root_seed: int, trials: int = 1000) -> list[CheckResult]:
         else:
             delta_hat = trng.standard_normal(n_in)
             expected = DIFFERENT_OUTPUT
-        verdict = classify_pair(basis, eq, delta, delta_hat)
-        direct = _direct_output_verdict(a @ delta, a @ delta_hat)
+        verdict = classify_pair(basis, delta, delta_hat)
+        direct = relate_outputs(a @ delta, a @ delta_hat)
         ok = verdict.kind == expected and direct.kind == verdict.kind
         if verdict.kind == PROPORTIONAL and ok:
             ok = abs(verdict.alpha - direct.alpha) <= 1e-6 * max(1.0, abs(verdict.alpha))

@@ -68,6 +68,12 @@ def test_criterion_1_rank_nullity_sweep(sweep):
     report(1, "rank-nullity dimension sweep", checks)
 
 
+def test_criterion_1_detail_is_deterministic(sweep):
+    # The report must be byte-stable across runs, so no timing in the detail.
+    _, check, _ = sweep
+    assert check.detail == "53/53 geometries agree exactly"
+
+
 def test_criterion_2_lowering_oracle(geometries):
     check = lowering_residuals(geometries, ROOT_SEED, samples=100, tolerance=1e-12)
     report(2, "lowering equivalence <= 1e-12", [check])

@@ -250,14 +250,14 @@ class TestRmseReport:
                                 norm_kind="linf").reshape(3, 32, 32)
         inputs = [synthetic_image(100 + i, (3, 32, 32)) for i in range(4)]
         scales = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
-        report = rmse_report(default_net, inputs, delta, scales, 0, kind="harmless")
-        assert set(report.rows) == {("harmless", s) for s in scales}
-        assert all(v <= 1e-10 for v in report.rows.values())
+        rows = rmse_report(default_net, inputs, delta, scales, 0, kind="harmless")
+        assert set(rows) == {("harmless", s) for s in scales}
+        assert all(v <= 1e-10 for v in rows.values())
 
     def test_zero_delta_exactly_zero(self, default_net):
         inputs = [synthetic_image(200, (3, 32, 32))]
-        report = rmse_report(default_net, inputs, np.zeros((3, 32, 32)), (1.0, 4.0), 0)
-        assert all(v == 0.0 for v in report.rows.values())
+        rows = rmse_report(default_net, inputs, np.zeros((3, 32, 32)), (1.0, 4.0), 0)
+        assert all(v == 0.0 for v in rows.values())
 
     def test_gaussian_grows(self, default_net):
         rng = np.random.default_rng(18)
@@ -265,8 +265,8 @@ class TestRmseReport:
         delta *= (8 / 255) / np.max(np.abs(delta))
         inputs = [synthetic_image(300 + i, (3, 32, 32)) for i in range(4)]
         scales = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
-        report = rmse_report(default_net, inputs, delta, scales, 0, kind="gaussian")
-        values = [report.rows[("gaussian", s)] for s in scales]
+        rows = rmse_report(default_net, inputs, delta, scales, 0, kind="gaussian")
+        values = [rows[("gaussian", s)] for s in scales]
         assert all(v > 0 for v in values)
         assert all(b > a for a, b in zip(values, values[1:]))
 

@@ -22,7 +22,6 @@ from nullspan.subspace import (
     least_harmful,
     load_basis,
     orthogonal_decompose,
-    projection_matrix,
     sample_harmless,
     save_basis,
 )
@@ -123,18 +122,6 @@ class TestOrthogonalDecompose:
             orthogonal_decompose(fc_basis, np.zeros(21))
 
 
-class TestProjectionMatrix:
-    def test_matches_and_idempotent(self, fc_basis):
-        p = projection_matrix(fc_basis)
-        np.testing.assert_allclose(p, fc_basis.basis @ fc_basis.basis.T, atol=0)
-        np.testing.assert_allclose(p @ p, p, atol=1e-12)
-        np.testing.assert_allclose(p, p.T, atol=0)
-
-    def test_refuses_large(self, first_layer_basis):
-        with pytest.raises(ValueError, match="refusing"):
-            projection_matrix(first_layer_basis)
-
-
 class TestSampleHarmless:
     def test_linf_target(self, fc_basis):
         delta = sample_harmless(fc_basis, seed=9, target_norm=8 / 255, norm_kind="linf")
@@ -207,7 +194,7 @@ class TestClassifyPair:
         rng = np.random.default_rng(30)
         delta = rng.standard_normal(20)
         delta_hat = delta + fc_basis.basis @ rng.standard_normal(8)
-        verdict = classify_pair(fc_basis, fc_eq, delta, delta_hat)
+        verdict = classify_pair(fc_basis, delta, delta_hat)
         assert verdict.kind == IDENTICAL_OUTPUT
 
     def test_proportional_alpha_three(self, fc_eq, fc_basis):
@@ -215,7 +202,7 @@ class TestClassifyPair:
         base = orthogonal_decompose(fc_basis, rng.standard_normal(20)).orthogonal
         delta = 3.0 * base + fc_basis.basis @ rng.standard_normal(8)
         delta_hat = base + fc_basis.basis @ rng.standard_normal(8)
-        verdict = classify_pair(fc_basis, fc_eq, delta, delta_hat)
+        verdict = classify_pair(fc_basis, delta, delta_hat)
         assert verdict.kind == PROPORTIONAL
         assert verdict.alpha == pytest.approx(3.0, abs=1e-9)
         a = fc_eq.matrix
@@ -224,7 +211,7 @@ class TestClassifyPair:
 
     def test_general_position_different(self, fc_eq, fc_basis):
         rng = np.random.default_rng(32)
-        verdict = classify_pair(fc_basis, fc_eq, rng.standard_normal(20),
+        verdict = classify_pair(fc_basis, rng.standard_normal(20),
                                 rng.standard_normal(20))
         assert verdict.kind == DIFFERENT_OUTPUT
 
@@ -232,14 +219,14 @@ class TestClassifyPair:
         rng = np.random.default_rng(33)
         harmless = fc_basis.basis @ rng.standard_normal(8)
         delta = rng.standard_normal(20)
-        verdict = classify_pair(fc_basis, fc_eq, delta, harmless)
+        verdict = classify_pair(fc_basis, delta, harmless)
         assert verdict.kind == DIFFERENT_OUTPUT
 
     def test_both_harmless_identical(self, fc_eq, fc_basis):
         rng = np.random.default_rng(34)
         h1 = fc_basis.basis @ rng.standard_normal(8)
         h2 = fc_basis.basis @ rng.standard_normal(8)
-        verdict = classify_pair(fc_basis, fc_eq, h1, h2)
+        verdict = classify_pair(fc_basis, h1, h2)
         assert verdict.kind == IDENTICAL_OUTPUT
 
 
@@ -267,7 +254,13 @@ class TestBasisFile:
         path = tmp_path / "tiny.nspb"
         save_basis(basis, path)
         blob = path.read_bytes()
-        expected = b"NSPB" + struct.pack("<III", 1, 2, 1) + struct.pack("<2d", 1.5, -2.5)
+        name = b"basis"
+        header_size = 12 + (4 + len(name) + 4 + 2 * 4 + 8)
+        expected = (b"NSPW" + struct.pack("<II", 1, 1)
+                    + struct.pack("<I", len(name)) + name
+                    + struct.pack("<I", 2) + struct.pack("<2I", 2, 1)
+                    + struct.pack("<Q", header_size)
+                    + struct.pack("<2d", 1.5, -2.5))
         assert blob == expected
 
     def test_bad_magic(self, tmp_path):
