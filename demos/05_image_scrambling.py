@@ -48,25 +48,27 @@ basis = harmless_basis(build_equivalent(net.layers[0]))
 print(f"harmless subspace of the first layer: {basis.dim} of {basis.ambient_dim} dims")
 
 x = synthetic_image(77, (3, 16, 16))
-clean = forward(net, x).logits
 
-result = maximize_dissimilarity(x, basis, net, PrivacyConfig(seed=123))
-scrambled = forward(net, result.image).logits
+# the optimizer takes a stack of images (B, C, H, W) and one seed per image;
+# here the stack holds a single image
+result = maximize_dissimilarity(x[None], basis, net, PrivacyConfig(), seeds=[123])
+x_hat = result.image[0]
+clean, scrambled = result.clean_logits[0], result.scrambled_logits[0]
 
-print(f"\npixel mse between original and scrambled: {result.mse:.4f}")
-print(f"structural similarity (ssim):             {ssim(x, result.image):.4f}")
-print(f"largest out-of-range pixel excursion:     {result.max_bound_violation:.2e}")
-print(f"max |logit change|:                       {result.output_deviation:.3e}")
+print(f"\npixel mse between original and scrambled: {result.mse[0]:.4f}")
+print(f"structural similarity (ssim):             {ssim(x, x_hat):.4f}")
+print(f"largest out-of-range pixel excursion:     {result.max_bound_violation[0]:.2e}")
+print(f"max |logit change|:                       {result.output_deviation[0]:.3e}")
 print(f"prediction: {int(np.argmax(clean))} -> {int(np.argmax(scrambled))}")
 
 write_ppm(out_dir / "original.ppm", x)
-write_ppm(out_dir / "scrambled.ppm", result.image)
-pert = result.image - x
+write_ppm(out_dir / "scrambled.ppm", x_hat)
+pert = x_hat - x
 write_ppm(out_dir / "perturbation.ppm", (pert - pert.min()) / (pert.max() - pert.min()))
 
 # ambiguity: subtracting any other harmless vector yields an equally
 # valid "original" with the identical network output
-recons = sample_reconstructions(result.image, basis, k=4, seed=5)
+recons = sample_reconstructions(x_hat, basis, k=4, seed=5)
 print("\nrecovery ambiguity, 4 candidate originals:")
 for i, candidate in enumerate(recons):
     dev = np.max(np.abs(forward(net, candidate).logits - scrambled))

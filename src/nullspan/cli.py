@@ -260,25 +260,26 @@ def cmd_privacy(args) -> int:
     if basis.dim == 0:
         print("first layer has no harmless subspace; cannot scramble", file=sys.stderr)
         return 1
+
+    try:
+        images = [read_ppm(p) for p in args.image_files] if args.image_files else None
+        battery = privacy_battery(net, basis, args.seed,
+                                  n_images=args.images, n_recon=args.recon,
+                                  images=images)
+    except ValueError as exc:
+        args.usage_error(str(exc))
     save_basis(basis, out / "first_layer_basis.nspb")
 
-    images = None
-    if args.image_files:
-        images = [read_ppm(p) for p in args.image_files]
-    battery = privacy_battery(net, basis, args.seed,
-                              n_images=args.images, n_recon=args.recon,
-                              images=images)
-
-    for i, (x, res, recons) in enumerate(zip(battery.originals, battery.results,
-                                             battery.reconstructions)):
+    for i, (x, x_hat, recons) in enumerate(zip(battery.originals, battery.result.image,
+                                               battery.reconstructions)):
         stem = out / f"img{i:02d}"
         write_ppm(f"{stem}_original.ppm", x)
-        pert = res.image - x
+        pert = x_hat - x
         lo, hi = pert.min(), pert.max()
         view = (pert - lo) / (hi - lo) if hi > lo else np.zeros_like(pert)
         write_ppm(f"{stem}_perturbation.ppm", view)
-        write_ppm(f"{stem}_scrambled.ppm", res.image)
-        save_float_image(f"{stem}_scrambled.f64", res.image)
+        write_ppm(f"{stem}_scrambled.ppm", x_hat)
+        save_float_image(f"{stem}_scrambled.f64", x_hat)
         for j, recon in enumerate(recons):
             write_ppm(f"{stem}_recon{j:02d}.ppm", recon)
 
@@ -372,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="PPM images to scramble instead of synthetic ones")
     p.add_argument("--recon", type=int, default=16,
                    help="sampled reconstructions per image")
-    p.set_defaults(func=cmd_privacy)
+    p.set_defaults(func=cmd_privacy, usage_error=p.error)
     return parser
 
 

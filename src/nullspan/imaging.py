@@ -84,7 +84,12 @@ def write_ppm(path, image: np.ndarray) -> None:
 
 
 def read_ppm(path) -> np.ndarray:
-    """Read a binary PPM into a (3, H, W) float image with values in [0, 1]."""
+    """Read a binary PPM into a (3, H, W) float image with values in [0, 1].
+
+    Malformed files raise ValueError naming the cause: bad magic,
+    truncated header, non-integer header field, non-positive width or
+    height, unsupported maxval, or short pixel data.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:2] != b"P6":
@@ -101,11 +106,22 @@ def read_ppm(path) -> np.ndarray:
         start = pos
         while pos < len(blob) and not blob[pos:pos + 1].isspace():
             pos += 1
-        fields.append(int(blob[start:pos]))
+        if pos == len(blob):
+            raise ValueError("truncated PPM header: need width, height and maxval, "
+                             "each followed by whitespace")
+        token = blob[start:pos]
+        if not token.isdigit():
+            raise ValueError(f"PPM header field {token[:20]!r} is not a non-negative integer")
+        fields.append(int(token))
     pos += 1  # single whitespace after maxval
     w, h, maxval = fields
+    if w < 1 or h < 1:
+        raise ValueError(f"PPM width and height must be positive, got {w}x{h}")
     if maxval != 255:
         raise ValueError(f"only 8-bit PPM supported, maxval={maxval}")
+    if len(blob) - pos < w * h * 3:
+        raise ValueError(f"short PPM pixel data: {w}x{h} needs {w * h * 3} bytes, "
+                         f"got {len(blob) - pos}")
     data = np.frombuffer(blob, dtype=np.uint8, count=w * h * 3, offset=pos)
     return np.transpose(data.reshape(h, w, 3), (2, 0, 1)).astype(np.float64) / 255.0
 

@@ -432,27 +432,53 @@ def layer_to_json_dict(spec) -> dict:
     raise TypeError(f"not a linear layer spec: {type(spec).__name__}")
 
 
+def _json_int(doc: dict, name: str, default=None) -> int:
+    """Integer field of a JSON object, or default when absent and default
+    is not None; a ValueError names a missing or non-integer field."""
+    if name not in doc:
+        if default is None:
+            raise ValueError(f"missing field {name!r}")
+        return default
+    value = doc[name]
+    if type(value) is not int:
+        raise ValueError(f"field {name!r} must be an integer, got {type(value).__name__}")
+    return value
+
+
+def _json_array(doc: dict, name: str) -> np.ndarray | None:
+    value = doc.get(name)
+    if value is None:
+        return None
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"field {name!r} must be a numeric array or null") from None
+
+
 def layer_from_json_dict(doc: dict):
+    """Layer spec from its plain-dict form; malformed input raises ValueError."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a layer must be a JSON object, got {type(doc).__name__}")
     kind = doc.get("kind")
     if kind == "conv":
         return ConvLayerSpec(
-            in_channels=doc["in_channels"],
-            in_height=doc["in_height"],
-            in_width=doc["in_width"],
-            out_channels=doc["out_channels"],
-            kernel_h=doc["kernel_h"],
-            kernel_w=doc["kernel_w"],
-            stride=doc.get("stride", 1),
-            zero_padding=doc.get("zero_padding", 0),
-            kernels=None if doc.get("kernels") is None else np.asarray(doc["kernels"]),
-            bias=None if doc.get("bias") is None else np.asarray(doc["bias"]),
+            in_channels=_json_int(doc, "in_channels"),
+            in_height=_json_int(doc, "in_height"),
+            in_width=_json_int(doc, "in_width"),
+            out_channels=_json_int(doc, "out_channels"),
+            kernel_h=_json_int(doc, "kernel_h"),
+            kernel_w=_json_int(doc, "kernel_w"),
+            stride=_json_int(doc, "stride", 1),
+            zero_padding=_json_int(doc, "zero_padding", 0),
+            kernels=_json_array(doc, "kernels"),
+            bias=_json_array(doc, "bias"),
         )
     if kind == "fc":
         return FcLayerSpec(
-            in_features=doc["in_features"],
-            out_features=doc["out_features"],
-            weight=None if doc.get("weight") is None else np.asarray(doc["weight"]),
-            bias=None if doc.get("bias") is None else np.asarray(doc["bias"]),
+            in_features=_json_int(doc, "in_features"),
+            out_features=_json_int(doc, "out_features"),
+            weight=_json_array(doc, "weight"),
+            bias=_json_array(doc, "bias"),
         )
     raise ValueError(f"unknown layer kind {kind!r}")
 

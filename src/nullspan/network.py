@@ -14,6 +14,7 @@ forward_from_layer(net, 0, x) reproduces the full forward pass.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,6 +26,7 @@ from .layers import (
     FcLayerSpec,
     conv_forward,
     fc_forward,
+    _json_int,
     layer_from_json_dict,
     layer_to_json_dict,
 )
@@ -60,6 +62,11 @@ class AvgPool:
     window: int
     stride: int
 
+    def __post_init__(self):
+        if self.window < 1 or self.stride < 1:
+            raise ValueError(f"avgpool window and stride must be positive, "
+                             f"got {self.window} and {self.stride}")
+
 
 @dataclass(frozen=True)
 class Flatten:
@@ -73,7 +80,7 @@ def shape_after(layer, shape: tuple[int, ...]) -> tuple[int, ...]:
             raise ValueError(f"conv expects input shape {layer.input_shape}, got {shape}")
         return layer.output_shape
     if isinstance(layer, FcLayerSpec):
-        flat = int(np.prod(shape))
+        flat = math.prod(shape)
         if flat != layer.in_features:
             raise ValueError(f"fc expects {layer.in_features} features, got {flat} (shape {shape})")
         return layer.output_shape
@@ -89,7 +96,7 @@ def shape_after(layer, shape: tuple[int, ...]) -> tuple[int, ...]:
                 (h - layer.window) // layer.stride + 1,
                 (w - layer.window) // layer.stride + 1)
     if isinstance(layer, Flatten):
-        return (int(np.prod(shape)),)
+        return (math.prod(shape),)
     raise TypeError(f"unknown layer type {type(layer).__name__}")
 
 
@@ -270,13 +277,15 @@ def _layer_json(layer) -> dict:
 
 
 def _layer_from_json(doc: dict):
+    if not isinstance(doc, dict):
+        raise ValueError(f"a layer must be a JSON object, got {type(doc).__name__}")
     kind = doc.get("kind")
     if kind in ("conv", "fc"):
         return layer_from_json_dict(doc)
     if kind == "relu":
         return Relu()
     if kind == "avgpool":
-        return AvgPool(window=doc["window"], stride=doc["stride"])
+        return AvgPool(window=_json_int(doc, "window"), stride=_json_int(doc, "stride"))
     if kind == "flatten":
         return Flatten()
     raise ValueError(f"unknown layer kind {kind!r}")
@@ -290,10 +299,25 @@ def network_spec_to_json_dict(spec: NetworkSpec) -> dict:
 
 
 def network_spec_from_json_dict(doc: dict) -> NetworkSpec:
-    return NetworkSpec(
-        input_shape=tuple(doc["input_shape"]),
-        layers=tuple(_layer_from_json(l) for l in doc["layers"]),
-    )
+    """Network spec from its plain-dict form; malformed input raises a
+    ValueError naming the missing or ill-typed field."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a network must be a JSON object, got {type(doc).__name__}")
+    for name in ("input_shape", "layers"):
+        if name not in doc:
+            raise ValueError(f"missing field {name!r}")
+        if not isinstance(doc[name], list):
+            raise ValueError(f"field {name!r} must be a list, got {type(doc[name]).__name__}")
+    shape = doc["input_shape"]
+    if not all(type(s) is int and s >= 1 for s in shape):
+        raise ValueError("field 'input_shape' must hold positive integers")
+    layers = []
+    for i, layer in enumerate(doc["layers"]):
+        try:
+            layers.append(_layer_from_json(layer))
+        except ValueError as exc:
+            raise ValueError(f"layer {i}: {exc}") from exc
+    return NetworkSpec(input_shape=tuple(shape), layers=tuple(layers))
 
 
 def save_network_spec(spec: NetworkSpec, path) -> None:

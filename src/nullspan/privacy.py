@@ -17,6 +17,11 @@ and break exact output invariance. Bound violations are reported, not
 clipped away; 8-bit export quantizes for viewing only, and quantized
 exports are not output-invariant.
 
+A stack of B images is scrambled in one ascent: the coefficients are a
+(B, d) array C, one row per image, so each iteration costs the two
+matrix products C @ U.T and G @ U, with objective, penalty and gradient
+computed row by row. Rows never interact; batching changes only rounding.
+
 Because x_hat - x stays in span(U) at every iteration, no projection or
 correction step is ever needed and the network output matches to
 floating-point accuracy.
@@ -51,7 +56,8 @@ class PrivacyConfig:
     max_iters/step_size drive the growth phase; settle_iters and
     settle_step_size run afterwards with the same penalty weight so the
     final iterate sits inside the pixel box. init_coeff_scale scales the
-    seeded Gaussian initialization of c (0 starts exactly at x).
+    seeded Gaussian initialization of c (0 starts exactly at x); the seed
+    of each image is an argument of maximize_dissimilarity.
     """
 
     max_iters: int = 2000
@@ -60,7 +66,6 @@ class PrivacyConfig:
     settle_iters: int = 300
     settle_step_size: float = 0.05
     init_coeff_scale: float = 0.8
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -77,48 +82,55 @@ class PrivacyConfig:
 
 @dataclass(frozen=True)
 class PrivacyResult:
-    """Scrambled image plus diagnostics.
+    """Scrambled images plus diagnostics, one leading row per image.
 
-    image is x + U @ coefficients (unclamped, CHW); mse is the mean
+    image is x + U @ coefficients (unclamped, BCHW); mse is the mean
     squared pixel difference to the original; max_bound_violation is the
     largest distance any pixel sits outside [0, 1]; output_deviation is
-    the max-abs logit difference against the original image.
-    objective_history records the objective before every iteration.
+    the max-abs difference of scrambled_logits and clean_logits.
+    objective_history is every objective before every iteration, (iterations, B).
     """
 
     image: np.ndarray
     coefficients: np.ndarray
-    mse: float
-    max_bound_violation: float
-    output_deviation: float
+    mse: np.ndarray
+    max_bound_violation: np.ndarray
+    clean_logits: np.ndarray
+    scrambled_logits: np.ndarray
+    output_deviation: np.ndarray
     objective_history: np.ndarray
 
 
 def _objective_and_gradient(c, u, x_flat, n, penalty_weight):
     # overflow here is caught by the caller's finiteness check
     with np.errstate(over="ignore", invalid="ignore"):
-        x_hat = x_flat + u @ c
-        g = np.zeros(n)
-        g[x_hat < 0.0] = -1.0
-        g[x_hat > 1.0] = 1.0
-        penalty = float(np.abs(x_hat[x_hat < 0.0]).sum() + np.abs(x_hat[x_hat > 1.0]).sum())
-        uc = x_hat - x_flat
-        objective = float(uc @ uc) / n - penalty_weight * penalty
-        gradient = (2.0 / n) * c - penalty_weight * (u.T @ g)
+        uc = c @ u.T
+        x_hat = x_flat + uc
+        g = (x_hat > 1.0).astype(np.float64) - (x_hat < 0.0)
+        # g is the sign of every out-of-box pixel's excursion, so x_hat * g
+        # sums |x_hat| over exactly the pixels outside [0, 1]
+        penalty = np.einsum("ij,ij->i", x_hat, g)
+        objective = np.einsum("ij,ij->i", uc, uc) / n - penalty_weight * penalty
+        gradient = (2.0 / n) * c - penalty_weight * (g @ u)
     return objective, gradient
 
 
-def maximize_dissimilarity(x: np.ndarray, basis: NullspaceBasis, net: Network,
-                           cfg: PrivacyConfig) -> PrivacyResult:
-    """Scramble x inside the harmless subspace of net's first linear layer.
+def maximize_dissimilarity(images: np.ndarray, basis: NullspaceBasis, net: Network,
+                           cfg: PrivacyConfig, seeds: list[int]) -> PrivacyResult:
+    """Scramble a stack of images (B, C, H, W) inside the harmless subspace
+    of net's first linear layer, all in one ascent loop.
 
-    `basis` must be that layer's harmless basis; x must match the
-    network input shape with values in [0, 1].
+    `basis` must be that layer's harmless basis; every image must match
+    the network input shape with values in [0, 1]. Image i starts from
+    cfg.init_coeff_scale * default_rng(seeds[i]).standard_normal(d).
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != net.input_shape:
-        raise ValueError(f"image shape {x.shape} != network input {net.input_shape}")
-    n = x.size
+    x = np.asarray(images, dtype=np.float64)
+    if x.ndim != 4 or x.shape[1:] != net.input_shape:
+        raise ValueError(f"image shape {x.shape} != (B, *{net.input_shape})")
+    b = x.shape[0]
+    if b < 1 or len(seeds) != b:
+        raise ValueError(f"need one seed for each of >= 1 images, got {len(seeds)} for {b}")
+    n = x[0].size
     if basis.ambient_dim != n:
         raise ValueError(f"basis ambient dim {basis.ambient_dim} != image size {n}")
     if basis.dim == 0:
@@ -127,42 +139,41 @@ def maximize_dissimilarity(x: np.ndarray, basis: NullspaceBasis, net: Network,
         raise ValueError("image values must lie in [0, 1]")
 
     u = basis.basis
-    x_flat = x.ravel()
-    rng = np.random.default_rng(cfg.seed)
-    c = cfg.init_coeff_scale * rng.standard_normal(basis.dim)
+    x_flat = x.reshape(b, n)
+    c = cfg.init_coeff_scale * np.stack(
+        [np.random.default_rng(seed).standard_normal(basis.dim) for seed in seeds])
 
     history = []
-    for step, iters in ((cfg.step_size, cfg.max_iters),
-                        (cfg.settle_step_size, cfg.settle_iters)):
-        for _ in range(iters):
-            objective, gradient = _objective_and_gradient(c, u, x_flat, n, cfg.penalty_weight)
-            if not np.isfinite(objective):
-                raise DivergenceError(
-                    "objective became non-finite; try a smaller step_size"
-                )
-            history.append(objective)
-            c = c + step * gradient
+    for step in [cfg.step_size] * cfg.max_iters + [cfg.settle_step_size] * cfg.settle_iters:
+        objective, gradient = _objective_and_gradient(c, u, x_flat, n, cfg.penalty_weight)
+        diverged = np.flatnonzero(~np.isfinite(objective))
+        if diverged.size:
+            raise DivergenceError(f"objective of image {diverged[0]} became non-finite; "
+                                  "try a smaller step_size")
+        history.append(objective)
+        c = c + step * gradient
 
-    delta = u @ c
+    delta = c @ u.T
     x_hat = x_flat + delta
-    mse = float(delta @ delta) / n
-    violation = max(0.0, float(-x_hat.min()), float(x_hat.max() - 1.0))
-    clean = forward(net, x).logits
-    scrambled = forward(net, x_hat.reshape(x.shape)).logits
-    deviation = float(np.max(np.abs(scrambled - clean)))
+    scrambled = x_hat.reshape(x.shape)
+    clean_logits = np.stack([forward(net, xi).logits for xi in x])
+    scrambled_logits = np.stack([forward(net, xi).logits for xi in scrambled])
     return PrivacyResult(
-        image=x_hat.reshape(x.shape),
+        image=scrambled,
         coefficients=c,
-        mse=mse,
-        max_bound_violation=violation,
-        output_deviation=deviation,
-        objective_history=np.asarray(history),
+        mse=np.einsum("ij,ij->i", delta, delta) / n,
+        max_bound_violation=np.maximum(0.0, np.maximum(-x_hat.min(axis=1),
+                                                       x_hat.max(axis=1) - 1.0)),
+        clean_logits=clean_logits,
+        scrambled_logits=scrambled_logits,
+        output_deviation=np.abs(scrambled_logits - clean_logits).max(axis=1),
+        objective_history=np.array(history),
     )
 
 
 def sample_reconstructions(x_hat: np.ndarray, basis: NullspaceBasis, k: int,
-                           seed: int) -> list[np.ndarray]:
-    """k candidate originals x_hat - U @ c_j with seeded Gaussian c_j.
+                           seed: int) -> np.ndarray:
+    """k candidate originals x_hat - U @ c_j with seeded Gaussian c_j, as (k, C, H, W).
 
     Every candidate has the same network output as x_hat (their
     differences lie in the harmless subspace), which is exactly why the
@@ -174,9 +185,5 @@ def sample_reconstructions(x_hat: np.ndarray, basis: NullspaceBasis, k: int,
         raise EmptySubspaceError("harmless subspace is {0}; nothing to sample")
     if basis.ambient_dim != x_hat.size:
         raise ValueError(f"basis ambient dim {basis.ambient_dim} != image size {x_hat.size}")
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(k):
-        c = rng.standard_normal(basis.dim)
-        out.append((x_hat.ravel() - basis.basis @ c).reshape(x_hat.shape))
-    return out
+    coeffs = np.random.default_rng(seed).standard_normal((k, basis.dim))
+    return (x_hat.ravel() - coeffs @ basis.basis.T).reshape((k, *x_hat.shape))

@@ -32,7 +32,7 @@ from .network import (
     init_network,
     rmse_report,
 )
-from .privacy import PrivacyConfig, maximize_dissimilarity, sample_reconstructions
+from .privacy import PrivacyConfig, PrivacyResult, maximize_dissimilarity, sample_reconstructions
 from .seeding import make_rng, subseed
 from .subspace import (
     NullspaceBasis,
@@ -660,9 +660,9 @@ def full_battery(root_seed: int, net_spec: NetworkSpec | None = None,
 @dataclass
 class PrivacyBatteryResult:
     rows: list
-    results: list
+    result: PrivacyResult
     reconstructions: list
-    originals: list
+    originals: np.ndarray
     checks: list
 
     @property
@@ -672,69 +672,61 @@ class PrivacyBatteryResult:
 
 def privacy_battery(net, basis: NullspaceBasis, root_seed: int,
                     n_images: int = 20, n_recon: int = 16,
-                    cfg: PrivacyConfig | None = None,
                     mse_floor: float = 0.05,
                     images: list | None = None) -> PrivacyBatteryResult:
     """Scramble seeded images and verify the output-invariance contract.
 
-    Per image: argmax agreement, output deviation <= 1e-9, bound
-    violation <= 0.01, mse >= mse_floor, and n_recon sampled
-    reconstructions that all share the scrambled image's output while
-    being pairwise distinct. SSIM against the original and against a
-    Gaussian-noised image of matched l2 distortion is recorded for
-    reporting, not asserted.
+    All images are scrambled in one batched ascent. Per image: argmax
+    agreement, output deviation <= 1e-9, bound violation <= 0.01, mse >=
+    mse_floor, and n_recon >= 2 sampled reconstructions that all share
+    the scrambled image's output while being pairwise distinct. SSIM
+    against the original and against a Gaussian-noised image of matched
+    l2 distortion is recorded for reporting, not asserted.
     """
     if images is None:
         images = [synthetic_image(subseed(root_seed, 9, i), net.input_shape)
                   for i in range(n_images)]
+    if len(images) < 1:
+        raise ValueError(f"the privacy battery needs at least 1 image, got {len(images)}")
+    if n_recon < 2:
+        raise ValueError("the privacy battery needs at least 2 reconstructions per image "
+                         f"to compare, got {n_recon}")
+    originals = np.asarray(images, dtype=np.float64)
+    res = maximize_dissimilarity(originals, basis, net, PrivacyConfig(),
+                                 [subseed(root_seed, 9, i, 1) for i in range(len(originals))])
+    agree = res.scrambled_logits.argmax(axis=1) == res.clean_logits.argmax(axis=1)
+    argmax_bad = len(agree) - int(agree.sum())
+    pairs = np.triu_indices(n_recon, 1)
     rows = []
-    results = []
     recon_sets = []
-    worst_dev = 0.0
-    worst_viol = 0.0
-    min_mse = np.inf
-    argmax_bad = 0
     recon_dev = 0.0
     recon_min_dist = np.inf
-    for i, x in enumerate(images):
-        run_cfg = cfg if cfg is not None else PrivacyConfig(seed=subseed(root_seed, 9, i, 1))
-        res = maximize_dissimilarity(x, basis, net, run_cfg)
-        results.append(res)
-        clean_logits = forward(net, x).logits
-        scr_logits = forward(net, res.image).logits
-        agree = int(np.argmax(scr_logits)) == int(np.argmax(clean_logits))
-        argmax_bad += int(not agree)
-        worst_dev = max(worst_dev, res.output_deviation)
-        worst_viol = max(worst_viol, res.max_bound_violation)
-        min_mse = min(min_mse, res.mse)
-
-        score = ssim(x, res.image)
-        noise_rng = make_rng(root_seed, 9, i, 2)
-        noise = noise_rng.standard_normal(x.shape)
-        noise *= np.linalg.norm(res.image - x) / np.linalg.norm(noise)
+    for i, (x, x_hat) in enumerate(zip(originals, res.image)):
+        score = ssim(x, x_hat)
+        noise = make_rng(root_seed, 9, i, 2).standard_normal(x.shape)
+        noise *= np.linalg.norm(x_hat - x) / np.linalg.norm(noise)
         gauss_score = ssim(x, x + noise)
 
-        recons = sample_reconstructions(res.image, basis, n_recon,
-                                        subseed(root_seed, 9, i, 3))
+        recons = sample_reconstructions(x_hat, basis, n_recon, subseed(root_seed, 9, i, 3))
         recon_sets.append(recons)
-        for r in recons:
-            dev = float(np.max(np.abs(forward(net, r).logits - scr_logits)))
-            recon_dev = max(recon_dev, dev)
-        for p in range(len(recons)):
-            for q in range(p + 1, len(recons)):
-                recon_min_dist = min(recon_min_dist,
-                                     float(np.linalg.norm(recons[p] - recons[q])))
+        recon_logits = np.stack([forward(net, r).logits for r in recons])
+        recon_dev = max(recon_dev, float(np.abs(recon_logits - res.scrambled_logits[i]).max()))
+        gaps = (recons[pairs[0]] - recons[pairs[1]]).reshape(len(pairs[0]), -1)
+        recon_min_dist = min(recon_min_dist, float(np.linalg.norm(gaps, axis=1).min()))
 
         rows.append({
             "image": i,
-            "mse": res.mse,
+            "mse": float(res.mse[i]),
             "ssim": score,
             "ssim_gaussian_matched": gauss_score,
-            "output_deviation": res.output_deviation,
-            "max_bound_violation": res.max_bound_violation,
-            "argmax_agree": agree,
+            "output_deviation": float(res.output_deviation[i]),
+            "max_bound_violation": float(res.max_bound_violation[i]),
+            "argmax_agree": bool(agree[i]),
         })
 
+    worst_dev = float(res.output_deviation.max())
+    worst_viol = float(res.max_bound_violation.max())
+    min_mse = float(res.mse.min())
     checks = [
         CheckResult("privacy-argmax-agreement", argmax_bad == 0, float(argmax_bad), 0.0,
                     detail=f"{len(images) - argmax_bad}/{len(images)} images keep their class"),
@@ -748,5 +740,5 @@ def privacy_battery(net, basis: NullspaceBasis, root_seed: int,
                     recon_min_dist, 0.0,
                     detail="lower bound: pairwise l2 distance between reconstructions"),
     ]
-    return PrivacyBatteryResult(rows=rows, results=results, reconstructions=recon_sets,
-                                originals=images, checks=checks)
+    return PrivacyBatteryResult(rows=rows, result=res, reconstructions=recon_sets,
+                                originals=originals, checks=checks)

@@ -269,6 +269,16 @@ class TestPrivacy:
         assert len(rows) == 1
 
 
+    @pytest.mark.parametrize("count", [["--images", "0"], ["--recon", "1"], ["--recon", "0"]])
+    def test_degenerate_counts_are_usage_errors(self, tmp_path, net_json, count, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["privacy", "--net", net_json, "--seed", "44", "--out", str(out)] + count)
+        assert exc.value.code == 2
+        assert "at least" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+
 class TestParser:
     def test_seed_required(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nullspan.imaging import (
     load_float_image,
@@ -93,6 +95,58 @@ class TestPpm:
     def test_rejects_non_rgb(self, tmp_path):
         with pytest.raises(ValueError, match=r"\(3, H, W\)"):
             write_ppm(tmp_path / "x.ppm", np.zeros((1, 4, 4)))
+
+    @pytest.mark.parametrize("blob, cause", [
+        (b"P6", "truncated PPM header"),
+        (b"P6\n2 1\n255", "truncated PPM header"),
+        (b"P6\n# comment without end", "truncated PPM header"),
+        (b"P6\n2 x1\n255\n", "not a non-negative integer"),
+        (b"P6\n-2 1\n255\n", "not a non-negative integer"),
+        (b"P6\n0 1\n255\n", "must be positive"),
+        (b"P6\n2 0\n255\n", "must be positive"),
+        (b"P6\n2 1\n255\n\x00\x00\x00\x00\x00", "short PPM pixel data"),
+        (b"P6\n99999999 99999999\n255\n\x00", "short PPM pixel data"),
+    ])
+    def test_named_causes(self, tmp_path, blob, cause):
+        path = tmp_path / "bad.ppm"
+        path.write_bytes(blob)
+        with pytest.raises(ValueError, match=cause):
+            read_ppm(path)
+
+
+def _ppm_bytes(path) -> bytes:
+    write_ppm(path, synthetic_image(14, (3, 3, 4)))
+    return path.read_bytes()
+
+
+class TestPpmFuzz:
+    def test_every_truncation_rejected(self, tmp_path):
+        path = tmp_path / "img.ppm"
+        blob = _ppm_bytes(path)
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(ValueError):
+                read_ppm(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutations_rejected_or_read(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("ppm") / "mutated.ppm"
+        blob = bytearray(_ppm_bytes(path))
+        header = len(blob) - 3 * 3 * 4
+        # edits concentrate on the header, where the parser's decisions are
+        edits = data.draw(st.lists(st.tuples(st.integers(0, header + 3), st.integers(0, 255)),
+                                   min_size=1, max_size=4))
+        for pos, value in edits:
+            blob[pos] = value
+        cut = data.draw(st.integers(0, len(blob)))
+        path.write_bytes(bytes(blob[:cut]))
+        try:
+            img = read_ppm(path)
+        except ValueError:
+            return
+        assert img.ndim == 3 and img.shape[0] == 3
+        assert img.min() >= 0.0 and img.max() <= 1.0
 
 
 class TestFloatImage:

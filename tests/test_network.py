@@ -1,8 +1,12 @@
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nullspan.imaging import synthetic_image
-from nullspan.layers import ConvLayerSpec, FcLayerSpec, build_equivalent
+from nullspan.layers import ConvLayerSpec, FcLayerSpec, build_equivalent, layer_from_json_dict
 from nullspan.network import (
     AvgPool,
     Flatten,
@@ -15,6 +19,8 @@ from nullspan.network import (
     init_network,
     load_network_spec,
     load_weights,
+    network_spec_from_json_dict,
+    network_spec_to_json_dict,
     rmse_report,
     save_network_spec,
     save_weights,
@@ -350,3 +356,66 @@ class TestSerialization:
         path.write_bytes(b"JUNK" + b"\x00" * 8)
         with pytest.raises(ValueError, match="magic"):
             tensorio.read_tensors(path)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10 ** 30) | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=12), children, max_size=3),
+    max_leaves=8,
+)
+
+
+@pytest.fixture(scope="module")
+def golden_doc() -> dict:
+    net = init_network(golden_spec(), 3)
+    return network_spec_to_json_dict(NetworkSpec(net.spec.input_shape, net.layers))
+
+
+class TestJsonReaders:
+    @pytest.mark.parametrize("doc, field", [
+        ({}, "input_shape"),
+        ({"input_shape": [4], "layers": "abc"}, "layers"),
+        ({"input_shape": [4], "layers": [{"kind": "fc", "out_features": 2}]}, "in_features"),
+        ({"input_shape": [4], "layers": [{"kind": "fc", "in_features": "4",
+                                          "out_features": 2}]}, "in_features"),
+        ({"input_shape": [4], "layers": [{"kind": "fc", "in_features": 4, "out_features": 2,
+                                          "weight": {"a": 1}}]}, "weight"),
+        ({"input_shape": [1, 4, 4], "layers": [{"kind": "avgpool", "window": 2,
+                                                "stride": 0}]}, "stride"),
+        ({"input_shape": [1, 4, 4], "layers": [7]}, "layer 0"),
+        ({"input_shape": [1.5], "layers": []}, "input_shape"),
+    ])
+    def test_named_field(self, doc, field):
+        with pytest.raises(ValueError, match=field):
+            network_spec_from_json_dict(doc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutations_rejected_or_read(self, golden_doc, data):
+        doc = copy.deepcopy(golden_doc)
+        for _ in range(data.draw(st.integers(1, 3))):
+            # pick the top level or one layer, then drop, add or replace a field
+            layers = doc.get("layers")
+            target = data.draw(st.sampled_from(
+                [doc] + [l for l in layers if isinstance(l, dict)]
+                if isinstance(layers, list) else [doc]))
+            key = data.draw(st.sampled_from(sorted(target) + ["kind", "window", "extra"]))
+            if data.draw(st.booleans()):
+                target.pop(key, None)
+            else:
+                target[key] = data.draw(JSON_VALUES)
+        try:
+            spec = network_spec_from_json_dict(doc)
+        except ValueError:
+            return
+        assert isinstance(spec, NetworkSpec)
+
+    @settings(max_examples=200, deadline=None)
+    @given(doc=JSON_VALUES)
+    def test_arbitrary_documents_rejected_or_read(self, doc):
+        for reader in (network_spec_from_json_dict, layer_from_json_dict):
+            try:
+                reader(doc)
+            except ValueError:
+                pass

@@ -11,6 +11,7 @@ from nullspan.privacy import (
     sample_reconstructions,
 )
 from nullspan.subspace import EmptySubspaceError, harmless_basis, orthogonal_decompose
+from nullspan.verification import privacy_battery
 
 
 @pytest.fixture(scope="module")
@@ -51,62 +52,115 @@ class TestConfig:
             PrivacyConfig(penalty_weight=-0.1)
 
 
+def scramble(x, basis, net, cfg, seed):
+    """One image as a batch of one."""
+    return maximize_dissimilarity(x[None], basis, net, cfg, [seed])
+
+
 class TestMaximizeDissimilarity:
     def test_zero_init_is_identity(self, small_net, small_basis, image):
-        cfg = PrivacyConfig(max_iters=10, settle_iters=0, init_coeff_scale=0.0, seed=1)
-        res = maximize_dissimilarity(image, small_basis, small_net, cfg)
-        assert res.mse == 0.0
+        cfg = PrivacyConfig(max_iters=10, settle_iters=0, init_coeff_scale=0.0)
+        res = scramble(image, small_basis, small_net, cfg, 1)
+        assert res.mse.tolist() == [0.0]
         assert res.image.tobytes() == image.tobytes()
-        assert res.output_deviation == 0.0
+        assert res.output_deviation.tolist() == [0.0]
 
     def test_objective_monotone_before_penalty(self, small_net, small_basis, image):
         # tiny init and few iterations: no pixel can reach a bound, so the
         # objective is the pure quadratic and ascent is non-decreasing
         cfg = PrivacyConfig(max_iters=50, step_size=0.1, settle_iters=0,
-                            init_coeff_scale=0.005, seed=2)
-        res = maximize_dissimilarity(image, small_basis, small_net, cfg)
-        assert res.max_bound_violation == 0.0
-        diffs = np.diff(res.objective_history)
+                            init_coeff_scale=0.005)
+        res = scramble(image, small_basis, small_net, cfg, 2)
+        assert res.objective_history.shape == (50, 1)
+        assert res.max_bound_violation[0] == 0.0
+        diffs = np.diff(res.objective_history[:, 0])
         assert np.all(diffs >= -1e-18)
-        assert res.mse > res.objective_history[1]
+        assert res.mse[0] > res.objective_history[1, 0]
 
     def test_default_run_contract(self, small_net, small_basis, image):
-        res = maximize_dissimilarity(image, small_basis, small_net,
-                                     PrivacyConfig(seed=3))
-        assert res.mse >= 0.05
-        assert res.max_bound_violation <= 0.01
-        assert res.output_deviation <= 1e-9
+        res = scramble(image, small_basis, small_net, PrivacyConfig(), 3)
+        assert res.image.shape == (1, 3, 8, 8)
+        assert res.mse[0] >= 0.05
+        assert res.max_bound_violation[0] <= 0.01
+        assert res.output_deviation[0] <= 1e-9
         # the perturbation never leaves the harmless subspace
-        delta = (res.image - image).ravel()
+        delta = (res.image[0] - image).ravel()
         leak = orthogonal_decompose(small_basis, delta).orthogonal
         assert np.linalg.norm(leak) <= 1e-10 * np.linalg.norm(delta)
 
     def test_argmax_preserved_over_seeds(self, small_net, small_basis):
-        for i in range(20):
-            x = synthetic_image(900 + i, (3, 8, 8))
-            res = maximize_dissimilarity(x, small_basis, small_net,
-                                         PrivacyConfig(seed=i, max_iters=300,
-                                                       settle_iters=100))
+        xs = np.stack([synthetic_image(900 + i, (3, 8, 8)) for i in range(20)])
+        res = maximize_dissimilarity(xs, small_basis, small_net,
+                                     PrivacyConfig(max_iters=300, settle_iters=100),
+                                     list(range(20)))
+        for i, x in enumerate(xs):
             clean = forward(small_net, x).logits
-            scrambled = forward(small_net, res.image).logits
+            scrambled = forward(small_net, res.image[i]).logits
             assert int(np.argmax(clean)) == int(np.argmax(scrambled))
-            assert res.output_deviation <= 1e-9
+            assert np.array_equal(res.clean_logits[i], clean)
+            assert np.array_equal(res.scrambled_logits[i], scrambled)
+        assert np.all(res.output_deviation <= 1e-9)
 
     def test_penalty_disabled_violations_grow(self, small_net, small_basis, image):
         def run(iters):
             cfg = PrivacyConfig(max_iters=iters, step_size=4.0, penalty_weight=0.0,
-                                settle_iters=0, init_coeff_scale=0.8, seed=4)
-            return maximize_dissimilarity(image, small_basis, small_net, cfg)
+                                settle_iters=0, init_coeff_scale=0.8)
+            return scramble(image, small_basis, small_net, cfg, 4)
 
-        early = run(200).max_bound_violation
-        late = run(1500).max_bound_violation
+        early = run(200).max_bound_violation[0]
+        late = run(1500).max_bound_violation[0]
         assert 0.0 < early < late
 
     def test_divergent_step_raises(self, small_net, small_basis, image):
         cfg = PrivacyConfig(max_iters=400, step_size=1e9, penalty_weight=0.0,
-                            settle_iters=0, init_coeff_scale=0.1, seed=5)
+                            settle_iters=0, init_coeff_scale=0.1)
         with pytest.raises(DivergenceError, match="smaller step"):
-            maximize_dissimilarity(image, small_basis, small_net, cfg)
+            scramble(image, small_basis, small_net, cfg, 5)
+
+    def test_divergent_image_in_batch_is_named(self, small_net, small_basis, image):
+        # With no penalty, the first objective of image i is ||c_i||^2 / n
+        # (U is orthonormal), and c_i = scale * z_i. Pick the scale so that
+        # the sum of squares overflows for the largest ||z_i|| alone.
+        seeds = [11, 12, 13]
+        sq = [float(np.sum(np.random.default_rng(s).standard_normal(small_basis.dim) ** 2))
+              for s in seeds]
+        order = np.argsort(sq)
+        assert sq[order[-1]] > 1.05 * sq[order[-2]]
+        scale = np.sqrt(np.finfo(np.float64).max / (0.5 * (sq[order[-1]] + sq[order[-2]])))
+        cfg = PrivacyConfig(max_iters=1, settle_iters=0, penalty_weight=0.0,
+                            init_coeff_scale=scale)
+        with pytest.raises(DivergenceError, match=f"image {order[-1]} "):
+            maximize_dissimilarity(np.stack([image] * 3), small_basis, small_net, cfg, seeds)
+        scramble(image, small_basis, small_net, cfg, seeds[order[-2]])
+
+    def test_batch_matches_single_image_runs(self, small_net, small_basis):
+        xs = np.stack([synthetic_image(700 + i, (3, 8, 8)) for i in range(5)])
+        seeds = [31, 32, 33, 34, 35]
+        # Each iteration scales c by 1 + 2 * step_size / n before the penalty
+        # acts. At the default step and n = 192 that factor is so large that
+        # the sign pattern of g turns chaotic and a last-bit difference
+        # reaches O(1) within ~250 iterations. step_size = 0.25 gives the
+        # growth per iteration of the default step on the 3072-pixel default
+        # network, where batched and single runs agree to rounding.
+        cfg = PrivacyConfig(step_size=0.25)
+        batch = maximize_dissimilarity(xs, small_basis, small_net, cfg, seeds)
+        assert batch.objective_history.shape == (cfg.max_iters + cfg.settle_iters, 5)
+        for i, (x, seed) in enumerate(zip(xs, seeds)):
+            single = scramble(x, small_basis, small_net, cfg, seed)
+            np.testing.assert_allclose(batch.mse[i], single.mse[0], rtol=1e-10, atol=0)
+            # The violation is a pixel value minus 1 and the deviation is
+            # rounding noise, so their rounding error is absolute: both also
+            # get a floor far below their bounds (0.01 and 1e-9).
+            for field in ("max_bound_violation", "output_deviation"):
+                np.testing.assert_allclose(getattr(batch, field)[i], getattr(single, field)[0],
+                                           rtol=1e-10, atol=1e-12)
+            column, ref = batch.objective_history[:, i], single.objective_history[:, 0]
+            assert np.max(np.abs(column - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_seed_count_must_match_batch(self, small_net, small_basis, image):
+        with pytest.raises(ValueError, match="one seed"):
+            maximize_dissimilarity(np.stack([image] * 2), small_basis, small_net,
+                                   PrivacyConfig(), [1])
 
     def test_empty_subspace_rejected(self, image):
         spec = NetworkSpec(
@@ -116,37 +170,43 @@ class TestMaximizeDissimilarity:
         net = init_network(spec, 6)
         basis = harmless_basis(build_equivalent(net.layers[1]))
         with pytest.raises(EmptySubspaceError):
-            maximize_dissimilarity(image, basis, net, PrivacyConfig(seed=0))
+            scramble(image, basis, net, PrivacyConfig(), 0)
 
     def test_out_of_range_image_rejected(self, small_net, small_basis):
         bad = np.full((3, 8, 8), 1.5)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            maximize_dissimilarity(bad, small_basis, small_net, PrivacyConfig(seed=0))
+            scramble(bad, small_basis, small_net, PrivacyConfig(), 0)
 
-    def test_wrong_shape_rejected(self, small_net, small_basis):
+    def test_wrong_shape_rejected(self, small_net, small_basis, image):
         with pytest.raises(ValueError, match="image shape"):
-            maximize_dissimilarity(np.zeros((3, 4, 4)), small_basis, small_net,
-                                   PrivacyConfig(seed=0))
+            scramble(np.zeros((3, 4, 4)), small_basis, small_net, PrivacyConfig(), 0)
+        with pytest.raises(ValueError, match="image shape"):
+            maximize_dissimilarity(image, small_basis, small_net, PrivacyConfig(), [0])
 
 
 class TestSampleReconstructions:
     def test_known_coefficients_invert_exactly(self, small_net, small_basis, image):
-        res = maximize_dissimilarity(image, small_basis, small_net,
-                                     PrivacyConfig(seed=7))
-        recovered = (res.image.ravel() - small_basis.basis @ res.coefficients)
+        res = scramble(image, small_basis, small_net, PrivacyConfig(), 7)
+        recovered = (res.image[0].ravel() - small_basis.basis @ res.coefficients[0])
         assert np.max(np.abs(recovered - image.ravel())) <= 1e-10
 
     def test_outputs_identical_and_distinct(self, small_net, small_basis, image):
-        res = maximize_dissimilarity(image, small_basis, small_net,
-                                     PrivacyConfig(seed=8))
-        recons = sample_reconstructions(res.image, small_basis, 16, seed=9)
-        assert len(recons) == 16
-        ref = forward(small_net, res.image).logits
+        res = scramble(image, small_basis, small_net, PrivacyConfig(), 8)
+        recons = sample_reconstructions(res.image[0], small_basis, 16, seed=9)
+        assert recons.shape == (16, 3, 8, 8)
+        ref = forward(small_net, res.image[0]).logits
         for r in recons:
             assert np.max(np.abs(forward(small_net, r).logits - ref)) <= 1e-9
         for i in range(16):
             for j in range(i + 1, 16):
                 assert np.linalg.norm(recons[i] - recons[j]) > 0.0
+
+    def test_batched_draw_matches_one_draw_per_candidate(self, small_basis, image):
+        recons = sample_reconstructions(image, small_basis, 4, seed=9)
+        rng = np.random.default_rng(9)
+        for r in recons:
+            ref = image.ravel() - small_basis.basis @ rng.standard_normal(small_basis.dim)
+            np.testing.assert_allclose(r.ravel(), ref, rtol=0, atol=1e-14)
 
     def test_empty_subspace(self, image):
         from nullspan.subspace import NullspaceBasis
@@ -157,3 +217,15 @@ class TestSampleReconstructions:
     def test_ambient_mismatch(self, small_basis):
         with pytest.raises(ValueError, match="ambient"):
             sample_reconstructions(np.zeros((3, 4, 4)), small_basis, 2, seed=0)
+
+
+class TestPrivacyBattery:
+    @pytest.mark.parametrize("kwargs, cause", [
+        ({"n_images": 0}, "at least 1 image"),
+        ({"images": []}, "at least 1 image"),
+        ({"n_recon": 1}, "at least 2 reconstructions"),
+        ({"n_recon": 0}, "at least 2 reconstructions"),
+    ])
+    def test_degenerate_counts_rejected(self, small_net, small_basis, kwargs, cause):
+        with pytest.raises(ValueError, match=cause):
+            privacy_battery(small_net, small_basis, 1, **kwargs)
