@@ -25,7 +25,9 @@ from .layers import (
 )
 from .linalg import (
     FactorizationError,
+    RankDecision,
     SvdResult,
+    decide_rank,
     numerical_rank,
     orthonormal_nullspace,
     smallest_eigenpair_gram,

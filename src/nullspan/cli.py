@@ -26,6 +26,7 @@ from .layers import (
     predict_nullspace_dim,
     verify_equivalence,
 )
+from .linalg import decide_rank
 from .network import init_network, load_network_spec
 from .imaging import read_ppm, save_float_image, write_ppm
 from .seeding import make_rng, subseed
@@ -33,6 +34,7 @@ from .subspace import harmless_basis, load_basis, save_basis
 from .verification import (
     DIM_SWEEP_HEADER,
     CheckResult,
+    check_privacy_counts,
     default_network_spec,
     full_battery,
     privacy_battery,
@@ -42,6 +44,8 @@ __all__ = ["main"]
 
 
 def _fmt(x) -> str:
+    if x is None:
+        return ""
     if isinstance(x, float):
         return format(x, ".17g")
     if isinstance(x, (bool, np.bool_)):
@@ -92,7 +96,7 @@ def cmd_lower(args) -> int:
     spec = load_layer_json(args.layer)
     eq = build_equivalent(spec)
     pred = predict_nullspace_dim(spec)
-    nullity = verification.numerical_nullity(eq)
+    decision = decide_rank(eq.matrix)
     residual = verify_equivalence(eq, spec, samples=args.samples, seed=args.seed)
 
     coo = eq.matrix.tocoo()
@@ -105,8 +109,10 @@ def cmd_lower(args) -> int:
         "rows": eq.rows,
         "cols": eq.cols,
         "nnz": eq.nnz,
-        "rank": eq.cols - nullity,
-        "nullity": nullity,
+        "rank": decision.rank,
+        "nullity": decision.nullity,
+        "rank_path": decision.path,
+        **decision.evidence,
         "predicted_dim": pred.dim,
         "formula_guaranteed": pred.guaranteed,
         "verify_residual": residual,
@@ -255,14 +261,17 @@ def cmd_privacy(args) -> int:
         print("privacy scrambling needs the first network layer to be linear",
               file=sys.stderr)
         return 1
-    eq = build_equivalent(net.layers[0])
-    basis = harmless_basis(eq)
+    try:
+        images = [read_ppm(p) for p in args.image_files] if args.image_files else None
+        check_privacy_counts(args.images if images is None else len(images), args.recon)
+    except ValueError as exc:
+        args.usage_error(str(exc))
+    basis = harmless_basis(build_equivalent(net.layers[0]))
     if basis.dim == 0:
         print("first layer has no harmless subspace; cannot scramble", file=sys.stderr)
         return 1
 
     try:
-        images = [read_ppm(p) for p in args.image_files] if args.image_files else None
         battery = privacy_battery(net, basis, args.seed,
                                   n_images=args.images, n_recon=args.recon,
                                   images=images)

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .layers import EquivalentMatrix
-from .linalg import orthonormal_nullspace, smallest_eigenpair_gram
+from .linalg import orthonormal_nullspace, rank_tolerance_bound, smallest_eigenpair_gram
 from .tensorio import read_tensors, write_tensors
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "harmless_basis",
     "orthogonal_decompose",
     "sample_harmless",
-    "sigma_max_bound",
     "least_harmful",
     "relate_outputs",
     "classify_pair",
@@ -138,16 +137,6 @@ def sample_harmless(basis: NullspaceBasis, seed: int, target_norm: float,
     return delta * (target_norm / cur)
 
 
-def sigma_max_bound(matrix: sp.csr_matrix) -> float:
-    """Schur bound sigma_max <= sqrt(||A||_1 * ||A||_inf), computable in O(nnz)."""
-    a = abs(matrix)
-    col_sums = np.asarray(a.sum(axis=0)).ravel()
-    row_sums = np.asarray(a.sum(axis=1)).ravel()
-    if col_sums.size == 0 or row_sums.size == 0:
-        return 0.0
-    return float(np.sqrt(col_sums.max() * row_sums.max()))
-
-
 def least_harmful(eq: EquivalentMatrix) -> LeastHarmful:
     """Unit perturbation with the smallest layer-output energy.
 
@@ -161,8 +150,7 @@ def least_harmful(eq: EquivalentMatrix) -> LeastHarmful:
     if m.shape[1] > m.shape[0]:
         m = sp.vstack([m, sp.csr_matrix((m.shape[1] - m.shape[0], m.shape[1]))]).tocsr()
     v, lam = smallest_eigenpair_gram(m)
-    bound = sigma_max_bound(eq.matrix)
-    tol = bound * max(eq.rows, eq.cols) * np.finfo(np.float64).eps
+    tol = rank_tolerance_bound(eq.matrix)
     return LeastHarmful(direction=v, residual=lam, in_nullspace=lam <= tol * tol)
 
 

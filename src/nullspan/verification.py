@@ -21,7 +21,7 @@ from .layers import (
     predict_nullspace_dim,
     verify_equivalence,
 )
-from .linalg import numerical_rank, singular_values
+from .linalg import CERTIFIED_PATH, decide_rank, sigma_max_bound, singular_values
 from .network import (
     AvgPool,
     Flatten,
@@ -45,7 +45,6 @@ from .subspace import (
     orthogonal_decompose,
     relate_outputs,
     sample_harmless,
-    sigma_max_bound,
 )
 
 __all__ = [
@@ -67,6 +66,7 @@ __all__ = [
     "build_contour",
     "contour_checks",
     "full_battery",
+    "check_privacy_counts",
     "privacy_battery",
 ]
 
@@ -193,9 +193,12 @@ def seeded_geometries(root_seed: int, count: int = 50):
     """Random desk-scale layer geometries with seeded weights.
 
     Convolutions are resampled until the dimension formula's hypotheses
-    hold (predict_nullspace_dim(...).guaranteed), so the numerical
-    nullity matches the formula for generic weights. Sizes stay small
-    enough that strided multi-channel geometries remain well conditioned.
+    hold (predict_nullspace_dim(...).guaranteed) and decide_rank certifies
+    the drawn kernels' full rank. The formula holds for generic weights,
+    but about 1% of root seeds draw Gaussian kernels so ill-conditioned
+    (sigma_min / sigma_max near 1e-17) that no 64-bit rank test sees the
+    full rank. Sizes stay small enough that most strided multi-channel
+    draws remain well conditioned.
     """
     out = []
     for i in range(count):
@@ -224,11 +227,13 @@ def seeded_geometries(root_seed: int, count: int = 50):
                     rng, in_channels=c_in, in_height=h_in, in_width=w_in,
                     out_channels=c_out, kernel_h=kh, kernel_w=kw,
                     stride=stride, zero_padding=pad)
-                if predict_nullspace_dim(spec).guaranteed:
+                if (predict_nullspace_dim(spec).guaranteed
+                        and decide_rank(build_equivalent(spec).matrix).path
+                        == CERTIFIED_PATH):
                     out.append(spec)
                     break
             else:
-                raise RuntimeError("could not sample a guaranteed conv geometry")
+                raise RuntimeError("could not sample a guaranteed, certified conv geometry")
         else:
             rng = make_rng(root_seed, 2, i)
             n_in = int(rng.integers(8, 120))
@@ -239,8 +244,7 @@ def seeded_geometries(root_seed: int, count: int = 50):
 
 
 def numerical_nullity(eq) -> int:
-    sv = singular_values(eq.matrix)
-    return eq.cols - numerical_rank(sv, eq.rows, eq.cols)
+    return decide_rank(eq.matrix).nullity
 
 
 def nullity_row(spec) -> list:
@@ -670,6 +674,16 @@ class PrivacyBatteryResult:
         return all(c.passed for c in self.checks)
 
 
+def check_privacy_counts(n_images: int, n_recon: int) -> None:
+    """Raise ValueError unless the privacy battery gets at least 1 image and
+    at least 2 reconstructions per image to compare."""
+    if n_images < 1:
+        raise ValueError(f"the privacy battery needs at least 1 image, got {n_images}")
+    if n_recon < 2:
+        raise ValueError("the privacy battery needs at least 2 reconstructions per image "
+                         f"to compare, got {n_recon}")
+
+
 def privacy_battery(net, basis: NullspaceBasis, root_seed: int,
                     n_images: int = 20, n_recon: int = 16,
                     mse_floor: float = 0.05,
@@ -686,11 +700,7 @@ def privacy_battery(net, basis: NullspaceBasis, root_seed: int,
     if images is None:
         images = [synthetic_image(subseed(root_seed, 9, i), net.input_shape)
                   for i in range(n_images)]
-    if len(images) < 1:
-        raise ValueError(f"the privacy battery needs at least 1 image, got {len(images)}")
-    if n_recon < 2:
-        raise ValueError("the privacy battery needs at least 2 reconstructions per image "
-                         f"to compare, got {n_recon}")
+    check_privacy_counts(len(images), n_recon)
     originals = np.asarray(images, dtype=np.float64)
     res = maximize_dissimilarity(originals, basis, net, PrivacyConfig(),
                                  [subseed(root_seed, 9, i, 1) for i in range(len(originals))])

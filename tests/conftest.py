@@ -27,7 +27,7 @@ def first_layer_eq(default_net):
 
 @pytest.fixture(scope="session")
 def first_layer_basis(first_layer_eq):
-    # One full SVD of the 2560x3072 first-layer matrix, shared by the suite.
+    # One certified QR basis of the 2560x3072 first-layer matrix, shared by the suite.
     return harmless_basis(first_layer_eq)
 
 

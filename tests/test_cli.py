@@ -63,6 +63,8 @@ class TestLower:
         assert stats["rows"] == 108 and stats["cols"] == 72
         assert stats["nnz"] == eq.nnz
         assert stats["nullity"] == 0
+        assert stats["rank_path"] == "certified"
+        assert stats["sigma_min_lower"] > stats["tau_ub"] > 0
         assert stats["verify_residual"] <= 1e-12
         assert stats["formula_guaranteed"] is False  # channel gap is 1
 
@@ -72,6 +74,23 @@ class TestLower:
         for r, c, v in rows:
             dense[int(r), int(c)] = float(v)
         np.testing.assert_array_equal(dense, eq.dense())
+
+    def test_svd_path_reports_its_evidence(self, tmp_path, capsys):
+        # Full rank in exact arithmetic but numerically deficient: the rank
+        # certificate declines and the singular values decide.
+        rng = np.random.default_rng(1603)
+        spec = ConvLayerSpec(3, 16, 16, 12, 3, 3, stride=2, zero_padding=1,
+                             kernels=rng.integers(-9, 10, size=(12, 3, 3, 3)).astype(float))
+        path = tmp_path / "layer.json"
+        save_layer_json(spec, path)
+        out = tmp_path / "out"
+        rc = main(["lower", "--layer", str(path), "--seed", "1", "--out", str(out),
+                   "--format", "json"])
+        assert rc == 0
+        stats = json.loads((out / "lower_stats.json").read_text())
+        assert stats["rank_path"] == "svd"
+        assert stats["nullity"] > 0
+        assert stats["sigma_r"] > stats["tolerance"] >= stats["sigma_r1"]
 
     def test_unguaranteed_note(self, tmp_path, capsys):
         spec = ConvLayerSpec(1, 8, 8, 1, 1, 1, stride=2,
@@ -270,7 +289,13 @@ class TestPrivacy:
 
 
     @pytest.mark.parametrize("count", [["--images", "0"], ["--recon", "1"], ["--recon", "0"]])
-    def test_degenerate_counts_are_usage_errors(self, tmp_path, net_json, count, capsys):
+    def test_degenerate_counts_are_usage_errors(self, tmp_path, net_json, count, capsys,
+                                                monkeypatch):
+        # The counts are checked before the (costly) harmless basis.
+        def no_basis(eq):
+            raise AssertionError("harmless_basis called before the count check")
+
+        monkeypatch.setattr("nullspan.cli.harmless_basis", no_basis)
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
             main(["privacy", "--net", net_json, "--seed", "44", "--out", str(out)] + count)

@@ -4,11 +4,16 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nullspan.layers import ConvLayerSpec, build_conv_equivalent
 from nullspan.linalg import (
+    CERTIFIED_PATH,
+    SVD_PATH,
     FactorizationError,
+    decide_rank,
     numerical_rank,
     orthonormal_nullspace,
     rank_tolerance,
+    rank_tolerance_bound,
     singular_values,
     smallest_eigenpair_gram,
     svd,
@@ -141,7 +146,158 @@ def test_rank_nullity_property(rows, cols, seed, deficiency):
     assert rank + nullity == cols
 
 
+def svd_nullity(m):
+    rows, cols = m.shape
+    return cols - numerical_rank(singular_values(m), rows, cols)
+
+
+def svd_nullspace(m):
+    """Reference basis: right singular vectors past the SVD rank."""
+    res = svd(m)
+    rank = numerical_rank(res.singular_values, *m.shape)
+    return res.right_vectors[:, rank:]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(min_value=1, max_value=40),
+    cols=st.integers(min_value=1, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    deficiency=st.integers(min_value=0, max_value=3),
+    decay=st.integers(min_value=0, max_value=20),
+)
+def test_certified_nullity_equals_svd_nullity(rows, cols, seed, deficiency, decay):
+    # Wide, tall and square products of exact inner rank min(rows, cols) -
+    # deficiency, with the smallest inner direction scaled by 10^-decay so
+    # that some draws sit near, at or below the rank tolerance.
+    rng = np.random.default_rng(seed)
+    inner = max(1, min(rows, cols) - deficiency)
+    left = rng.standard_normal((rows, inner))
+    left[:, -1] *= 10.0 ** -decay
+    m = left @ rng.standard_normal((inner, cols))
+    decision = decide_rank(m)
+    assert decision.nullity == svd_nullity(m)
+    assert decision.rank + decision.nullity == cols
+    if decision.path == CERTIFIED_PATH:
+        assert decision.rank == min(rows, cols)
+        assert decision.evidence["sigma_min_lower"] > decision.evidence["tau_ub"]
+        assert singular_values(m)[-1] > decision.evidence["sigma_min_lower"]
+    else:
+        ev = decision.evidence
+        assert decision.path == SVD_PATH
+        assert ev["sigma_r1"] <= ev["tolerance"]
+        assert ev["sigma_r"] is None or ev["sigma_r"] > ev["tolerance"]
+
+
+class TestRankCertificate:
+    def test_well_conditioned_shapes_certify(self):
+        rng = np.random.default_rng(8)
+        for shape in ((30, 50), (50, 30), (40, 40)):
+            m = rng.standard_normal(shape)
+            decision = decide_rank(sp.csr_matrix(m))
+            assert decision.path == CERTIFIED_PATH
+            assert decision.nullity == max(0, shape[1] - shape[0])
+            assert decision.evidence["tau_ub"] == rank_tolerance_bound(m)
+            assert decision.evidence["tau_ub"] >= rank_tolerance(singular_values(m), *shape)
+
+    def test_polyphase_geometry_declines_and_falls_back(self):
+        # The near-deficient polyphase geometry of the layer tests: full rank
+        # in exact arithmetic, singular values decaying below the rank
+        # tolerance, so no certificate may hold and the SVD decides.
+        rng = np.random.default_rng(1603)
+        kernels = rng.integers(-9, 10, size=(12, 3, 3, 3)).astype(float)
+        spec = ConvLayerSpec(3, 16, 16, 12, 3, 3, stride=2, zero_padding=1,
+                             kernels=kernels)
+        eq = build_conv_equivalent(spec)
+        decision = decide_rank(eq.matrix)
+        assert decision.path == SVD_PATH
+        assert decision.nullity == svd_nullity(eq.matrix) > 0
+        sv = singular_values(eq.matrix)
+        assert decision.evidence == {"sigma_r": float(sv[decision.rank - 1]),
+                                     "sigma_r1": float(sv[decision.rank]),
+                                     "tolerance": rank_tolerance(sv, eq.rows, eq.cols)}
+        with_basis = decide_rank(eq.matrix, with_basis=True)
+        assert with_basis.path == SVD_PATH
+        assert with_basis.basis.shape == (eq.cols, with_basis.nullity)
+        # Declined calls run the plain SVD basis: right singular vectors past
+        # the rank, re-orthonormalized, largest component of each made positive.
+        q, _ = np.linalg.qr(svd_nullspace(eq.matrix))
+        for j in range(q.shape[1]):
+            if q[np.argmax(np.abs(q[:, j])), j] < 0:
+                q[:, j] = -q[:, j]
+        assert with_basis.basis.tobytes() == q.tobytes()
+
+    def test_zero_matrix_declines_with_rank_zero(self):
+        decision = decide_rank(np.zeros((3, 5)))
+        assert decision.path == SVD_PATH
+        assert decision.rank == 0 and decision.nullity == 5
+        assert decision.evidence == {"sigma_r": None, "sigma_r1": 0.0, "tolerance": 0.0}
+
+    @pytest.mark.parametrize("fmt", [np.asarray, sp.csr_matrix])
+    def test_rejects_non_finite(self, fmt):
+        m = fmt(np.array([[1.0, np.inf], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            decide_rank(m)
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            smallest_eigenpair_gram(m)
+
+    def test_dense_input_is_not_overwritten(self):
+        m = np.random.default_rng(4).standard_normal((20, 30))
+        before = m.copy()
+        decide_rank(m, with_basis=True)
+        assert m.tobytes() == before.tobytes()
+
+
+class TestQrBasis:
+    @pytest.fixture(scope="class")
+    def wide(self):
+        rng = np.random.default_rng(19)
+        return sp.random(120, 200, density=0.2, random_state=rng, format="csr",
+                         data_rvs=rng.standard_normal)
+
+    def test_certified_qr_basis(self, wide):
+        decision = decide_rank(wide, with_basis=True)
+        assert decision.path == CERTIFIED_PATH
+        u = decision.basis
+        assert u.shape == (200, 80)
+        assert np.max(np.abs(u.T @ u - np.eye(80))) <= 1e-12
+        assert np.max(np.abs(wide @ u)) <= 1e-10 * singular_values(wide)[0]
+        for j in range(u.shape[1]):
+            assert u[np.argmax(np.abs(u[:, j])), j] > 0
+
+    def test_same_subspace_as_svd_basis(self, wide):
+        u = decide_rank(wide, with_basis=True).basis
+        v = svd_nullspace(wide)
+        assert v.shape == u.shape
+        # Sine of the largest principal angle between span(u) and span(v).
+        assert np.linalg.norm(u - v @ (v.T @ u), 2) <= 1e-12
+
+    def test_byte_deterministic(self, wide):
+        a = decide_rank(wide, with_basis=True).basis
+        b = decide_rank(wide.copy(), with_basis=True).basis
+        assert a.tobytes() == b.tobytes()
+
+    def test_tall_and_square_bases_are_empty(self):
+        rng = np.random.default_rng(23)
+        for shape in ((50, 30), (30, 30)):
+            decision = decide_rank(rng.standard_normal(shape), with_basis=True)
+            assert decision.path == CERTIFIED_PATH
+            assert decision.basis.shape == (shape[1], 0)
+
+
 class TestSmallestEigenpairGram:
+    def test_subset_eigenvalue_matches_full_eigh(self):
+        rng = np.random.default_rng(37)
+        m = sp.random(300, 120, density=0.1, random_state=rng, format="csr",
+                      data_rvs=rng.standard_normal)
+        v, lam = smallest_eigenpair_gram(m)
+        dense = m.toarray()
+        lam_full = float(np.linalg.eigvalsh(dense.T @ dense)[0])
+        assert abs(lam - lam_full) <= 1e-12 * lam_full
+        v_dense, lam_dense = smallest_eigenpair_gram(dense)
+        assert abs(lam_dense - lam_full) <= 1e-12 * lam_full
+        assert np.max(np.abs(v - v_dense)) <= 1e-10
+
     def test_diagonal(self):
         m = np.array([[2.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
         v, lam = smallest_eigenpair_gram(m)
