@@ -18,9 +18,12 @@ clipped away; 8-bit export quantizes for viewing only, and quantized
 exports are not output-invariant.
 
 A stack of B images is scrambled in one ascent: the coefficients are a
-(B, d) array C, one row per image, so each iteration costs the two
-matrix products C @ U.T and G @ U, with objective, penalty and gradient
-computed row by row. Rows never interact; batching changes only rounding.
+(B, d) array C, one row per image, so each iteration costs one matrix
+product C @ U.T, which tests every pixel against the box. G is nonzero
+only at out-of-box pixels, which after the first few iterations are a
+handful per image, so the penalty term U.T @ g of each image is summed
+from the rows of U at those pixels, in ascending pixel order, instead of
+a dense product G @ U. Rows never interact; batching changes only rounding.
 
 Because x_hat - x stays in span(U) at every iteration, no projection or
 correction step is ever needed and the network output matches to
@@ -88,7 +91,10 @@ class PrivacyResult:
     squared pixel difference to the original; max_bound_violation is the
     largest distance any pixel sits outside [0, 1]; output_deviation is
     the max-abs difference of scrambled_logits and clean_logits.
-    objective_history is every objective before every iteration, (iterations, B).
+    objective_history is every objective before every iteration, (iterations, B),
+    and penalty_history the penalty sum |x_hat_i| over out-of-box pixels at
+    the same iterates, so the MSE of iteration t is
+    objective_history[t] + penalty_weight * penalty_history[t].
     """
 
     image: np.ndarray
@@ -99,20 +105,39 @@ class PrivacyResult:
     scrambled_logits: np.ndarray
     output_deviation: np.ndarray
     objective_history: np.ndarray
+    penalty_history: np.ndarray
 
 
-def _objective_and_gradient(c, u, x_flat, n, penalty_weight):
+def _objective_and_gradient(c, u, u_rows, x_flat, n, penalty_weight):
+    """Objective, penalty and gradient of every row of c, each shaped (B,) or (B, d).
+
+    u is the (n, d) basis and u_rows the same values in row-major order.
+    The penalty gradient U.T @ g of image i is the signed sum of the rows
+    of U at its out-of-box pixels, added in ascending pixel order; g is
+    zero almost everywhere once the ascent is under way, so this replaces
+    a dense (B, n) @ (n, d) product. Only one image's gathered rows exist
+    at a time.
+    """
     # overflow here is caught by the caller's finiteness check
     with np.errstate(over="ignore", invalid="ignore"):
         uc = c @ u.T
         x_hat = x_flat + uc
-        g = (x_hat > 1.0).astype(np.float64) - (x_hat < 0.0)
-        # g is the sign of every out-of-box pixel's excursion, so x_hat * g
-        # sums |x_hat| over exactly the pixels outside [0, 1]
-        penalty = np.einsum("ij,ij->i", x_hat, g)
+        # NaN is in neither set; a NaN uc still makes uc . uc NaN below
+        image, pixel = np.divmod(np.flatnonzero((x_hat > 1.0) | (x_hat < 0.0)), n)
+        value = x_hat[image, pixel]
+        sign = np.where(value > 1.0, 1.0, -1.0)
+        # bincount adds in input order; it returns int64 zeros when nothing is out of box
+        penalty = np.bincount(image, weights=np.abs(value), minlength=len(c)).astype(np.float64)
         objective = np.einsum("ij,ij->i", uc, uc) / n - penalty_weight * penalty
-        gradient = (2.0 / n) * c - penalty_weight * (g @ u)
-    return objective, gradient
+        penalty_grad = np.zeros_like(c)
+        bounds = np.searchsorted(image, np.arange(len(c) + 1)).tolist()
+        for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            if lo < hi:
+                signed = u_rows.take(pixel[lo:hi], axis=0)
+                signed *= sign[lo:hi, None]
+                signed.sum(axis=0, out=penalty_grad[i])
+        gradient = (2.0 / n) * c - penalty_weight * penalty_grad
+    return objective, penalty, gradient
 
 
 def maximize_dissimilarity(images: np.ndarray, basis: NullspaceBasis, net: Network,
@@ -135,22 +160,29 @@ def maximize_dissimilarity(images: np.ndarray, basis: NullspaceBasis, net: Netwo
         raise ValueError(f"basis ambient dim {basis.ambient_dim} != image size {n}")
     if basis.dim == 0:
         raise EmptySubspaceError("harmless subspace is {0}; cannot scramble")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("image values must be finite, got NaN or infinity")
     if x.min() < 0.0 or x.max() > 1.0:
         raise ValueError("image values must lie in [0, 1]")
 
+    # C @ U.T runs fastest on the basis as stored (Fortran order from QR);
+    # gathering pixel rows needs them contiguous
     u = basis.basis
+    u_rows = np.ascontiguousarray(u)
     x_flat = x.reshape(b, n)
     c = cfg.init_coeff_scale * np.stack(
         [np.random.default_rng(seed).standard_normal(basis.dim) for seed in seeds])
 
-    history = []
+    history, penalties = [], []
     for step in [cfg.step_size] * cfg.max_iters + [cfg.settle_step_size] * cfg.settle_iters:
-        objective, gradient = _objective_and_gradient(c, u, x_flat, n, cfg.penalty_weight)
+        objective, penalty, gradient = _objective_and_gradient(c, u, u_rows, x_flat, n,
+                                                               cfg.penalty_weight)
         diverged = np.flatnonzero(~np.isfinite(objective))
         if diverged.size:
             raise DivergenceError(f"objective of image {diverged[0]} became non-finite; "
                                   "try a smaller step_size")
         history.append(objective)
+        penalties.append(penalty)
         c = c + step * gradient
 
     delta = c @ u.T
@@ -168,6 +200,7 @@ def maximize_dissimilarity(images: np.ndarray, basis: NullspaceBasis, net: Netwo
         scrambled_logits=scrambled_logits,
         output_deviation=np.abs(scrambled_logits - clean_logits).max(axis=1),
         objective_history=np.array(history),
+        penalty_history=np.array(penalties),
     )
 
 

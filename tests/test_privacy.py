@@ -7,6 +7,7 @@ from nullspan.network import Flatten, NetworkSpec, Relu, forward, init_network
 from nullspan.privacy import (
     DivergenceError,
     PrivacyConfig,
+    _objective_and_gradient,
     maximize_dissimilarity,
     sample_reconstructions,
 )
@@ -72,6 +73,9 @@ class TestMaximizeDissimilarity:
                             init_coeff_scale=0.005)
         res = scramble(image, small_basis, small_net, cfg, 2)
         assert res.objective_history.shape == (50, 1)
+        assert res.penalty_history.shape == (50, 1)
+        assert res.penalty_history.dtype == np.float64
+        assert np.all(res.penalty_history == 0.0)
         assert res.max_bound_violation[0] == 0.0
         diffs = np.diff(res.objective_history[:, 0])
         assert np.all(diffs >= -1e-18)
@@ -80,6 +84,8 @@ class TestMaximizeDissimilarity:
     def test_default_run_contract(self, small_net, small_basis, image):
         res = scramble(image, small_basis, small_net, PrivacyConfig(), 3)
         assert res.image.shape == (1, 3, 8, 8)
+        assert res.penalty_history.shape == res.objective_history.shape
+        assert np.all(res.penalty_history >= 0.0) and res.penalty_history.max() > 0.0
         assert res.mse[0] >= 0.05
         assert res.max_bound_violation[0] <= 0.01
         assert res.output_deviation[0] <= 1e-9
@@ -100,6 +106,18 @@ class TestMaximizeDissimilarity:
             assert np.array_equal(res.clean_logits[i], clean)
             assert np.array_equal(res.scrambled_logits[i], scrambled)
         assert np.all(res.output_deviation <= 1e-9)
+
+    def test_penalty_history_recovers_mse(self, small_net, small_basis, image):
+        # the objective of iteration t plus the weighted penalty is the MSE of
+        # the iterate after t steps, which a run of t steps reports as mse
+        w = PrivacyConfig().penalty_weight
+        for steps in (1, 40, 400):
+            short = scramble(image, small_basis, small_net,
+                             PrivacyConfig(max_iters=steps, settle_iters=0), 3)
+            longer = scramble(image, small_basis, small_net,
+                              PrivacyConfig(max_iters=steps + 1, settle_iters=0), 3)
+            mse = longer.objective_history[steps] + w * longer.penalty_history[steps]
+            np.testing.assert_allclose(mse, short.mse, rtol=1e-12, atol=0)
 
     def test_penalty_disabled_violations_grow(self, small_net, small_basis, image):
         def run(iters):
@@ -177,11 +195,91 @@ class TestMaximizeDissimilarity:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             scramble(bad, small_basis, small_net, PrivacyConfig(), 0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_image_rejected(self, small_net, small_basis, image, value):
+        bad = np.stack([image, image])
+        bad[1, 2, 3, 4] = value
+        with pytest.raises(ValueError, match="finite"):
+            maximize_dissimilarity(bad, small_basis, small_net, PrivacyConfig(), [0, 1])
+
     def test_wrong_shape_rejected(self, small_net, small_basis, image):
         with pytest.raises(ValueError, match="image shape"):
             scramble(np.zeros((3, 4, 4)), small_basis, small_net, PrivacyConfig(), 0)
         with pytest.raises(ValueError, match="image shape"):
             maximize_dissimilarity(image, small_basis, small_net, PrivacyConfig(), [0])
+
+
+def dense_objective_and_gradient(c, u, x_flat, n, penalty_weight):
+    """Reference: the penalty term as the dense product of the sign matrix G and U."""
+    uc = c @ u.T
+    x_hat = x_flat + uc
+    g = (x_hat > 1.0).astype(np.float64) - (x_hat < 0.0)
+    penalty = np.einsum("ij,ij->i", x_hat, g)
+    objective = np.einsum("ij,ij->i", uc, uc) / n - penalty_weight * penalty
+    gradient = (2.0 / n) * c - penalty_weight * (g @ u)
+    return objective, penalty, gradient, g, x_hat
+
+
+class TestSparsePenaltyGradient:
+    N, D, W = 96, 24, 0.15
+    KINDS = ("inside", "few", "all", "bounds")
+    FEW = (3, 1, 0, 2)
+
+    def case(self, kind, b):
+        """Coefficients, a Fortran-order basis and images with a chosen out-of-box pattern."""
+        rng = np.random.default_rng([self.KINDS.index(kind), b])
+        u = np.asfortranarray(rng.standard_normal((self.N, self.D)) / np.sqrt(self.N))
+        x = np.full((b, self.N), 0.5)
+        if kind == "few":
+            # 3, 1, 0, 2 pixels out of the box in images 0, 1, 2, 3
+            for i, k in enumerate(self.FEW[:b]):
+                x[i, rng.choice(self.N, k, replace=False)] = [-0.4, 1.3, 1.7][:k]
+        elif kind == "all":
+            x[:, ::2], x[:, 1::2] = -1.0, 2.0
+        elif kind == "bounds":
+            # zero rows keep x_hat at exactly 0 and 1 there, where g = 0
+            u[:8] = 0.0
+            x[:, :4], x[:, 4:8] = 0.0, 1.0
+            x[:, 8], x[:, 9] = -0.2, 1.2
+        c = 1e-2 * rng.standard_normal((b, self.D))
+        return c, u, x
+
+    @pytest.mark.parametrize("b", [1, 4])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_dense_formula(self, kind, b):
+        c, u, x = self.case(kind, b)
+        n, w = self.N, self.W
+        objective, penalty, gradient = _objective_and_gradient(
+            c, u, np.ascontiguousarray(u), x, n, w)
+        ref_obj, ref_pen, ref_grad, g, x_hat = dense_objective_and_gradient(c, u, x, n, w)
+        out = np.count_nonzero(g, axis=1)
+        expected_out = {"inside": [0] * b, "few": list(self.FEW[:b]), "all": [n] * b,
+                        "bounds": [2] * b}[kind]
+        assert out.tolist() == expected_out
+        if kind == "bounds":
+            assert np.all(x_hat[:, :4] == 0.0) and np.all(x_hat[:, 4:8] == 1.0)
+        # Both sides sum the same n terms (n-term sums of |g_j| |u_jk| and
+        # |x_hat_j g_j|) in different orders: each is within gamma_n * sum|terms|
+        # of the exact value, plus one rounding of every final operation.
+        eps = np.finfo(np.float64).eps
+        gamma = n * eps / (1 - n * eps)
+        pen_tol = 2 * gamma * np.einsum("ij,ij->i", np.abs(x_hat), np.abs(g))
+        assert np.all(np.abs(penalty - ref_pen) <= pen_tol)
+        grad_terms = np.abs(g) @ np.abs(u)
+        grad_tol = (2 * gamma * w * grad_terms
+                    + 4 * eps * (np.abs(2.0 / n * c) + w * grad_terms))
+        assert np.all(np.abs(gradient - ref_grad) <= grad_tol)
+        obj_tol = w * pen_tol + 4 * eps * (np.abs(ref_obj) + w * ref_pen)
+        assert np.all(np.abs(objective - ref_obj) <= obj_tol)
+        if kind == "inside":
+            assert np.array_equal(gradient, ref_grad) and np.all(penalty == 0.0)
+
+    def test_overflow_stays_non_finite(self):
+        c, u, x = self.case("few", 2)
+        c[1] = 1e300
+        objective, _, _ = _objective_and_gradient(c, u, np.ascontiguousarray(u), x,
+                                                  self.N, self.W)
+        assert np.isfinite(objective[0]) and not np.isfinite(objective[1])
 
 
 class TestSampleReconstructions:
