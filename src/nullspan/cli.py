@@ -2,7 +2,8 @@
 
 Subcommands: lower, dim-sweep, verify, contour, privacy. Every command
 takes an explicit --seed (no environment entropy) and an --out
-directory; given the same arguments it writes byte-identical reports.
+directory; given the same arguments it writes byte-identical reports
+for the same provenance (machine, BLAS library and BLAS thread count).
 Floats in CSV files carry 17 significant digits so parsing them back
 recovers the exact float64 value; JSON uses Python's shortest
 round-trip float form.

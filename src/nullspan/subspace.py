@@ -8,7 +8,7 @@ arbitrary perturbations into their invisible (parallel) and effective
 subspace is trivial, and classifies perturbation pairs by whether they
 produce identical, proportional, or different layer outputs.
 
-Projections use U @ (U.T @ v); with orthonormal columns this equals the
+Projections in this module use U @ (U.T @ v); with orthonormal columns this equals the
 textbook projector U (U.T U)^-1 U.T without materializing an n x n
 matrix.
 """

@@ -51,6 +51,22 @@ class TestConfig:
             PrivacyConfig(step_size=-1.0)
         with pytest.raises(ValueError, match="penalty_weight"):
             PrivacyConfig(penalty_weight=-0.1)
+        for field, value, cause in [
+            ("max_iters", 2.5, "max_iters must be an integer"),
+            ("max_iters", True, "max_iters must be an integer"),
+            ("settle_iters", 10.0, "settle_iters must be an integer"),
+            ("step_size", np.nan, "step_size must be finite"),
+            ("step_size", np.inf, "step_size must be finite"),
+            ("penalty_weight", np.nan, "penalty_weight must be finite"),
+            ("settle_step_size", np.inf, "settle_step_size must be finite"),
+            ("init_coeff_scale", np.inf, "init_coeff_scale must be finite"),
+        ]:
+            with pytest.raises(ValueError, match=cause):
+                PrivacyConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = PrivacyConfig(max_iters=np.int64(5), settle_iters=np.int32(0))
+        assert cfg.max_iters == 5
 
 
 def scramble(x, basis, net, cfg, seed):
@@ -209,14 +225,13 @@ class TestMaximizeDissimilarity:
             maximize_dissimilarity(image, small_basis, small_net, PrivacyConfig(), [0])
 
 
-def dense_objective_and_gradient(c, u, x_flat, n, penalty_weight):
-    """Reference: the penalty term as the dense product of the sign matrix G and U."""
-    uc = c @ u.T
-    x_hat = x_flat + uc
+def dense_objective_and_gradient(y, p, x_flat, n, penalty_weight):
+    """Reference: the penalty term as the dense product of the sign matrix G and P."""
+    x_hat = x_flat + y
     g = (x_hat > 1.0).astype(np.float64) - (x_hat < 0.0)
     penalty = np.einsum("ij,ij->i", x_hat, g)
-    objective = np.einsum("ij,ij->i", uc, uc) / n - penalty_weight * penalty
-    gradient = (2.0 / n) * c - penalty_weight * (g @ u)
+    objective = np.einsum("ij,ij->i", y, y) / n - penalty_weight * penalty
+    gradient = (2.0 / n) * y - penalty_weight * (g @ p)
     return objective, penalty, gradient, g, x_hat
 
 
@@ -226,7 +241,8 @@ class TestSparsePenaltyGradient:
     FEW = (3, 1, 0, 2)
 
     def case(self, kind, b):
-        """Coefficients, a Fortran-order basis and images with a chosen out-of-box pattern."""
+        """Pixel offsets y = C U.T, the projector-like P = U U.T and images
+        with a chosen out-of-box pattern."""
         rng = np.random.default_rng([self.KINDS.index(kind), b])
         u = np.asfortranarray(rng.standard_normal((self.N, self.D)) / np.sqrt(self.N))
         x = np.full((b, self.N), 0.5)
@@ -242,32 +258,31 @@ class TestSparsePenaltyGradient:
             x[:, :4], x[:, 4:8] = 0.0, 1.0
             x[:, 8], x[:, 9] = -0.2, 1.2
         c = 1e-2 * rng.standard_normal((b, self.D))
-        return c, u, x
+        return c @ u.T, u @ u.T, x
 
     @pytest.mark.parametrize("b", [1, 4])
     @pytest.mark.parametrize("kind", KINDS)
     def test_matches_dense_formula(self, kind, b):
-        c, u, x = self.case(kind, b)
+        y, p, x = self.case(kind, b)
         n, w = self.N, self.W
-        objective, penalty, gradient = _objective_and_gradient(
-            c, u, np.ascontiguousarray(u), x, n, w)
-        ref_obj, ref_pen, ref_grad, g, x_hat = dense_objective_and_gradient(c, u, x, n, w)
+        objective, penalty, gradient = _objective_and_gradient(y, p, x, n, w)
+        ref_obj, ref_pen, ref_grad, g, x_hat = dense_objective_and_gradient(y, p, x, n, w)
         out = np.count_nonzero(g, axis=1)
         expected_out = {"inside": [0] * b, "few": list(self.FEW[:b]), "all": [n] * b,
                         "bounds": [2] * b}[kind]
         assert out.tolist() == expected_out
         if kind == "bounds":
             assert np.all(x_hat[:, :4] == 0.0) and np.all(x_hat[:, 4:8] == 1.0)
-        # Both sides sum the same n terms (n-term sums of |g_j| |u_jk| and
+        # Both sides sum the same n terms (n-term sums of |g_j| |p_jk| and
         # |x_hat_j g_j|) in different orders: each is within gamma_n * sum|terms|
         # of the exact value, plus one rounding of every final operation.
         eps = np.finfo(np.float64).eps
         gamma = n * eps / (1 - n * eps)
         pen_tol = 2 * gamma * np.einsum("ij,ij->i", np.abs(x_hat), np.abs(g))
         assert np.all(np.abs(penalty - ref_pen) <= pen_tol)
-        grad_terms = np.abs(g) @ np.abs(u)
+        grad_terms = np.abs(g) @ np.abs(p)
         grad_tol = (2 * gamma * w * grad_terms
-                    + 4 * eps * (np.abs(2.0 / n * c) + w * grad_terms))
+                    + 4 * eps * (np.abs(2.0 / n * y) + w * grad_terms))
         assert np.all(np.abs(gradient - ref_grad) <= grad_tol)
         obj_tol = w * pen_tol + 4 * eps * (np.abs(ref_obj) + w * ref_pen)
         assert np.all(np.abs(objective - ref_obj) <= obj_tol)
@@ -275,11 +290,62 @@ class TestSparsePenaltyGradient:
             assert np.array_equal(gradient, ref_grad) and np.all(penalty == 0.0)
 
     def test_overflow_stays_non_finite(self):
-        c, u, x = self.case("few", 2)
-        c[1] = 1e300
-        objective, _, _ = _objective_and_gradient(c, u, np.ascontiguousarray(u), x,
-                                                  self.N, self.W)
+        y, p, x = self.case("few", 2)
+        y[1] = 1e300
+        objective, _, _ = _objective_and_gradient(y, p, x, self.N, self.W)
         assert np.isfinite(objective[0]) and not np.isfinite(objective[1])
+
+
+def coefficient_ascent(x_flat, u, cfg, seeds):
+    """Reference: the ascent on the coefficients c with dense products against U."""
+    n, w = x_flat.shape[1], cfg.penalty_weight
+    c = cfg.init_coeff_scale * np.stack(
+        [np.random.default_rng(seed).standard_normal(u.shape[1]) for seed in seeds])
+    history, penalties = [], []
+    for step in [cfg.step_size] * cfg.max_iters + [cfg.settle_step_size] * cfg.settle_iters:
+        uc = c @ u.T
+        x_hat = x_flat + uc
+        g = (x_hat > 1.0).astype(np.float64) - (x_hat < 0.0)
+        penalty = np.einsum("ij,ij->i", x_hat, g)
+        history.append(np.einsum("ij,ij->i", uc, uc) / n - w * penalty)
+        penalties.append(penalty)
+        c = c + step * ((2.0 / n) * c - w * (g @ u))
+    delta = c @ u.T
+    return np.array(history), np.array(penalties), np.einsum("ij,ij->i", delta, delta) / n
+
+
+class TestPixelSpaceAscent:
+    def test_matches_coefficient_ascent(self, small_net, small_basis):
+        # step_size = 0.25 keeps the ascent on small_net out of its chaotic
+        # regime (see test_batch_matches_single_image_runs), so the two
+        # orders of rounding stay within 1e-10 of each other.
+        xs = np.stack([synthetic_image(600 + i, (3, 8, 8)) for i in range(3)])
+        seeds = [41, 42, 43]
+        cfg = PrivacyConfig(step_size=0.25)
+        res = maximize_dissimilarity(xs, small_basis, small_net, cfg, seeds)
+        history, penalties, mse = coefficient_ascent(xs.reshape(3, -1), small_basis.basis,
+                                                     cfg, seeds)
+        assert penalties.max() > 0.0
+        # A penalty entry can be a single pixel a hair below 0, so the
+        # histories are compared relative to each image's largest value.
+        for got, ref in ((res.objective_history, history), (res.penalty_history, penalties)):
+            assert np.all(np.abs(got - ref).max(axis=0) <= 1e-10 * np.abs(ref).max(axis=0))
+        np.testing.assert_allclose(res.mse, mse, rtol=1e-10, atol=0)
+
+    def test_iterate_stays_in_span_at_default_step(self, small_net, small_basis, image):
+        # At n = 192 the default step multiplies the part of the pixel offset
+        # outside span(U) by ~e^82 over the run unless it is re-projected; the
+        # last objective comes from the unprojected iterate and must still
+        # agree with the MSE of a run one settle step shorter.
+        cfg = PrivacyConfig()
+        res = scramble(image, small_basis, small_net, cfg, 3)
+        shorter = scramble(image, small_basis, small_net,
+                           PrivacyConfig(settle_iters=cfg.settle_iters - 1), 3)
+        mse = res.objective_history[-1] + cfg.penalty_weight * res.penalty_history[-1]
+        np.testing.assert_allclose(mse, shorter.mse, rtol=1e-12, atol=0)
+        delta = (res.image[0] - image).ravel()
+        leak = orthogonal_decompose(small_basis, delta).orthogonal
+        assert np.linalg.norm(leak) <= 1e-12 * np.linalg.norm(delta)
 
 
 class TestSampleReconstructions:
