@@ -17,7 +17,7 @@ from nullspan import (
     predict_nullspace_dim,
     verify_equivalence,
 )
-from nullspan.verification import numerical_nullity
+from nullspan.linalg import decide_rank
 
 # A 1x1 kernel of value 1 is the identity map: the lowered matrix is
 # literally the identity.
@@ -33,7 +33,7 @@ spec = ConvLayerSpec(1, 3, 3, 1, 2, 2, kernels=kernel)
 eq = build_equivalent(spec)
 x = np.arange(1.0, 10.0).reshape(1, 3, 3)
 print("\nhand example   A @ vec(x) =", eq.matrix @ x.ravel())
-print("direct sliding window      =", conv_forward(spec, x).ravel())
+print("direct sliding window      =", conv_forward(spec, x[None]).ravel())
 
 # The lowering is exercised against direct evaluation on random inputs;
 # the residual is floating-point noise.
@@ -66,4 +66,4 @@ small = ConvLayerSpec(2, 8, 8, 1, 3, 3, stride=1, zero_padding=1,
 eq = build_equivalent(small)
 print(f"\nsmall wide layer {eq.cols} -> {eq.rows}: "
       f"predicted {predict_nullspace_dim(small).dim}, "
-      f"numerical {numerical_nullity(eq)}")
+      f"numerical {decide_rank(eq.matrix).nullity}")

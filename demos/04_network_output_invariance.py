@@ -38,7 +38,7 @@ basis = harmless_basis(eq)
 print(f"first layer {eq.cols} -> {eq.rows}: harmless dimension {basis.dim}")
 
 x = synthetic_image(5, (3, 16, 16))
-clean = forward(net, x)
+clean = forward(net, x[None])
 print(f"clean prediction: class {int(np.argmax(clean.logits))}")
 
 delta = sample_harmless(basis, seed=9, target_norm=8 / 255, norm_kind="linf")
@@ -46,7 +46,7 @@ delta = delta.reshape(3, 16, 16)
 
 print("\nmax |logit change| for the harmless direction at growing scales:")
 for scale in (1, 4, 16, 64, 256):
-    pert = forward(net, x + scale * delta)
+    pert = forward(net, (x + scale * delta)[None])
     dev = np.max(np.abs(pert.logits - clean.logits))
     print(f"  scale {scale:>4}: {dev:.3e}   "
           f"class {int(np.argmax(pert.logits))}")

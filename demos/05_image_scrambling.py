@@ -71,7 +71,7 @@ write_ppm(out_dir / "perturbation.ppm", (pert - pert.min()) / (pert.max() - pert
 recons = sample_reconstructions(x_hat, basis, k=4, seed=5)
 print("\nrecovery ambiguity, 4 candidate originals:")
 for i, candidate in enumerate(recons):
-    dev = np.max(np.abs(forward(net, candidate).logits - scrambled))
+    dev = np.max(np.abs(forward(net, candidate[None]).logits - scrambled))
     dist = np.linalg.norm(candidate - x)
     print(f"  candidate {i}: |logit diff| = {dev:.2e}, "
           f"l2 distance from the true original = {dist:.2f}")

@@ -35,7 +35,6 @@ from .subspace import harmless_basis, load_basis, save_basis
 from .verification import (
     DIM_SWEEP_HEADER,
     CheckResult,
-    check_privacy_counts,
     default_network_spec,
     full_battery,
     privacy_battery,
@@ -165,7 +164,8 @@ def _sweep_rows(args, root_seed: int):
     rows = []
     for idx, p in enumerate(params):
         try:
-            rows.append(verification.nullity_row(build(make_rng(root_seed, stream, idx), **p)))
+            spec = build(make_rng(root_seed, stream, idx), **p)
+            rows.append(verification.nullity_row(*verification.with_rank(spec)))
         except ValueError as exc:
             label = ", ".join(f"{name}={value}" for name, value in p.items())
             print(f"skipping invalid geometry ({label}): {exc}", file=sys.stderr)
@@ -264,7 +264,6 @@ def cmd_privacy(args) -> int:
         return 1
     try:
         images = [read_ppm(p) for p in args.image_files] if args.image_files else None
-        check_privacy_counts(args.images if images is None else len(images), args.recon)
     except ValueError as exc:
         args.usage_error(str(exc))
     basis = harmless_basis(build_equivalent(net.layers[0]))
@@ -314,6 +313,22 @@ def cmd_privacy(args) -> int:
 
 # --- parser --------------------------------------------------------------
 
+def _at_least(low):
+    """argparse type: an integer >= low; anything else is a usage error."""
+    def integer(text):
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+    return integer
+
+
+def _positive(text):
+    """argparse type: a finite float > 0; anything else is a usage error."""
+    if not 0.0 < float(text) < np.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return float(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nullspan",
@@ -332,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lower", help="lower a layer to its equivalent matrix")
     common(p)
     p.add_argument("--layer", type=str, required=True, help="layer spec JSON path")
-    p.add_argument("--samples", type=int, default=100,
+    p.add_argument("--samples", type=_at_least(1), default=100,
                    help="random inputs for the equivalence residual")
     p.set_defaults(func=cmd_lower)
 
@@ -357,9 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--net", type=str, default=None, help="network spec JSON path")
     p.add_argument("--basis", type=str, default=None,
                    help="validate this stored basis instead of recomputing")
-    p.add_argument("--geometries", type=int, default=50,
+    p.add_argument("--geometries", type=_at_least(0), default=50,
                    help="seeded geometries in the dimension sweep")
-    p.add_argument("--trials", type=int, default=1000,
+    p.add_argument("--trials", type=_at_least(1), default=1000,
                    help="trials per decomposition law")
     p.add_argument("--skip-sweep", action="store_true",
                    help="skip the geometry sweep (fast smoke run)")
@@ -371,17 +386,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layer", type=str, default=None,
                    help="layer spec JSON; default: seeded first layer of the "
                         "default network")
-    p.add_argument("--grid", type=int, default=21, help="points per axis")
-    p.add_argument("--axis-max", type=float, default=2.0, help="axis upper bound")
+    p.add_argument("--grid", type=_at_least(3), default=21, help="points per axis")
+    p.add_argument("--axis-max", type=_positive, default=2.0, help="axis upper bound")
     p.set_defaults(func=cmd_contour)
 
     p = sub.add_parser("privacy", help="generate output-invariant scrambled images")
     common(p)
     p.add_argument("--net", type=str, default=None, help="network spec JSON path")
-    p.add_argument("--images", type=int, default=20, help="synthetic image count")
+    p.add_argument("--images", type=_at_least(1), default=20, help="synthetic image count")
     p.add_argument("--image-files", type=str, nargs="*", default=None,
                    help="PPM images to scramble instead of synthetic ones")
-    p.add_argument("--recon", type=int, default=16,
+    p.add_argument("--recon", type=_at_least(2), default=16,
                    help="sampled reconstructions per image")
     p.set_defaults(func=cmd_privacy, usage_error=p.error)
     return parser

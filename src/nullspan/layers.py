@@ -21,7 +21,6 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "ConvLayerSpec",
@@ -346,51 +345,54 @@ def build_equivalent(spec) -> EquivalentMatrix:
     raise TypeError(f"not a linear layer spec: {type(spec).__name__}")
 
 
+def _check_batched(x: np.ndarray, shape: tuple[int, ...], what: str = "input") -> None:
+    """Raise ValueError unless x is a batch of samples shaped (B, *shape)."""
+    if x.shape[1:] != tuple(shape):
+        raise ValueError(f"{what} shape {x.shape} != (B, {', '.join(map(str, shape))})")
+
+
 def conv_forward(spec: ConvLayerSpec, x: np.ndarray, include_bias: bool = True) -> np.ndarray:
-    """Direct sliding-window evaluation of the convolution (no lowering)."""
-    if x.shape != spec.input_shape:
-        raise ValueError(f"input shape {x.shape} != {spec.input_shape}")
+    """Direct evaluation (no lowering) of a (B, C_in, H_in, W_in) batch
+    to (B, C_out, H_out, W_out). Each kernel tap contracts one strided
+    slice of the padded input, so no window (im2col) copy is formed."""
+    _check_batched(x, spec.input_shape)
     if spec.kernels is None:
         raise ValueError("spec.kernels is None")
-    o = spec.zero_padding
-    xp = np.pad(x, ((0, 0), (o, o), (o, o))) if o else x
-    win = sliding_window_view(xp, (spec.kernel_h, spec.kernel_w), axis=(1, 2))
-    win = win[:, ::spec.stride, ::spec.stride]
-    out = np.einsum("kchw,cyxhw->kyx", spec.kernels, win)
+    o, s = spec.zero_padding, spec.stride
+    xp = np.pad(x, ((0, 0), (0, 0), (o, o), (o, o))) if o else x
+    _, h_out, w_out = spec.output_shape
+    out = np.zeros((len(x), h_out, w_out, spec.out_channels))
+    for dy in range(spec.kernel_h):
+        for dx in range(spec.kernel_w):
+            tap = xp[:, :, dy::s, dx::s][:, :, :h_out, :w_out]
+            out += np.tensordot(tap, spec.kernels[:, :, dy, dx], axes=([1], [1]))
     if include_bias and spec.bias is not None:
-        out = out + spec.bias[:, None, None]
-    return out
+        out += spec.bias
+    return out.transpose(0, 3, 1, 2)
 
 
 def fc_forward(spec: FcLayerSpec, z: np.ndarray, include_bias: bool = True) -> np.ndarray:
-    """Direct evaluation weight.T @ z (+ bias)."""
-    z = np.asarray(z, dtype=np.float64).ravel()
-    if z.shape != (spec.in_features,):
-        raise ValueError(f"input length {z.size} != {spec.in_features}")
+    """Direct evaluation z @ weight (+ bias) of a (B, in_features) batch."""
+    z = np.asarray(z, dtype=np.float64)
+    _check_batched(z, spec.input_shape)
     if spec.weight is None:
         raise ValueError("spec.weight is None")
-    out = spec.weight.T @ z
+    out = z @ spec.weight
     if include_bias and spec.bias is not None:
-        out = out + spec.bias
+        out += spec.bias
     return out
 
 
 def verify_equivalence(eq: EquivalentMatrix, spec, samples: int = 100, seed: int = 0) -> float:
-    """Max abs deviation between direct layer evaluation and eq.matrix
-    matvec over `samples` seeded standard-normal inputs (bias suppressed).
+    """Max abs deviation between direct layer evaluation and the eq.matrix
+    product over `samples` seeded standard-normal inputs (bias suppressed),
+    drawn as one (samples, *input_shape) batch.
     """
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        x = rng.standard_normal(eq.input_shape)
-        if isinstance(spec, ConvLayerSpec):
-            direct = conv_forward(spec, x, include_bias=False).ravel()
-        else:
-            direct = fc_forward(spec, x, include_bias=False)
-        via = eq.matrix @ x.ravel()
-        dev = float(np.max(np.abs(direct - via))) if direct.size else 0.0
-        worst = max(worst, dev)
-    return worst
+    x = np.random.default_rng(seed).standard_normal((samples, *eq.input_shape))
+    layer_forward = conv_forward if isinstance(spec, ConvLayerSpec) else fc_forward
+    direct = layer_forward(spec, x, include_bias=False).reshape(samples, -1)
+    via = (eq.matrix @ x.reshape(samples, -1).T).T
+    return float(np.max(np.abs(direct - via)))
 
 
 def predict_nullspace_dim(spec) -> DimPrediction:

@@ -9,6 +9,11 @@ Layer indexing convention: `net.layers[i]` consumes activation z_i and
 produces z_{i+1}, with z_0 the network input. forward_from_layer(net, l,
 z) treats z as z_l and applies layers l, l+1, ... to the end, so
 forward_from_layer(net, 0, x) reproduces the full forward pass.
+
+Batch convention: every activation carries a leading batch axis, so z_0
+is (B, *input_shape) and z_i is (B, *activation_shapes()[i]); logits are
+(B, n_out). Samples never interact. A single sample is passed as x[None];
+an input without the batch axis raises a ValueError naming (B, ...).
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from .layers import (
     FcLayerSpec,
     conv_forward,
     fc_forward,
+    _check_batched,
     _json_int,
     layer_from_json_dict,
     layer_to_json_dict,
@@ -113,24 +119,19 @@ class NetworkSpec:
         object.__setattr__(self, "layers", tuple(self.layers))
         if not any(isinstance(l, (ConvLayerSpec, FcLayerSpec)) for l in self.layers):
             raise ValueError("network needs at least one linear layer")
-        shape = self.input_shape
-        for i, layer in enumerate(self.layers):
-            try:
-                shape = shape_after(layer, shape)
-            except ValueError as exc:
-                raise ValueError(f"layer {i}: {exc}") from exc
+        self.activation_shapes()
 
     @property
     def output_shape(self) -> tuple[int, ...]:
-        shape = self.input_shape
-        for layer in self.layers:
-            shape = shape_after(layer, shape)
-        return shape
+        return self.activation_shapes()[-1]
 
     def activation_shapes(self) -> list[tuple[int, ...]]:
         shapes = [self.input_shape]
-        for layer in self.layers:
-            shapes.append(shape_after(layer, shapes[-1]))
+        for i, layer in enumerate(self.layers):
+            try:
+                shapes.append(shape_after(layer, shapes[-1]))
+            except ValueError as exc:
+                raise ValueError(f"layer {i}: {exc}") from exc
         return shapes
 
     def linear_layer_indices(self) -> list[int]:
@@ -159,13 +160,14 @@ class Network:
 
 @dataclass(frozen=True)
 class FeatureTrace:
-    """Per-layer activations z_0 .. z_L; logits is z_L flattened."""
+    """Per-layer activations z_0 .. z_L; logits is z_L as (B, n_out)."""
 
     activations: tuple
 
     @property
     def logits(self) -> np.ndarray:
-        return np.ravel(self.activations[-1])
+        z = self.activations[-1]
+        return z.reshape(len(z), -1)
 
 
 def init_network(spec: NetworkSpec, seed: int, with_bias: bool = True) -> Network:
@@ -194,25 +196,29 @@ def init_network(spec: NetworkSpec, seed: int, with_bias: bool = True) -> Networ
 
 
 def apply_layer(layer, z: np.ndarray) -> np.ndarray:
+    """One layer applied to a (B, ...) batch. Conv and fc check the whole
+    sample shape and avgpool needs (B, C, H, W); relu and flatten take any
+    sample shape, so they can only check that a batch axis is there."""
+    if np.ndim(z) < (4 if isinstance(layer, AvgPool) else 2):
+        raise ValueError(f"{type(layer).__name__} input shape {np.shape(z)} != (B, ...)")
     if isinstance(layer, ConvLayerSpec):
         return conv_forward(layer, z)
     if isinstance(layer, FcLayerSpec):
-        return fc_forward(layer, np.ravel(z))
+        return fc_forward(layer, z.reshape(len(z), -1))
     if isinstance(layer, Relu):
         return np.maximum(z, 0.0)
     if isinstance(layer, AvgPool):
-        win = sliding_window_view(z, (layer.window, layer.window), axis=(1, 2))
-        return win[:, ::layer.stride, ::layer.stride].mean(axis=(-1, -2))
+        win = sliding_window_view(z, (layer.window, layer.window), axis=(2, 3))
+        return win[:, :, ::layer.stride, ::layer.stride].mean(axis=(-1, -2))
     if isinstance(layer, Flatten):
-        return np.ravel(z)
+        return z.reshape(len(z), -1)
     raise TypeError(f"unknown layer type {type(layer).__name__}")
 
 
 def forward(net: Network, x: np.ndarray) -> FeatureTrace:
-    """Run the network, recording every activation."""
+    """Run the network on a (B, *input_shape) batch, recording every activation."""
     z = np.asarray(x, dtype=np.float64)
-    if z.shape != net.input_shape:
-        raise ValueError(f"input shape {z.shape} != {net.input_shape}")
+    _check_batched(z, net.input_shape)
     acts = [z]
     for layer in net.layers:
         z = apply_layer(layer, z)
@@ -221,45 +227,37 @@ def forward(net: Network, x: np.ndarray) -> FeatureTrace:
 
 
 def forward_from_layer(net: Network, layer_index: int, z: np.ndarray) -> np.ndarray:
-    """Logits from feeding z in as the activation entering net.layers[layer_index]."""
+    """Logits from feeding the batch z in as the activation entering net.layers[layer_index]."""
     if not 0 <= layer_index <= len(net.layers):
         raise IndexError(f"layer index {layer_index} out of range 0..{len(net.layers)}")
-    want = net.spec.activation_shapes()[layer_index]
     z = np.asarray(z, dtype=np.float64)
-    if z.shape != want:
-        raise ValueError(f"feature shape {z.shape} != {want} at layer {layer_index}")
+    _check_batched(z, net.spec.activation_shapes()[layer_index], "feature")
     for layer in net.layers[layer_index:]:
         z = apply_layer(layer, z)
-    return np.ravel(z)
+    return z.reshape(len(z), -1)
 
 
-def rmse_report(net: Network, inputs, delta: np.ndarray, scales,
+def rmse_report(net: Network, inputs: np.ndarray, delta: np.ndarray, scales,
                 inject_layer: int = 0, kind: str = "perturbation") -> dict:
     """RMSE of the logit change caused by adding scale*delta to the
     activation entering net.layers[inject_layer], keyed by (kind, scale).
 
-    RMSE = mean over inputs, in input order, of
-    ||perturbed_logits - clean_logits||_2 divided by sqrt(n_out).
+    inputs is a (B, *input_shape) batch and delta one sample's activation.
+    RMSE = mean over the B inputs of ||perturbed_logits - clean_logits||_2
+    / sqrt(n_out). Clean (scale 0) and perturbed features run as one batch:
+    a BLAS product may round a row differently at another batch size.
     """
     delta = np.asarray(delta, dtype=np.float64)
     want = net.spec.activation_shapes()[inject_layer]
     if delta.shape != want:
         raise ValueError(f"delta shape {delta.shape} != {want} at layer {inject_layer}")
-    clean = []
-    feats = []
-    for x in inputs:
-        trace = forward(net, x)
-        clean.append(trace.logits)
-        feats.append(trace.activations[inject_layer])
-    sqrt_n = np.sqrt(net.n_out)
-    rows = {}
-    for s in scales:
-        total = 0.0
-        for z, y in zip(feats, clean):
-            y_hat = forward_from_layer(net, inject_layer, z + s * delta)
-            total += np.linalg.norm(y_hat - y) / sqrt_n
-        rows[(kind, float(s))] = total / len(clean)
-    return rows
+    feats = forward(net, inputs).activations[inject_layer]
+    scales = np.asarray(scales, dtype=np.float64)
+    shifted = feats + np.append(0.0, scales).reshape(-1, *[1] * feats.ndim) * delta
+    logits = forward_from_layer(net, inject_layer, shifted.reshape(-1, *want))
+    logits = logits.reshape(len(scales) + 1, len(feats), -1)
+    change = np.linalg.norm(logits[1:] - logits[0], axis=2) / np.sqrt(net.n_out)
+    return {(kind, float(s)): float(r) for s, r in zip(scales, change.mean(axis=1))}
 
 
 # --- serialization ------------------------------------------------------

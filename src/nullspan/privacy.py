@@ -213,8 +213,8 @@ def maximize_dissimilarity(images: np.ndarray, basis: NullspaceBasis, net: Netwo
     delta = c @ u.T
     x_hat = x_flat + delta
     scrambled = x_hat.reshape(x.shape)
-    clean_logits = np.stack([forward(net, xi).logits for xi in x])
-    scrambled_logits = np.stack([forward(net, xi).logits for xi in scrambled])
+    clean_logits = forward(net, x).logits
+    scrambled_logits = forward(net, scrambled).logits
     return PrivacyResult(
         image=scrambled,
         coefficients=c,

@@ -55,7 +55,7 @@ __all__ = [
     "default_network_spec",
     "cited_geometries",
     "seeded_geometries",
-    "numerical_nullity",
+    "with_rank",
     "nullity_row",
     "dimension_agreement",
     "lowering_residuals",
@@ -66,7 +66,6 @@ __all__ = [
     "build_contour",
     "contour_checks",
     "full_battery",
-    "check_privacy_counts",
     "privacy_battery",
 ]
 
@@ -171,12 +170,17 @@ def covering_selector_kernels(c_in: int, c_out: int, kernel: int,
     return kernels
 
 
+def with_rank(spec):
+    """A sweep geometry: the spec and the rank decision of its lowered matrix."""
+    return spec, decide_rank(build_equivalent(spec).matrix)
+
+
 def cited_geometries(root_seed: int):
-    """The three anchor geometries: the 512-dim first-layer conv, the
-    square 784 fully-connected layer, and the stride-2 conv whose output
-    dimension matches its input (instantiated with well-conditioned
-    seeded kernels; see covering_selector_kernels)."""
-    return [
+    """The three anchor (spec, RankDecision) geometries: the 512-dim
+    first-layer conv, the square 784 fully-connected layer, and the
+    stride-2 conv whose output dimension matches its input (instantiated
+    with well-conditioned seeded kernels; see covering_selector_kernels)."""
+    return [with_rank(spec) for spec in (
         _conv_with_kernels(make_rng(root_seed, 1, 0), in_channels=3, in_height=32,
                            in_width=32, out_channels=10, kernel_h=7, kernel_w=7,
                            stride=2, zero_padding=3),
@@ -186,19 +190,20 @@ def cited_geometries(root_seed: int):
                       kernel_h=3, kernel_w=3, stride=2, zero_padding=1,
                       kernels=covering_selector_kernels(
                           3, 12, 3, 0.04, make_rng(root_seed, 1, 2))),
-    ]
+    )]
 
 
 def seeded_geometries(root_seed: int, count: int = 50):
-    """Random desk-scale layer geometries with seeded weights.
+    """Random desk-scale layer geometries with seeded weights, as
+    (spec, RankDecision) pairs.
 
     Convolutions are resampled until the dimension formula's hypotheses
     hold (predict_nullspace_dim(...).guaranteed) and decide_rank certifies
-    the drawn kernels' full rank. The formula holds for generic weights,
-    but about 1% of root seeds draw Gaussian kernels so ill-conditioned
-    (sigma_min / sigma_max near 1e-17) that no 64-bit rank test sees the
-    full rank. Sizes stay small enough that most strided multi-channel
-    draws remain well conditioned.
+    the drawn kernels' full rank; that decision is the pair's. The formula
+    holds for generic weights, but about 1% of root seeds draw Gaussian
+    kernels so ill-conditioned (sigma_min / sigma_max near 1e-17) that no
+    64-bit rank test sees the full rank. Sizes stay small enough that most
+    strided multi-channel draws remain well conditioned.
     """
     out = []
     for i in range(count):
@@ -227,10 +232,11 @@ def seeded_geometries(root_seed: int, count: int = 50):
                     rng, in_channels=c_in, in_height=h_in, in_width=w_in,
                     out_channels=c_out, kernel_h=kh, kernel_w=kw,
                     stride=stride, zero_padding=pad)
-                if (predict_nullspace_dim(spec).guaranteed
-                        and decide_rank(build_equivalent(spec).matrix).path
-                        == CERTIFIED_PATH):
-                    out.append(spec)
+                if not predict_nullspace_dim(spec).guaranteed:
+                    continue
+                spec, decision = with_rank(spec)
+                if decision.path == CERTIFIED_PATH:
+                    out.append((spec, decision))
                     break
             else:
                 raise RuntimeError("could not sample a guaranteed, certified conv geometry")
@@ -238,21 +244,17 @@ def seeded_geometries(root_seed: int, count: int = 50):
             rng = make_rng(root_seed, 2, i)
             n_in = int(rng.integers(8, 120))
             n_out = int(rng.integers(4, 160))
-            out.append(FcLayerSpec(in_features=n_in, out_features=n_out,
-                                   weight=rng.standard_normal((n_in, n_out))))
+            out.append(with_rank(FcLayerSpec(in_features=n_in, out_features=n_out,
+                                             weight=rng.standard_normal((n_in, n_out)))))
     return out
 
 
-def numerical_nullity(eq) -> int:
-    return decide_rank(eq.matrix).nullity
-
-
-def nullity_row(spec) -> list:
-    """One dim-sweep row for a layer geometry: input and output
-    dimensions, predicted and numerical nullity, and whether they agree."""
+def nullity_row(spec, decision) -> list:
+    """One dim-sweep row for a layer geometry and its RankDecision: input and
+    output dimensions, predicted and numerical nullity, and whether they agree."""
     pred = predict_nullspace_dim(spec)
-    numerical = numerical_nullity(build_equivalent(spec))
-    return [spec.input_dim, spec.output_dim, pred.dim, numerical, numerical == pred.dim]
+    return [spec.input_dim, spec.output_dim, pred.dim, decision.nullity,
+            decision.nullity == pred.dim]
 
 
 def _describe(spec) -> str:
@@ -266,11 +268,13 @@ def _describe(spec) -> str:
 def dimension_agreement(geometries) -> tuple[list[dict], CheckResult]:
     """Numerical nullity versus the geometric prediction, per geometry.
 
-    Returns the per-geometry rows (for the dim-sweep CSV) and one
-    summary check requiring exact integer agreement everywhere.
+    geometries are (spec, RankDecision) pairs. Returns the per-geometry
+    rows (for the dim-sweep CSV) and one summary check requiring exact
+    integer agreement everywhere.
     """
-    rows = [{"description": _describe(spec), **dict(zip(DIM_SWEEP_HEADER, nullity_row(spec)))}
-            for spec in geometries]
+    rows = [{"description": _describe(spec),
+             **dict(zip(DIM_SWEEP_HEADER, nullity_row(spec, decision)))}
+            for spec, decision in geometries]
     disagreements = sum(not r["agree"] for r in rows)
     check = CheckResult(
         name="dimension-agreement",
@@ -285,9 +289,9 @@ def dimension_agreement(geometries) -> tuple[list[dict], CheckResult]:
 def lowering_residuals(geometries, root_seed: int, samples: int = 100,
                        tolerance: float = 1e-12) -> CheckResult:
     """Max deviation between direct layer evaluation and the lowered
-    matrix over seeded inputs, across all geometries."""
+    matrix over seeded inputs, across all (spec, RankDecision) geometries."""
     worst = 0.0
-    for i, spec in enumerate(geometries):
+    for i, (spec, _) in enumerate(geometries):
         eq = build_equivalent(spec)
         worst = max(worst, verify_equivalence(eq, spec, samples=samples,
                                               seed=subseed(root_seed, 3, i)))
@@ -341,8 +345,8 @@ def rmse_table(net, first_basis: NullspaceBasis, root_seed: int,
     """
     if net.spec.linear_layer_indices()[0] != 0:
         raise ValueError("rmse_table expects the first network layer to be linear")
-    images = [synthetic_image(subseed(root_seed, 4, i), net.input_shape)
-              for i in range(batch)]
+    images = np.stack([synthetic_image(subseed(root_seed, 4, i), net.input_shape)
+                       for i in range(batch)])
     in_shape = net.input_shape
 
     harmless = sample_harmless(first_basis, subseed(root_seed, 4, 100),
@@ -394,14 +398,11 @@ def rmse_table(net, first_basis: NullspaceBasis, root_seed: int,
                         detail="ratio to matched-norm Gaussian at same injection point"),
         ])
 
-    top1 = 0
-    total = 0
-    for x in images:
-        clean = int(np.argmax(forward(net, x).logits))
-        for s in scales:
-            pert = int(np.argmax(forward(net, (x + s * harmless)).logits))
-            total += 1
-            top1 += int(pert == clean)
+    clean = forward(net, images).logits.argmax(axis=1)
+    shifted = images + np.reshape(scales, (-1,) + (1,) * images.ndim) * harmless
+    pert = forward(net, shifted.reshape(-1, *in_shape)).logits.argmax(axis=1)
+    total = pert.size
+    top1 = int(np.sum(pert.reshape(len(scales), -1) == clean))
     checks.append(CheckResult("argmax-invariance", top1 == total,
                               float(total - top1), 0.0,
                               detail=f"{top1}/{total} class predictions unchanged"))
@@ -544,8 +545,9 @@ def build_contour(eq, basis: NullspaceBasis, root_seed: int,
                   a_values=None, b_values=None) -> ContourGrid:
     """Grid of output norms over combinations of one perturbation's
     orthogonal and parallel components. Each grid point is evaluated by
-    a full matvec of the combined vector (no factored shortcut), so the
-    grid genuinely measures the layer."""
+    a full product of the combined vector (no factored shortcut), so the
+    grid genuinely measures the layer; all combined vectors are the
+    columns of one sparse product."""
     if basis.dim == 0:
         raise ValueError("contour needs a layer with a nontrivial harmless subspace")
     if a_values is None:
@@ -557,11 +559,9 @@ def build_contour(eq, basis: NullspaceBasis, root_seed: int,
     rng = make_rng(root_seed, 7)
     delta = rng.standard_normal(basis.ambient_dim)
     dec = orthogonal_decompose(basis, delta)
-    values = np.empty((a_values.size, b_values.size))
-    for i, av in enumerate(a_values):
-        for j, bv in enumerate(b_values):
-            combined = av * dec.orthogonal + bv * dec.parallel
-            values[i, j] = np.linalg.norm(eq.matrix @ combined)
+    combined = (dec.orthogonal[:, None, None] * a_values[:, None]
+                + dec.parallel[:, None, None] * b_values).reshape(basis.ambient_dim, -1)
+    values = np.linalg.norm(eq.matrix @ combined, axis=0).reshape(a_values.size, b_values.size)
     return ContourGrid(a_values=a_values, b_values=b_values, values=values)
 
 
@@ -665,23 +665,13 @@ def full_battery(root_seed: int, net_spec: NetworkSpec | None = None,
 class PrivacyBatteryResult:
     rows: list
     result: PrivacyResult
-    reconstructions: list
+    reconstructions: np.ndarray  # (B, n_recon, *input_shape)
     originals: np.ndarray
     checks: list
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-
-def check_privacy_counts(n_images: int, n_recon: int) -> None:
-    """Raise ValueError unless the privacy battery gets at least 1 image and
-    at least 2 reconstructions per image to compare."""
-    if n_images < 1:
-        raise ValueError(f"the privacy battery needs at least 1 image, got {n_images}")
-    if n_recon < 2:
-        raise ValueError("the privacy battery needs at least 2 reconstructions per image "
-                         f"to compare, got {n_recon}")
 
 
 def privacy_battery(net, basis: NullspaceBasis, root_seed: int,
@@ -700,7 +690,11 @@ def privacy_battery(net, basis: NullspaceBasis, root_seed: int,
     if images is None:
         images = [synthetic_image(subseed(root_seed, 9, i), net.input_shape)
                   for i in range(n_images)]
-    check_privacy_counts(len(images), n_recon)
+    if len(images) < 1:
+        raise ValueError(f"the privacy battery needs at least 1 image, got {len(images)}")
+    if n_recon < 2:
+        raise ValueError("the privacy battery needs at least 2 reconstructions per image "
+                         f"to compare, got {n_recon}")
     originals = np.asarray(images, dtype=np.float64)
     res = maximize_dissimilarity(originals, basis, net, PrivacyConfig(),
                                  [subseed(root_seed, 9, i, 1) for i in range(len(originals))])
@@ -709,7 +703,6 @@ def privacy_battery(net, basis: NullspaceBasis, root_seed: int,
     pairs = np.triu_indices(n_recon, 1)
     rows = []
     recon_sets = []
-    recon_dev = 0.0
     recon_min_dist = np.inf
     for i, (x, x_hat) in enumerate(zip(originals, res.image)):
         score = ssim(x, x_hat)
@@ -719,8 +712,6 @@ def privacy_battery(net, basis: NullspaceBasis, root_seed: int,
 
         recons = sample_reconstructions(x_hat, basis, n_recon, subseed(root_seed, 9, i, 3))
         recon_sets.append(recons)
-        recon_logits = np.stack([forward(net, r).logits for r in recons])
-        recon_dev = max(recon_dev, float(np.abs(recon_logits - res.scrambled_logits[i]).max()))
         gaps = (recons[pairs[0]] - recons[pairs[1]]).reshape(len(pairs[0]), -1)
         recon_min_dist = min(recon_min_dist, float(np.linalg.norm(gaps, axis=1).min()))
 
@@ -734,6 +725,10 @@ def privacy_battery(net, basis: NullspaceBasis, root_seed: int,
             "argmax_agree": bool(agree[i]),
         })
 
+    reconstructions = np.stack(recon_sets)
+    recon_logits = forward(net, reconstructions.reshape(-1, *net.input_shape)).logits
+    recon_dev = float(np.abs(recon_logits.reshape(len(originals), n_recon, -1)
+                             - res.scrambled_logits[:, None]).max())
     worst_dev = float(res.output_deviation.max())
     worst_viol = float(res.max_bound_violation.max())
     min_mse = float(res.mse.min())
@@ -750,5 +745,5 @@ def privacy_battery(net, basis: NullspaceBasis, root_seed: int,
                     recon_min_dist, 0.0,
                     detail="lower bound: pairwise l2 distance between reconstructions"),
     ]
-    return PrivacyBatteryResult(rows=rows, result=res, reconstructions=recon_sets,
+    return PrivacyBatteryResult(rows=rows, result=res, reconstructions=reconstructions,
                                 originals=originals, checks=checks)

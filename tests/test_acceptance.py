@@ -45,15 +45,25 @@ def report(number, label, checks):
 
 
 @pytest.fixture(scope="module")
-def geometries():
-    return cited_geometries(ROOT_SEED) + seeded_geometries(ROOT_SEED, 50)
+def timed_geometries():
+    # The samplers make each geometry's rank decision, so building the
+    # geometries is part of the sweep's time budget.
+    t0 = time.monotonic()
+    geometries = cited_geometries(ROOT_SEED) + seeded_geometries(ROOT_SEED, 50)
+    return geometries, time.monotonic() - t0
 
 
 @pytest.fixture(scope="module")
-def sweep(geometries):
+def geometries(timed_geometries):
+    return timed_geometries[0]
+
+
+@pytest.fixture(scope="module")
+def sweep(timed_geometries):
+    geometries, elapsed = timed_geometries
     t0 = time.monotonic()
     rows, check = dimension_agreement(geometries)
-    elapsed = time.monotonic() - t0
+    elapsed += time.monotonic() - t0
     return rows, check, elapsed
 
 
@@ -89,10 +99,10 @@ def test_criterion_1_at_a_seed_that_drew_an_ill_conditioned_conv():
 def test_every_guaranteed_conv_draw_is_certified(seed, monkeypatch):
     # Treating every draw as certified reproduces the same geometries, so
     # at these seeds no draw was resampled for lack of a certificate.
-    def describe(specs):
+    def describe(geometries):
         return [(type(s).__name__, s.input_dim, s.output_dim,
                  (s.kernels if isinstance(s, ConvLayerSpec) else s.weight).tobytes())
-                for s in specs]
+                for s, _ in geometries]
 
     drawn = describe(seeded_geometries(seed))
     monkeypatch.setattr(verification, "decide_rank",

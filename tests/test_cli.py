@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -288,20 +289,26 @@ class TestPrivacy:
         assert len(rows) == 1
 
 
-    @pytest.mark.parametrize("count", [["--images", "0"], ["--recon", "1"], ["--recon", "0"]])
+    @pytest.mark.parametrize("count", [
+        ["privacy", "--images", "0"], ["privacy", "--recon", "1"], ["privacy", "--recon", "0"],
+        ["lower", "--layer", "unread.json", "--samples", "0"], ["verify", "--trials", "0"],
+        ["verify", "--geometries", "-3"], ["contour", "--grid", "0"],
+        ["contour", "--grid", "1"], ["contour", "--grid", "2"], ["contour", "--axis-max", "0"],
+    ])
     def test_degenerate_counts_are_usage_errors(self, tmp_path, net_json, count, capsys,
                                                 monkeypatch):
-        # The counts are checked before the (costly) harmless basis.
+        # The counts are checked before any work, such as the (costly) harmless basis.
         def no_basis(eq):
             raise AssertionError("harmless_basis called before the count check")
 
         monkeypatch.setattr("nullspan.cli.harmless_basis", no_basis)
         out = tmp_path / "out"
+        net = ["--net", net_json] if count[0] == "privacy" else []
         with pytest.raises(SystemExit) as exc:
-            main(["privacy", "--net", net_json, "--seed", "44", "--out", str(out)] + count)
+            main(count[:1] + net + ["--seed", "44", "--out", str(out)] + count[1:])
         assert exc.value.code == 2
-        assert "at least" in capsys.readouterr().err
-        assert not any(out.iterdir())
+        assert re.search("at least|positive", capsys.readouterr().err)
+        assert not out.exists() or not any(out.iterdir())
 
 
 class TestParser:

@@ -20,8 +20,7 @@ from nullspan.layers import (
     save_layer_json,
     verify_equivalence,
 )
-from nullspan.linalg import numerical_rank, singular_values, svd
-from nullspan.verification import numerical_nullity
+from nullspan.linalg import decide_rank, numerical_rank, singular_values, svd
 
 
 def gf_rank(a_int, p=2147483647):
@@ -106,7 +105,7 @@ class TestFcLowering:
     def test_square_784(self):
         rng = np.random.default_rng(12)
         eq = build_fc_equivalent(FcLayerSpec(784, 784, weight=rng.standard_normal((784, 784))))
-        assert numerical_nullity(eq) == 0
+        assert decide_rank(eq.matrix).nullity == 0
 
     def test_seeded_20_to_12(self):
         rng = np.random.default_rng(4)
@@ -142,6 +141,17 @@ class TestVerifyEquivalence:
         spec = FcLayerSpec(30, 12, weight=rng.standard_normal((30, 12)))
         assert verify_equivalence(build_fc_equivalent(spec), spec, samples=50, seed=2) <= 1e-12
 
+    def test_equals_per_sample_reference(self, default_net, first_layer_eq):
+        # One (samples, C, H, W) draw gives the values of one draw per sample.
+        spec = default_net.layers[0]
+        rng = np.random.default_rng(5)
+        worst = 0.0
+        for _ in range(7):
+            x = rng.standard_normal(spec.input_shape)
+            direct = conv_forward(spec, x[None], include_bias=False).ravel()
+            worst = max(worst, float(np.max(np.abs(direct - first_layer_eq.matrix @ x.ravel()))))
+        assert verify_equivalence(first_layer_eq, spec, samples=7, seed=5) == worst
+
 
 @settings(max_examples=20, deadline=None)
 @given(
@@ -175,7 +185,7 @@ class TestBiasHandling:
         eq = build_conv_equivalent(spec)
         x = rng.standard_normal((2, 6, 6))
         delta = rng.standard_normal((2, 6, 6))
-        change = conv_forward(spec, x + delta) - conv_forward(spec, x)
+        change = conv_forward(spec, (x + delta)[None]) - conv_forward(spec, x[None])
         np.testing.assert_allclose(change.ravel(), eq.matrix @ delta.ravel(), atol=1e-12)
 
     def test_fc_bias_cancels(self):
@@ -185,8 +195,8 @@ class TestBiasHandling:
         eq = build_fc_equivalent(spec)
         z = rng.standard_normal(10)
         delta = rng.standard_normal(10)
-        change = fc_forward(spec, z + delta) - fc_forward(spec, z)
-        np.testing.assert_allclose(change, eq.matrix @ delta, atol=1e-12)
+        change = fc_forward(spec, (z + delta)[None]) - fc_forward(spec, z[None])
+        np.testing.assert_allclose(change[0], eq.matrix @ delta, atol=1e-12)
 
 
 class TestDimPrediction:
@@ -217,7 +227,7 @@ class TestDimPrediction:
                              kernels=rng.standard_normal((23, 4, 2, 4)))
         pred = predict_nullspace_dim(spec)
         assert not pred.guaranteed
-        assert numerical_nullity(build_conv_equivalent(spec)) > pred.dim
+        assert decide_rank(build_conv_equivalent(spec).matrix).nullity > pred.dim
 
     def test_starved_boundary_unguaranteed_and_detected(self):
         # padding-dominated corner windows read fewer real units than kernels
@@ -226,7 +236,7 @@ class TestDimPrediction:
                              kernels=rng.standard_normal((5, 4, 3, 3)))
         pred = predict_nullspace_dim(spec)
         assert not pred.guaranteed
-        assert numerical_nullity(build_conv_equivalent(spec)) > pred.dim
+        assert decide_rank(build_conv_equivalent(spec).matrix).nullity > pred.dim
 
     def test_near_equal_channels_common_roots_unguaranteed_and_structural(self):
         # One in-channel feeding two kernels admits geometric-pattern
@@ -240,7 +250,7 @@ class TestDimPrediction:
         assert pred.dim == 0
         assert not pred.guaranteed
         eq = build_conv_equivalent(spec)
-        float_nullity = numerical_nullity(eq)
+        float_nullity = decide_rank(eq.matrix).nullity
         exact_nullity = eq.cols - gf_rank(np.rint(eq.dense()).astype(np.int64))
         assert exact_nullity > 0
         assert float_nullity == exact_nullity
@@ -261,7 +271,7 @@ class TestDimPrediction:
         eq = build_conv_equivalent(spec)
         exact_nullity = eq.cols - gf_rank(np.rint(eq.dense()).astype(np.int64))
         assert exact_nullity == 0
-        assert numerical_nullity(eq) > 0
+        assert decide_rank(eq.matrix).nullity > 0
         sv = singular_values(eq.matrix)
         assert sv[-1] <= 1e-13 * sv[0]
 

@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nullspan.imaging import synthetic_image
-from nullspan.layers import ConvLayerSpec, FcLayerSpec, build_equivalent, layer_from_json_dict
+from nullspan.layers import (
+    ConvLayerSpec,
+    FcLayerSpec,
+    build_equivalent,
+    conv_forward,
+    layer_from_json_dict,
+)
 from nullspan.network import (
     AvgPool,
     Flatten,
@@ -136,14 +142,21 @@ class TestForward:
     def test_golden_logits(self):
         net = init_network(golden_spec(), 42)
         x = synthetic_image(7, (2, 6, 6))
-        trace = forward(net, x)
-        np.testing.assert_allclose(trace.logits, GOLDEN_LOGITS, rtol=0, atol=1e-12)
+        trace = forward(net, x[None])
+        np.testing.assert_allclose(trace.logits[0], GOLDEN_LOGITS, rtol=0, atol=1e-12)
 
     def test_matches_naive_reimplementation(self):
+        # Each row of a mixed batch (synthetic images, zeros, a signed
+        # Gaussian input), and a batch of one, matches the loop reference.
         net = init_network(golden_spec(), 42)
-        x = synthetic_image(7, (2, 6, 6))
-        np.testing.assert_allclose(forward(net, x).logits, naive_forward(net, x),
-                                   atol=1e-12)
+        xs = np.stack([synthetic_image(7, (2, 6, 6)), np.zeros((2, 6, 6)),
+                       np.random.default_rng(3).standard_normal((2, 6, 6)),
+                       synthetic_image(8, (2, 6, 6))])
+        for batch in (xs[:1], xs):
+            logits = forward(net, batch).logits
+            assert logits.shape == (len(batch), 5)
+            for row, x in zip(logits, batch):
+                np.testing.assert_allclose(row, naive_forward(net, x), rtol=0, atol=1e-12)
 
     def test_zero_input_bias_free_gives_zero(self):
         spec = NetworkSpec(
@@ -155,36 +168,50 @@ class TestForward:
             ),
         )
         net = init_network(spec, 3, with_bias=False)
-        logits = forward(net, np.zeros((1, 4, 4))).logits
-        np.testing.assert_array_equal(logits, np.zeros(3))
+        logits = forward(net, np.zeros((1, 1, 4, 4))).logits
+        np.testing.assert_array_equal(logits, np.zeros((1, 3)))
 
     def test_relu_clamps(self):
-        z = np.array([-1.0, 0.0, 2.0])
-        np.testing.assert_array_equal(apply_layer(Relu(), z), [0.0, 0.0, 2.0])
+        z = np.array([[-1.0, 0.0, 2.0]])
+        np.testing.assert_array_equal(apply_layer(Relu(), z), [[0.0, 0.0, 2.0]])
 
     def test_avgpool_quadrants(self):
-        z = np.arange(16.0).reshape(1, 4, 4)
+        z = np.arange(16.0).reshape(1, 1, 4, 4)
         out = apply_layer(AvgPool(window=2, stride=2), z)
-        np.testing.assert_allclose(out[0], [[2.5, 4.5], [10.5, 12.5]])
+        np.testing.assert_allclose(out[0, 0], [[2.5, 4.5], [10.5, 12.5]])
 
     def test_trace_shapes(self):
         net = init_network(golden_spec(), 42)
-        trace = forward(net, synthetic_image(1, (2, 6, 6)))
+        trace = forward(net, np.stack([synthetic_image(1, (2, 6, 6))] * 4))
         shapes = [a.shape for a in trace.activations]
-        assert shapes == [(2, 6, 6), (3, 6, 6), (3, 6, 6), (3, 3, 3), (27,), (5,)]
+        assert shapes == [(4, 2, 6, 6), (4, 3, 6, 6), (4, 3, 6, 6), (4, 3, 3, 3),
+                          (4, 27), (4, 5)]
 
     def test_shape_mismatch(self):
         net = init_network(golden_spec(), 42)
         with pytest.raises(ValueError, match="input shape"):
-            forward(net, np.zeros((2, 5, 6)))
+            forward(net, np.zeros((1, 2, 5, 6)))
+
+    def test_unbatched_input_rejected(self):
+        net = init_network(golden_spec(), 42)
+        x = synthetic_image(1, (2, 6, 6))
+        for call in (lambda: conv_forward(net.layers[0], x), lambda: forward(net, x),
+                     lambda: forward_from_layer(net, 0, x),
+                     lambda: apply_layer(net.layers[0], x)):
+            with pytest.raises(ValueError, match=r"\(B, 2, 6, 6\)"):
+                call()
+        for layer, z in ((Relu(), np.zeros(3)), (Flatten(), np.zeros(3)),
+                         (AvgPool(window=2, stride=2), x)):
+            with pytest.raises(ValueError, match=r"\(B, \.\.\.\)"):
+                apply_layer(layer, z)
 
 
 class TestForwardFromLayer:
     def test_layer_zero_matches_forward(self):
         net = init_network(golden_spec(), 42)
         x = synthetic_image(8, (2, 6, 6))
-        np.testing.assert_array_equal(forward_from_layer(net, 0, x),
-                                      forward(net, x).logits)
+        np.testing.assert_array_equal(forward_from_layer(net, 0, x[None]),
+                                      forward(net, x[None]).logits)
 
     def test_interior_harmless_injection(self, default_net):
         idx = DEFAULT_INTERIOR_HARMLESS_LAYER_INDEX
@@ -192,7 +219,7 @@ class TestForwardFromLayer:
         basis = harmless_basis(build_equivalent(fc1))
         assert basis.dim == 1024 - 64
         x = synthetic_image(9, (3, 32, 32))
-        trace = forward(net=default_net, x=x)
+        trace = forward(net=default_net, x=x[None])
         z = trace.activations[idx]
         delta = sample_harmless(basis, seed=11, target_norm=5.0)
         logits = forward_from_layer(default_net, idx, z + delta.reshape(z.shape))
@@ -203,7 +230,7 @@ class TestForwardFromLayer:
         eq = build_equivalent(default_net.layers[idx])
         lh = least_harmful(eq)
         x = synthetic_image(10, (3, 32, 32))
-        trace = forward(default_net, x)
+        trace = forward(default_net, x[None])
         z = trace.activations[idx]
         shape = z.shape
 
@@ -221,7 +248,7 @@ class TestForwardFromLayer:
     def test_generic_perturbation_changes_logits(self, default_net):
         idx = DEFAULT_ZERO_NULLITY_LAYER_INDEX
         x = synthetic_image(13, (3, 32, 32))
-        trace = forward(default_net, x)
+        trace = forward(default_net, x[None])
         z = trace.activations[idx]
         rng = np.random.default_rng(14)
         delta = rng.standard_normal(z.shape)
@@ -234,7 +261,7 @@ class TestForwardFromLayer:
 
     def test_bad_shape(self, default_net):
         with pytest.raises(ValueError, match="feature shape"):
-            forward_from_layer(default_net, 2, np.zeros((3, 3, 3)))
+            forward_from_layer(default_net, 2, np.zeros((1, 3, 3, 3)))
 
 
 class TestEndToEndInvariance:
@@ -242,10 +269,10 @@ class TestEndToEndInvariance:
         delta = sample_harmless(first_layer_basis, seed=15, target_norm=8 / 255,
                                 norm_kind="linf").reshape(3, 32, 32)
         x = synthetic_image(16, (3, 32, 32))
-        clean = forward(default_net, x)
+        clean = forward(default_net, x[None])
         clean_class = int(np.argmax(clean.logits))
         for scale in [2.0 ** k for k in range(9)]:
-            logits = forward(default_net, x + scale * delta).logits
+            logits = forward(default_net, (x + scale * delta)[None]).logits
             assert np.max(np.abs(logits - clean.logits)) <= 1e-9
             assert int(np.argmax(logits)) == clean_class
 
@@ -321,8 +348,8 @@ class TestSerialization:
             elif isinstance(a, FcLayerSpec):
                 assert a.weight.tobytes() == b.weight.tobytes()
         x = synthetic_image(5, (2, 6, 6))
-        np.testing.assert_array_equal(forward(net, x).logits,
-                                      forward(back, x).logits)
+        np.testing.assert_array_equal(forward(net, x[None]).logits,
+                                      forward(back, x[None]).logits)
 
     def test_tensor_container_frozen_layout(self, tmp_path):
         import struct
