@@ -10,8 +10,12 @@ conv/relu/pool/fc stack and contrasts Gaussian noise.
 import numpy as np
 
 from nullspan import (
+    AvgPool,
     ConvLayerSpec,
     FcLayerSpec,
+    Flatten,
+    NetworkSpec,
+    Relu,
     build_equivalent,
     forward,
     harmless_basis,
@@ -20,7 +24,6 @@ from nullspan import (
     sample_harmless,
     synthetic_image,
 )
-from nullspan.network import AvgPool, Flatten, NetworkSpec, Relu
 
 spec = NetworkSpec(
     input_shape=(3, 16, 16),

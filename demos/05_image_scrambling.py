@@ -18,7 +18,10 @@ import numpy as np
 from nullspan import (
     ConvLayerSpec,
     FcLayerSpec,
+    Flatten,
+    NetworkSpec,
     PrivacyConfig,
+    Relu,
     build_equivalent,
     forward,
     harmless_basis,
@@ -29,7 +32,6 @@ from nullspan import (
     synthetic_image,
     write_ppm,
 )
-from nullspan.network import Flatten, NetworkSpec, Relu
 
 out_dir = Path("demo_out")
 out_dir.mkdir(exist_ok=True)

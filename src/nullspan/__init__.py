@@ -9,8 +9,11 @@ bit-for-bit meaningful while the pixels stop being.
 """
 
 from .layers import (
+    AvgPool,
     ConvLayerSpec,
     FcLayerSpec,
+    Flatten,
+    Relu,
     EquivalentMatrix,
     DimPrediction,
     build_conv_equivalent,
@@ -34,20 +37,14 @@ from .linalg import (
     svd,
 )
 from .network import (
-    AvgPool,
     FeatureTrace,
-    Flatten,
-    Network,
     NetworkSpec,
-    Relu,
     forward,
     forward_from_layer,
     init_network,
     load_network_spec,
-    load_weights,
     rmse_report,
     save_network_spec,
-    save_weights,
 )
 from .imaging import read_ppm, ssim, synthetic_image, write_ppm
 from .privacy import (

@@ -93,7 +93,7 @@ def _out_dir(args) -> Path:
 
 def cmd_lower(args) -> int:
     out = _out_dir(args)
-    spec = load_layer_json(args.layer)
+    spec = args.layer
     eq = build_equivalent(spec)
     pred = predict_nullspace_dim(spec)
     decision = decide_rank(eq.matrix)
@@ -189,10 +189,13 @@ def cmd_dim_sweep(args) -> int:
 # --- verify --------------------------------------------------------------
 
 def cmd_verify(args) -> int:
+    net_spec = args.net or default_network_spec()
+    first = net_spec.layers[net_spec.linear_layer_indices()[0]]
+    if args.basis is not None and args.basis.ambient_dim != first.input_dim:
+        args.usage_error(f"argument --basis: the basis has {args.basis.ambient_dim} rows, "
+                         f"but the first linear layer takes {first.input_dim} inputs")
     out = _out_dir(args)
-    net_spec = load_network_spec(args.net) if args.net else None
-    basis = load_basis(args.basis) if args.basis else None
-    report = full_battery(args.seed, net_spec=net_spec, basis=basis,
+    report = full_battery(args.seed, net_spec=net_spec, basis=args.basis,
                           geometry_count=args.geometries, trials=args.trials,
                           include_geometry_sweep=not args.skip_sweep)
 
@@ -217,7 +220,8 @@ def cmd_verify(args) -> int:
 
     _print_checks(report.checks)
     if not report.passed:
-        print(f"{len(report.failures())} check(s) FAILED", file=sys.stderr)
+        failed = sum(not c.passed for c in report.checks)
+        print(f"{failed} check(s) FAILED", file=sys.stderr)
         return 1
     print("all checks passed")
     return 0
@@ -227,10 +231,7 @@ def cmd_verify(args) -> int:
 
 def cmd_contour(args) -> int:
     out = _out_dir(args)
-    if args.layer:
-        spec = load_layer_json(args.layer)
-    else:
-        spec = init_network(default_network_spec(), subseed(args.seed, 8)).layers[0]
+    spec = args.layer or init_network(default_network_spec(), subseed(args.seed, 8)).layers[0]
     eq = build_equivalent(spec)
     basis = harmless_basis(eq)
     if basis.dim == 0:
@@ -255,17 +256,11 @@ def cmd_contour(args) -> int:
 
 def cmd_privacy(args) -> int:
     out = _out_dir(args)
-    net_spec = load_network_spec(args.net) if args.net else default_network_spec()
-    net = init_network(net_spec, subseed(args.seed, 8))
-    first = net_spec.linear_layer_indices()[0]
-    if first != 0:
+    net = init_network(args.net or default_network_spec(), subseed(args.seed, 8))
+    if net.linear_layer_indices()[0] != 0:
         print("privacy scrambling needs the first network layer to be linear",
               file=sys.stderr)
         return 1
-    try:
-        images = [read_ppm(p) for p in args.image_files] if args.image_files else None
-    except ValueError as exc:
-        args.usage_error(str(exc))
     basis = harmless_basis(build_equivalent(net.layers[0]))
     if basis.dim == 0:
         print("first layer has no harmless subspace; cannot scramble", file=sys.stderr)
@@ -274,7 +269,7 @@ def cmd_privacy(args) -> int:
     try:
         battery = privacy_battery(net, basis, args.seed,
                                   n_images=args.images, n_recon=args.recon,
-                                  images=images)
+                                  images=args.image_files or None)
     except ValueError as exc:
         args.usage_error(str(exc))
     save_basis(basis, out / "first_layer_basis.nspb")
@@ -322,6 +317,17 @@ def _at_least(low):
     return integer
 
 
+def _read(reader):
+    """argparse type: the content of the file named by the argument, read by
+    reader; a missing or malformed file is a usage error naming the cause."""
+    def read(path):
+        try:
+            return reader(path)
+        except (OSError, ValueError) as exc:
+            raise argparse.ArgumentTypeError(f"{path}: {exc}") from None
+    return read
+
+
 def _positive(text):
     """argparse type: a finite float > 0; anything else is a usage error."""
     if not 0.0 < float(text) < np.inf:
@@ -346,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lower", help="lower a layer to its equivalent matrix")
     common(p)
-    p.add_argument("--layer", type=str, required=True, help="layer spec JSON path")
+    p.add_argument("--layer", type=_read(load_layer_json), required=True,
+                   help="layer spec JSON path")
     p.add_argument("--samples", type=_at_least(1), default=100,
                    help="random inputs for the equivalence residual")
     p.set_defaults(func=cmd_lower)
@@ -369,8 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the full invariant battery")
     common(p)
-    p.add_argument("--net", type=str, default=None, help="network spec JSON path")
-    p.add_argument("--basis", type=str, default=None,
+    p.add_argument("--net", type=_read(load_network_spec), default=None,
+                   help="network spec JSON path")
+    p.add_argument("--basis", type=_read(load_basis), default=None,
                    help="validate this stored basis instead of recomputing")
     p.add_argument("--geometries", type=_at_least(0), default=50,
                    help="seeded geometries in the dimension sweep")
@@ -378,12 +386,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="trials per decomposition law")
     p.add_argument("--skip-sweep", action="store_true",
                    help="skip the geometry sweep (fast smoke run)")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, usage_error=p.error)
 
     p = sub.add_parser("contour", help="output-norm grid over orthogonal/parallel "
                                        "component combinations")
     common(p)
-    p.add_argument("--layer", type=str, default=None,
+    p.add_argument("--layer", type=_read(load_layer_json), default=None,
                    help="layer spec JSON; default: seeded first layer of the "
                         "default network")
     p.add_argument("--grid", type=_at_least(3), default=21, help="points per axis")
@@ -392,9 +400,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("privacy", help="generate output-invariant scrambled images")
     common(p)
-    p.add_argument("--net", type=str, default=None, help="network spec JSON path")
+    p.add_argument("--net", type=_read(load_network_spec), default=None,
+                   help="network spec JSON path")
     p.add_argument("--images", type=_at_least(1), default=20, help="synthetic image count")
-    p.add_argument("--image-files", type=str, nargs="*", default=None,
+    p.add_argument("--image-files", type=_read(read_ppm), nargs="*", default=None,
                    help="PPM images to scramble instead of synthetic ones")
     p.add_argument("--recon", type=_at_least(2), default=16,
                    help="sampled reconstructions per image")

@@ -23,7 +23,6 @@ __all__ = [
     "write_ppm",
     "read_ppm",
     "save_float_image",
-    "load_float_image",
     "synthetic_image",
 ]
 
@@ -129,10 +128,6 @@ def read_ppm(path) -> np.ndarray:
 def save_float_image(path, image: np.ndarray) -> None:
     """Exactness-preserving storage via the float64 tensor container."""
     tensorio.write_tensors(path, {"image": np.asarray(image, dtype=np.float64)})
-
-
-def load_float_image(path) -> np.ndarray:
-    return tensorio.read_tensors(path)["image"]
 
 
 def synthetic_image(seed: int, shape: tuple[int, int, int] = (3, 32, 32),

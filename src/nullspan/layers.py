@@ -1,4 +1,5 @@
-"""Lowering of convolutional and fully-connected layers to a single matrix.
+"""The five layer kinds, their JSON codec, and the lowering of the linear
+ones (convolutional and fully-connected) to a single matrix.
 
 A linear layer z_out = layer(z_in) is represented by the sparse matrix A
 with A @ vec(z_in) = vec(z_out), where vec() flattens channel-major
@@ -16,7 +17,7 @@ no matrix entry.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -25,6 +26,10 @@ import scipy.sparse as sp
 __all__ = [
     "ConvLayerSpec",
     "FcLayerSpec",
+    "Relu",
+    "AvgPool",
+    "Flatten",
+    "LAYER_KINDS",
     "EquivalentMatrix",
     "DimPrediction",
     "build_conv_equivalent",
@@ -45,6 +50,19 @@ def _check_positive(name, value):
     if int(value) != value or value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
     return int(value)
+
+
+def _param(name: str, value, shape: tuple[int, ...]) -> np.ndarray | None:
+    """A layer parameter as a float64 array of the given shape with finite
+    entries, or None for a geometry-only spec."""
+    if value is None:
+        return None
+    value = np.asarray(value, dtype=np.float64)
+    if value.shape != shape:
+        raise ValueError(f"{name} shape {value.shape} != {shape}")
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"{name} contains non-finite values")
+    return value
 
 
 @dataclass
@@ -86,19 +104,9 @@ class ConvLayerSpec:
                 f"(in_width={self.in_width}, kernel_w={self.kernel_w}, "
                 f"stride={self.stride}, zero_padding={self.zero_padding})"
             )
-        if self.kernels is not None:
-            self.kernels = np.asarray(self.kernels, dtype=np.float64)
-            want = (self.out_channels, self.in_channels, self.kernel_h, self.kernel_w)
-            if self.kernels.shape != want:
-                raise ValueError(f"kernels shape {self.kernels.shape} != {want}")
-            if not np.all(np.isfinite(self.kernels)):
-                raise ValueError("kernels contain non-finite values")
-        if self.bias is not None:
-            self.bias = np.asarray(self.bias, dtype=np.float64)
-            if self.bias.shape != (self.out_channels,):
-                raise ValueError(f"bias shape {self.bias.shape} != ({self.out_channels},)")
-            if not np.all(np.isfinite(self.bias)):
-                raise ValueError("bias contains non-finite values")
+        self.kernels = _param("kernels", self.kernels, (
+            self.out_channels, self.in_channels, self.kernel_h, self.kernel_w))
+        self.bias = _param("bias", self.bias, (self.out_channels,))
 
     @property
     def out_height(self) -> int:
@@ -141,19 +149,8 @@ class FcLayerSpec:
     def __post_init__(self):
         self.in_features = _check_positive("in_features", self.in_features)
         self.out_features = _check_positive("out_features", self.out_features)
-        if self.weight is not None:
-            self.weight = np.asarray(self.weight, dtype=np.float64)
-            want = (self.in_features, self.out_features)
-            if self.weight.shape != want:
-                raise ValueError(f"weight shape {self.weight.shape} != {want}")
-            if not np.all(np.isfinite(self.weight)):
-                raise ValueError("weight contains non-finite values")
-        if self.bias is not None:
-            self.bias = np.asarray(self.bias, dtype=np.float64)
-            if self.bias.shape != (self.out_features,):
-                raise ValueError(f"bias shape {self.bias.shape} != ({self.out_features},)")
-            if not np.all(np.isfinite(self.bias)):
-                raise ValueError("bias contains non-finite values")
+        self.weight = _param("weight", self.weight, (self.in_features, self.out_features))
+        self.bias = _param("bias", self.bias, (self.out_features,))
 
     @property
     def input_shape(self) -> tuple[int]:
@@ -170,6 +167,32 @@ class FcLayerSpec:
     @property
     def output_dim(self) -> int:
         return self.out_features
+
+
+@dataclass(frozen=True)
+class Relu:
+    pass
+
+
+@dataclass(frozen=True)
+class AvgPool:
+    window: int
+    stride: int
+
+    def __post_init__(self):
+        if self.window < 1 or self.stride < 1:
+            raise ValueError(f"avgpool window and stride must be positive, "
+                             f"got {self.window} and {self.stride}")
+
+
+@dataclass(frozen=True)
+class Flatten:
+    pass
+
+
+#: JSON "kind" of each layer class; the codec below reads and writes them.
+LAYER_KINDS = {"conv": ConvLayerSpec, "fc": FcLayerSpec, "relu": Relu,
+               "avgpool": AvgPool, "flatten": Flatten}
 
 
 @dataclass
@@ -406,39 +429,33 @@ def predict_nullspace_dim(spec) -> DimPrediction:
 
 
 # --- JSON serialization ------------------------------------------------
+#
+# A layer's JSON object is its "kind" followed by its dataclass fields in
+# declaration order. Fields that default to None are parameter arrays
+# (nested lists or null); all others are integers, optional when the
+# dataclass gives them a default.
 
-def layer_to_json_dict(spec) -> dict:
-    """Plain-dict form of a layer spec; kernels/weight as nested lists."""
-    if isinstance(spec, ConvLayerSpec):
-        return {
-            "kind": "conv",
-            "in_channels": spec.in_channels,
-            "in_height": spec.in_height,
-            "in_width": spec.in_width,
-            "out_channels": spec.out_channels,
-            "kernel_h": spec.kernel_h,
-            "kernel_w": spec.kernel_w,
-            "stride": spec.stride,
-            "zero_padding": spec.zero_padding,
-            "kernels": spec.kernels.tolist() if spec.kernels is not None else None,
-            "bias": spec.bias.tolist() if spec.bias is not None else None,
-        }
-    if isinstance(spec, FcLayerSpec):
-        return {
-            "kind": "fc",
-            "in_features": spec.in_features,
-            "out_features": spec.out_features,
-            "weight": spec.weight.tolist() if spec.weight is not None else None,
-            "bias": spec.bias.tolist() if spec.bias is not None else None,
-        }
-    raise TypeError(f"not a linear layer spec: {type(spec).__name__}")
+def _kind(layer) -> str:
+    for kind, cls in LAYER_KINDS.items():
+        if type(layer) is cls:
+            return kind
+    raise TypeError(f"unknown layer type {type(layer).__name__}")
 
 
-def _json_int(doc: dict, name: str, default=None) -> int:
+def layer_to_json_dict(layer) -> dict:
+    """Plain-dict form of a layer; parameter arrays as nested lists."""
+    doc = {"kind": _kind(layer)}
+    for f in fields(layer):
+        value = getattr(layer, f.name)
+        doc[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+    return doc
+
+
+def _json_int(doc: dict, name: str, default) -> int:
     """Integer field of a JSON object, or default when absent and default
-    is not None; a ValueError names a missing or non-integer field."""
+    is not MISSING; a ValueError names a missing or non-integer field."""
     if name not in doc:
-        if default is None:
+        if default is MISSING:
             raise ValueError(f"missing field {name!r}")
         return default
     value = doc[name]
@@ -458,31 +475,15 @@ def _json_array(doc: dict, name: str) -> np.ndarray | None:
 
 
 def layer_from_json_dict(doc: dict):
-    """Layer spec from its plain-dict form; malformed input raises ValueError."""
+    """Layer from its plain-dict form; malformed input raises ValueError."""
     if not isinstance(doc, dict):
         raise ValueError(f"a layer must be a JSON object, got {type(doc).__name__}")
     kind = doc.get("kind")
-    if kind == "conv":
-        return ConvLayerSpec(
-            in_channels=_json_int(doc, "in_channels"),
-            in_height=_json_int(doc, "in_height"),
-            in_width=_json_int(doc, "in_width"),
-            out_channels=_json_int(doc, "out_channels"),
-            kernel_h=_json_int(doc, "kernel_h"),
-            kernel_w=_json_int(doc, "kernel_w"),
-            stride=_json_int(doc, "stride", 1),
-            zero_padding=_json_int(doc, "zero_padding", 0),
-            kernels=_json_array(doc, "kernels"),
-            bias=_json_array(doc, "bias"),
-        )
-    if kind == "fc":
-        return FcLayerSpec(
-            in_features=_json_int(doc, "in_features"),
-            out_features=_json_int(doc, "out_features"),
-            weight=_json_array(doc, "weight"),
-            bias=_json_array(doc, "bias"),
-        )
-    raise ValueError(f"unknown layer kind {kind!r}")
+    cls = LAYER_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"unknown layer kind {kind!r}")
+    return cls(**{f.name: _json_array(doc, f.name) if f.default is None
+                  else _json_int(doc, f.name, f.default) for f in fields(cls)})
 
 
 def save_layer_json(spec, path) -> None:
@@ -492,5 +493,10 @@ def save_layer_json(spec, path) -> None:
 
 
 def load_layer_json(path):
+    """The conv or fc layer in a layer JSON file; any other content raises
+    a ValueError naming the cause."""
     with open(path, "r", encoding="utf-8") as fh:
-        return layer_from_json_dict(json.load(fh))
+        layer = layer_from_json_dict(json.load(fh))
+    if not isinstance(layer, (ConvLayerSpec, FcLayerSpec)):
+        raise ValueError(f"a layer file must hold a conv or fc layer, got kind {_kind(layer)!r}")
+    return layer

@@ -343,19 +343,16 @@ def _fix_column_signs(u: np.ndarray) -> np.ndarray:
 def smallest_eigenpair_gram(m) -> tuple[np.ndarray, float]:
     """Unit eigenvector of M.T @ M with the smallest eigenvalue.
 
-    Requires cols(M) <= rows(M). The Gram matrix is formed from the
-    sparse M when it is sparse, and only its lowest eigenpair is solved
-    for. Returns (v, lam) with lam = ||M v||^2, the Rayleigh quotient of
-    the selected eigenvector (consistent with v by construction, and equal
-    to the smallest Gram eigenvalue up to factorization error). Sign
-    convention: the first nonzero component of v is positive. Eigenvalue
-    ties resolve to the lowest index in the ascending eigendecomposition
-    order.
+    The Gram matrix is formed from the sparse M when it is sparse, and
+    only its lowest eigenpair is solved for. Returns (v, lam) with lam =
+    ||M v||^2, the Rayleigh quotient of the selected eigenvector
+    (consistent with v by construction, and equal to the smallest Gram
+    eigenvalue up to factorization error). Sign convention: the first
+    nonzero component of v is positive. Eigenvalue ties resolve to the
+    lowest index in the ascending eigendecomposition order.
     """
     m = _checked(m)
-    rows, cols = m.shape
-    if cols > rows:
-        raise ValueError(f"require cols <= rows, got {rows}x{cols}")
+    cols = m.shape[1]
     gram = _gram(m.T)
     import scipy.linalg
     try:

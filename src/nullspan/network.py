@@ -1,7 +1,7 @@
 """Minimal deterministic feed-forward inference with per-layer taps.
 
-Supported layers: conv, fc (via layers.py specs), relu, average pooling,
-and flatten. No training, no batch norm, no skip connections. Forward
+Supported layers: the five kinds of layers.py (conv, fc, relu, average
+pooling and flatten). No training, no batch norm, no skip connections. Forward
 passes record every intermediate activation so perturbations can be
 injected at any depth and their downstream effect measured.
 
@@ -25,24 +25,21 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import tensorio
 from .layers import (
+    AvgPool,
     ConvLayerSpec,
     FcLayerSpec,
+    Flatten,
+    Relu,
     conv_forward,
     fc_forward,
     _check_batched,
-    _json_int,
     layer_from_json_dict,
     layer_to_json_dict,
 )
 
 __all__ = [
-    "Relu",
-    "AvgPool",
-    "Flatten",
     "NetworkSpec",
-    "Network",
     "FeatureTrace",
     "init_network",
     "forward",
@@ -53,30 +50,7 @@ __all__ = [
     "network_spec_from_json_dict",
     "save_network_spec",
     "load_network_spec",
-    "save_weights",
-    "load_weights",
 ]
-
-
-@dataclass(frozen=True)
-class Relu:
-    pass
-
-
-@dataclass(frozen=True)
-class AvgPool:
-    window: int
-    stride: int
-
-    def __post_init__(self):
-        if self.window < 1 or self.stride < 1:
-            raise ValueError(f"avgpool window and stride must be positive, "
-                             f"got {self.window} and {self.stride}")
-
-
-@dataclass(frozen=True)
-class Flatten:
-    pass
 
 
 def shape_after(layer, shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -140,25 +114,6 @@ class NetworkSpec:
 
 
 @dataclass(frozen=True)
-class Network:
-    """A NetworkSpec whose linear layers carry concrete parameters."""
-
-    spec: NetworkSpec
-
-    @property
-    def layers(self) -> tuple:
-        return self.spec.layers
-
-    @property
-    def input_shape(self) -> tuple[int, ...]:
-        return self.spec.input_shape
-
-    @property
-    def n_out(self) -> int:
-        return int(np.prod(self.spec.output_shape))
-
-
-@dataclass(frozen=True)
 class FeatureTrace:
     """Per-layer activations z_0 .. z_L; logits is z_L as (B, n_out)."""
 
@@ -170,11 +125,11 @@ class FeatureTrace:
         return z.reshape(len(z), -1)
 
 
-def init_network(spec: NetworkSpec, seed: int, with_bias: bool = True) -> Network:
-    """Draw parameters for every linear layer: each weight entry is a
-    seeded standard normal scaled by 1/sqrt(fan_in), bias likewise when
-    with_bias. Bit-reproducible for a given seed; existing parameter
-    values in the spec are ignored and redrawn.
+def init_network(spec: NetworkSpec, seed: int, with_bias: bool = True) -> NetworkSpec:
+    """The spec with parameters drawn for every linear layer: each weight
+    entry is a seeded standard normal scaled by 1/sqrt(fan_in), bias
+    likewise when with_bias. Bit-reproducible for a given seed; existing
+    parameter values in the spec are ignored and redrawn.
     """
     rng = np.random.default_rng(seed)
     filled = []
@@ -192,7 +147,7 @@ def init_network(spec: NetworkSpec, seed: int, with_bias: bool = True) -> Networ
             filled.append(replace(layer, weight=weight, bias=bias))
         else:
             filled.append(layer)
-    return Network(spec=NetworkSpec(input_shape=spec.input_shape, layers=tuple(filled)))
+    return NetworkSpec(input_shape=spec.input_shape, layers=tuple(filled))
 
 
 def apply_layer(layer, z: np.ndarray) -> np.ndarray:
@@ -215,7 +170,7 @@ def apply_layer(layer, z: np.ndarray) -> np.ndarray:
     raise TypeError(f"unknown layer type {type(layer).__name__}")
 
 
-def forward(net: Network, x: np.ndarray) -> FeatureTrace:
+def forward(net: NetworkSpec, x: np.ndarray) -> FeatureTrace:
     """Run the network on a (B, *input_shape) batch, recording every activation."""
     z = np.asarray(x, dtype=np.float64)
     _check_batched(z, net.input_shape)
@@ -226,18 +181,18 @@ def forward(net: Network, x: np.ndarray) -> FeatureTrace:
     return FeatureTrace(activations=tuple(acts))
 
 
-def forward_from_layer(net: Network, layer_index: int, z: np.ndarray) -> np.ndarray:
+def forward_from_layer(net: NetworkSpec, layer_index: int, z: np.ndarray) -> np.ndarray:
     """Logits from feeding the batch z in as the activation entering net.layers[layer_index]."""
     if not 0 <= layer_index <= len(net.layers):
         raise IndexError(f"layer index {layer_index} out of range 0..{len(net.layers)}")
     z = np.asarray(z, dtype=np.float64)
-    _check_batched(z, net.spec.activation_shapes()[layer_index], "feature")
+    _check_batched(z, net.activation_shapes()[layer_index], "feature")
     for layer in net.layers[layer_index:]:
         z = apply_layer(layer, z)
     return z.reshape(len(z), -1)
 
 
-def rmse_report(net: Network, inputs: np.ndarray, delta: np.ndarray, scales,
+def rmse_report(net: NetworkSpec, inputs: np.ndarray, delta: np.ndarray, scales,
                 inject_layer: int = 0, kind: str = "perturbation") -> dict:
     """RMSE of the logit change caused by adding scale*delta to the
     activation entering net.layers[inject_layer], keyed by (kind, scale).
@@ -248,7 +203,7 @@ def rmse_report(net: Network, inputs: np.ndarray, delta: np.ndarray, scales,
     a BLAS product may round a row differently at another batch size.
     """
     delta = np.asarray(delta, dtype=np.float64)
-    want = net.spec.activation_shapes()[inject_layer]
+    want = net.activation_shapes()[inject_layer]
     if delta.shape != want:
         raise ValueError(f"delta shape {delta.shape} != {want} at layer {inject_layer}")
     feats = forward(net, inputs).activations[inject_layer]
@@ -256,43 +211,16 @@ def rmse_report(net: Network, inputs: np.ndarray, delta: np.ndarray, scales,
     shifted = feats + np.append(0.0, scales).reshape(-1, *[1] * feats.ndim) * delta
     logits = forward_from_layer(net, inject_layer, shifted.reshape(-1, *want))
     logits = logits.reshape(len(scales) + 1, len(feats), -1)
-    change = np.linalg.norm(logits[1:] - logits[0], axis=2) / np.sqrt(net.n_out)
+    change = np.linalg.norm(logits[1:] - logits[0], axis=2) / np.sqrt(logits.shape[2])
     return {(kind, float(s)): float(r) for s, r in zip(scales, change.mean(axis=1))}
 
 
 # --- serialization ------------------------------------------------------
 
-def _layer_json(layer) -> dict:
-    if isinstance(layer, (ConvLayerSpec, FcLayerSpec)):
-        return layer_to_json_dict(layer)
-    if isinstance(layer, Relu):
-        return {"kind": "relu"}
-    if isinstance(layer, AvgPool):
-        return {"kind": "avgpool", "window": layer.window, "stride": layer.stride}
-    if isinstance(layer, Flatten):
-        return {"kind": "flatten"}
-    raise TypeError(f"unknown layer type {type(layer).__name__}")
-
-
-def _layer_from_json(doc: dict):
-    if not isinstance(doc, dict):
-        raise ValueError(f"a layer must be a JSON object, got {type(doc).__name__}")
-    kind = doc.get("kind")
-    if kind in ("conv", "fc"):
-        return layer_from_json_dict(doc)
-    if kind == "relu":
-        return Relu()
-    if kind == "avgpool":
-        return AvgPool(window=_json_int(doc, "window"), stride=_json_int(doc, "stride"))
-    if kind == "flatten":
-        return Flatten()
-    raise ValueError(f"unknown layer kind {kind!r}")
-
-
 def network_spec_to_json_dict(spec: NetworkSpec) -> dict:
     return {
         "input_shape": list(spec.input_shape),
-        "layers": [_layer_json(l) for l in spec.layers],
+        "layers": [layer_to_json_dict(l) for l in spec.layers],
     }
 
 
@@ -312,7 +240,7 @@ def network_spec_from_json_dict(doc: dict) -> NetworkSpec:
     layers = []
     for i, layer in enumerate(doc["layers"]):
         try:
-            layers.append(_layer_from_json(layer))
+            layers.append(layer_from_json_dict(layer))
         except ValueError as exc:
             raise ValueError(f"layer {i}: {exc}") from exc
     return NetworkSpec(input_shape=tuple(shape), layers=tuple(layers))
@@ -327,40 +255,3 @@ def save_network_spec(spec: NetworkSpec, path) -> None:
 def load_network_spec(path) -> NetworkSpec:
     with open(path, "r", encoding="utf-8") as fh:
         return network_spec_from_json_dict(json.load(fh))
-
-
-def save_weights(net: Network, path) -> None:
-    """Write all layer parameters to one tensor-container file.
-
-    Tensor names are layer{i}.kernels / layer{i}.bias for conv layers
-    and layer{i}.weight / layer{i}.bias for fc layers.
-    """
-    tensors: dict[str, np.ndarray] = {}
-    for i, layer in enumerate(net.layers):
-        if isinstance(layer, ConvLayerSpec):
-            tensors[f"layer{i}.kernels"] = layer.kernels
-            if layer.bias is not None:
-                tensors[f"layer{i}.bias"] = layer.bias
-        elif isinstance(layer, FcLayerSpec):
-            tensors[f"layer{i}.weight"] = layer.weight
-            if layer.bias is not None:
-                tensors[f"layer{i}.bias"] = layer.bias
-    tensorio.write_tensors(path, tensors)
-
-
-def load_weights(spec: NetworkSpec, path) -> Network:
-    """Attach parameters from a tensor-container file to a geometry spec."""
-    tensors = tensorio.read_tensors(path)
-    filled = []
-    for i, layer in enumerate(spec.layers):
-        if isinstance(layer, ConvLayerSpec):
-            filled.append(replace(layer,
-                                  kernels=tensors[f"layer{i}.kernels"],
-                                  bias=tensors.get(f"layer{i}.bias")))
-        elif isinstance(layer, FcLayerSpec):
-            filled.append(replace(layer,
-                                  weight=tensors[f"layer{i}.weight"],
-                                  bias=tensors.get(f"layer{i}.bias")))
-        else:
-            filled.append(layer)
-    return Network(spec=NetworkSpec(input_shape=spec.input_shape, layers=tuple(filled)))

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import Network, forward
+from .network import NetworkSpec, forward
 from .subspace import EmptySubspaceError, NullspaceBasis
 
 __all__ = [
@@ -159,7 +159,7 @@ def _objective_and_gradient(y, p, x_flat, n, penalty_weight):
     return objective, penalty, gradient
 
 
-def maximize_dissimilarity(images: np.ndarray, basis: NullspaceBasis, net: Network,
+def maximize_dissimilarity(images: np.ndarray, basis: NullspaceBasis, net: NetworkSpec,
                            cfg: PrivacyConfig, seeds: list[int]) -> PrivacyResult:
     """Scramble a stack of images (B, C, H, W) inside the harmless subspace
     of net's first linear layer, all in one ascent loop.

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .layers import EquivalentMatrix
 from .linalg import orthonormal_nullspace, rank_tolerance_bound, smallest_eigenpair_gram
@@ -142,14 +141,9 @@ def least_harmful(eq: EquivalentMatrix) -> LeastHarmful:
 
     Meaningful when the layer has no harmless subspace (full column
     rank); if it does have one, the returned direction is harmless
-    (residual ~ 0) and in_nullspace is set. Wide matrices are padded
-    with zero rows before the eigenpair call, which leaves the Gram
-    matrix unchanged.
+    (residual ~ 0) and in_nullspace is set.
     """
-    m = eq.matrix
-    if m.shape[1] > m.shape[0]:
-        m = sp.vstack([m, sp.csr_matrix((m.shape[1] - m.shape[0], m.shape[1]))]).tocsr()
-    v, lam = smallest_eigenpair_gram(m)
+    v, lam = smallest_eigenpair_gram(eq.matrix)
     tol = rank_tolerance_bound(eq.matrix)
     return LeastHarmful(direction=v, residual=lam, in_nullspace=lam <= tol * tol)
 

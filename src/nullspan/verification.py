@@ -15,18 +15,18 @@ import numpy as np
 
 from .imaging import ssim, synthetic_image
 from .layers import (
+    AvgPool,
     ConvLayerSpec,
     FcLayerSpec,
+    Flatten,
+    Relu,
     build_equivalent,
     predict_nullspace_dim,
     verify_equivalence,
 )
 from .linalg import CERTIFIED_PATH, decide_rank, sigma_max_bound, singular_values
 from .network import (
-    AvgPool,
-    Flatten,
     NetworkSpec,
-    Relu,
     forward,
     forward_from_layer,
     init_network,
@@ -130,11 +130,6 @@ def default_network_spec() -> NetworkSpec:
             FcLayerSpec(in_features=64, out_features=10),
         ),
     )
-
-
-DEFAULT_FIRST_LAYER_INDEX = 0
-DEFAULT_ZERO_NULLITY_LAYER_INDEX = 2
-DEFAULT_INTERIOR_HARMLESS_LAYER_INDEX = 6
 
 
 def _conv_with_kernels(rng, **kw) -> ConvLayerSpec:
@@ -326,7 +321,7 @@ def basis_integrity(eq, basis: NullspaceBasis) -> list[CheckResult]:
 
 def _zero_nullity_probe_index(net) -> int | None:
     # First interior linear layer that provably has no harmless subspace.
-    for idx in net.spec.linear_layer_indices()[1:]:
+    for idx in net.linear_layer_indices()[1:]:
         pred = predict_nullspace_dim(net.layers[idx])
         if pred.dim == 0 and pred.guaranteed:
             return idx
@@ -343,7 +338,7 @@ def rmse_table(net, first_basis: NullspaceBasis, root_seed: int,
     least harmful unit direction and a Gaussian unit direction. The
     feature rows are omitted when the network has no such layer.
     """
-    if net.spec.linear_layer_indices()[0] != 0:
+    if net.linear_layer_indices()[0] != 0:
         raise ValueError("rmse_table expects the first network layer to be linear")
     images = np.stack([synthetic_image(subseed(root_seed, 4, i), net.input_shape)
                        for i in range(batch)])
@@ -361,7 +356,7 @@ def rmse_table(net, first_basis: NullspaceBasis, root_seed: int,
 
     zcl = _zero_nullity_probe_index(net)
     if zcl is not None:
-        feat_shape = net.spec.activation_shapes()[zcl]
+        feat_shape = net.activation_shapes()[zcl]
         lh = least_harmful(build_equivalent(net.layers[zcl]))
         lh_delta = lh.direction.reshape(feat_shape)
         gf_rng = make_rng(root_seed, 4, 102)
@@ -605,20 +600,15 @@ class VerificationReport:
     checks: list = field(default_factory=list)
     dim_rows: list = field(default_factory=list)
     rmse_rows: dict = field(default_factory=dict)
-    contour: ContourGrid | None = None
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def failures(self) -> list[CheckResult]:
-        return [c for c in self.checks if not c.passed]
-
 
 def full_battery(root_seed: int, net_spec: NetworkSpec | None = None,
                  basis: NullspaceBasis | None = None,
                  geometry_count: int = 50, trials: int = 1000,
-                 first_layer_index: int | None = None,
                  include_geometry_sweep: bool = True) -> VerificationReport:
     """Run every invariant battery and collect one report.
 
@@ -635,15 +625,8 @@ def full_battery(root_seed: int, net_spec: NetworkSpec | None = None,
         report.checks.append(check)
         report.checks.append(lowering_residuals(geometries, root_seed))
 
-    if net_spec is None:
-        net_spec = default_network_spec()
-        first_idx = DEFAULT_FIRST_LAYER_INDEX
-    else:
-        first_idx = net_spec.linear_layer_indices()[0]
-    if first_layer_index is not None:
-        first_idx = first_layer_index
-    net = init_network(net_spec, subseed(root_seed, 8))
-    eq1 = build_equivalent(net.layers[first_idx])
+    net = init_network(net_spec or default_network_spec(), subseed(root_seed, 8))
+    eq1 = build_equivalent(net.layers[net.linear_layer_indices()[0]])
     if basis is None:
         basis = harmless_basis(eq1)
     report.checks.extend(basis_integrity(eq1, basis))
@@ -653,8 +636,7 @@ def full_battery(root_seed: int, net_spec: NetworkSpec | None = None,
         report.rmse_rows = rmse_rows
         report.checks.extend(rmse_checks)
 
-        report.contour = build_contour(eq1, basis, root_seed)
-        report.checks.extend(contour_checks(report.contour))
+        report.checks.extend(contour_checks(build_contour(eq1, basis, root_seed)))
 
     report.checks.extend(least_harmful_minimality(root_seed))
     report.checks.extend(decomposition_laws(root_seed, trials=trials))

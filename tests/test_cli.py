@@ -8,10 +8,12 @@ from nullspan.cli import main
 from nullspan.layers import (
     ConvLayerSpec,
     FcLayerSpec,
+    Flatten,
+    Relu,
     build_equivalent,
     save_layer_json,
 )
-from nullspan.network import Flatten, NetworkSpec, Relu, save_network_spec
+from nullspan.network import NetworkSpec, save_network_spec
 from nullspan.subspace import harmless_basis, load_basis, save_basis, NullspaceBasis
 
 
@@ -291,24 +293,63 @@ class TestPrivacy:
 
     @pytest.mark.parametrize("count", [
         ["privacy", "--images", "0"], ["privacy", "--recon", "1"], ["privacy", "--recon", "0"],
-        ["lower", "--layer", "unread.json", "--samples", "0"], ["verify", "--trials", "0"],
+        ["lower", "--samples", "0"], ["verify", "--trials", "0"],
         ["verify", "--geometries", "-3"], ["contour", "--grid", "0"],
         ["contour", "--grid", "1"], ["contour", "--grid", "2"], ["contour", "--axis-max", "0"],
     ])
-    def test_degenerate_counts_are_usage_errors(self, tmp_path, net_json, count, capsys,
-                                                monkeypatch):
+    def test_degenerate_counts_are_usage_errors(self, tmp_path, net_json, conv_layer_json,
+                                                count, capsys, monkeypatch):
         # The counts are checked before any work, such as the (costly) harmless basis.
         def no_basis(eq):
             raise AssertionError("harmless_basis called before the count check")
 
         monkeypatch.setattr("nullspan.cli.harmless_basis", no_basis)
         out = tmp_path / "out"
-        net = ["--net", net_json] if count[0] == "privacy" else []
+        files = {"privacy": ["--net", net_json], "lower": ["--layer", conv_layer_json[0]]}
         with pytest.raises(SystemExit) as exc:
-            main(count[:1] + net + ["--seed", "44", "--out", str(out)] + count[1:])
+            main(count[:1] + files.get(count[0], [])
+                 + ["--seed", "44", "--out", str(out)] + count[1:])
         assert exc.value.code == 2
         assert re.search("at least|positive", capsys.readouterr().err)
         assert not out.exists() or not any(out.iterdir())
+
+
+class TestMalformedFiles:
+    """Every file flag reads its file while the arguments are parsed, so a
+    missing or malformed file is a usage error (exit 2) that names the flag
+    and the cause, before any work starts."""
+
+    @pytest.mark.parametrize("command, flag, name, content, cause", [
+        ("lower", "--layer", "conv.json", b'{"kind": "conv", "in_channels": 3}',
+         "missing field 'in_height'"),
+        ("contour", "--layer", "relu.json", b'{"kind": "relu"}', "got kind 'relu'"),
+        ("verify", "--net", "net.json", b'{"input_shape": [4]}', "missing field 'layers'"),
+        ("privacy", "--net", "net.json", b"[1, 2", "Expecting"),
+        ("verify", "--basis", "tall.nspb", NullspaceBasis(np.eye(100, 5)),
+         "the basis has 100 rows, but the first linear layer takes 3072 inputs"),
+        ("privacy", "--image-files", "img.ppm", b"P5\n1 1\n255\n\x00", "magic"),
+        ("privacy", "--net", "absent.json", None, "No such file"),
+    ])
+    def test_usage_error_names_the_cause(self, tmp_path, command, flag, name, content,
+                                         cause, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the file was checked")
+
+        for stage in ("harmless_basis", "full_battery"):
+            monkeypatch.setattr(f"nullspan.cli.{stage}", refuse)
+        path = tmp_path / name
+        if isinstance(content, NullspaceBasis):
+            save_basis(content, path)
+        elif content is not None:
+            path.write_bytes(content)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, str(path), "--seed", "1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in err and cause in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestParser:

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nullspan import tensorio
 from nullspan.imaging import (
-    load_float_image,
     read_ppm,
     save_float_image,
     ssim,
@@ -154,7 +154,7 @@ class TestFloatImage:
         img = synthetic_image(8, (3, 6, 6)) + 1e-17
         path = tmp_path / "img.f64"
         save_float_image(path, img)
-        back = load_float_image(path)
+        back = tensorio.read_tensors(path)["image"]
         assert back.tobytes() == img.tobytes()
         assert back.shape == img.shape
 

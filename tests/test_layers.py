@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,8 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nullspan.layers import (
+    AvgPool,
     ConvLayerSpec,
     FcLayerSpec,
+    Flatten,
+    Relu,
     build_conv_equivalent,
     build_equivalent,
     build_fc_equivalent,
@@ -309,3 +314,20 @@ class TestLayerJson:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown layer kind"):
             layer_from_json_dict({"kind": "pool"})
+
+    def test_key_order_is_the_documented_one(self):
+        # The README's "File formats" section lists each kind's keys in order.
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("## File formats", 1)[1].split("\n## ", 1)[0]
+        documented = {kind: ["kind", *re.findall(r'"(\w+)"', rest)] for kind, rest
+                      in re.findall(r'\{"kind":\s+"(\w+)"([^}]*)\}', section)}
+        layers = [ConvLayerSpec(1, 4, 4, 1, 2, 2, kernels=np.ones((1, 1, 2, 2))),
+                  FcLayerSpec(7, 3), Relu(), AvgPool(window=2, stride=2), Flatten()]
+        written = {doc["kind"]: list(doc) for doc in map(layer_to_json_dict, layers)}
+        assert written == documented
+
+    def test_layer_file_must_hold_a_linear_layer(self, tmp_path):
+        path = tmp_path / "relu.json"
+        path.write_text('{"kind": "relu"}')
+        with pytest.raises(ValueError, match="'relu'"):
+            load_layer_json(path)

@@ -339,9 +339,12 @@ class TestSmallestEigenpairGram:
         nz = np.flatnonzero(np.abs(v) > np.abs(v).max() * 1e-12)
         assert v[nz[0]] > 0
 
-    def test_requires_tall(self):
-        with pytest.raises(ValueError, match="cols <= rows"):
-            smallest_eigenpair_gram(np.zeros((2, 3)))
+    def test_wide_matrix_gives_a_null_direction(self):
+        rng = np.random.default_rng(33)
+        m = rng.standard_normal((3, 5))
+        v, lam = smallest_eigenpair_gram(m)
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+        assert lam <= 1e-24 and np.linalg.norm(m @ v) ** 2 == lam
 
 
 def test_factorization_error_is_runtime_error():

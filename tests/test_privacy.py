@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from nullspan.imaging import synthetic_image
-from nullspan.layers import ConvLayerSpec, FcLayerSpec, build_equivalent
-from nullspan.network import Flatten, NetworkSpec, Relu, forward, init_network
+from nullspan.layers import ConvLayerSpec, FcLayerSpec, Flatten, Relu, build_equivalent
+from nullspan.network import NetworkSpec, forward, init_network
 from nullspan.privacy import (
     DivergenceError,
     PrivacyConfig,
