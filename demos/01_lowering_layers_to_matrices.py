@@ -22,17 +22,17 @@ from nullspan.linalg import decide_rank
 # A 1x1 kernel of value 1 is the identity map: the lowered matrix is
 # literally the identity.
 identity = ConvLayerSpec(1, 4, 4, 1, 1, 1, kernels=np.ones((1, 1, 1, 1)))
-eq = build_equivalent(identity)
-print("identity 1x1 conv ->", eq.rows, "x", eq.cols,
-      "identity:", np.array_equal(eq.dense(), np.eye(16)))
+a = build_equivalent(identity)
+print("identity 1x1 conv ->", a.shape[0], "x", a.shape[1],
+      "identity:", np.array_equal(a.toarray(), np.eye(16)))
 
 # A worked example small enough to check by hand: a single 2x2 kernel
 # [[1, 2], [3, 4]] sliding over the 3x3 input 1..9.
 kernel = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
 spec = ConvLayerSpec(1, 3, 3, 1, 2, 2, kernels=kernel)
-eq = build_equivalent(spec)
+a = build_equivalent(spec)
 x = np.arange(1.0, 10.0).reshape(1, 3, 3)
-print("\nhand example   A @ vec(x) =", eq.matrix @ x.ravel())
+print("\nhand example   A @ vec(x) =", a @ x.ravel())
 print("direct sliding window      =", conv_forward(spec, x[None]).ravel())
 
 # The lowering is exercised against direct evaluation on random inputs;
@@ -40,9 +40,9 @@ print("direct sliding window      =", conv_forward(spec, x[None]).ravel())
 rng = np.random.default_rng(0)
 strided = ConvLayerSpec(3, 32, 32, 10, 7, 7, stride=2, zero_padding=3,
                         kernels=rng.standard_normal((10, 3, 7, 7)))
-eq = build_equivalent(strided)
-residual = verify_equivalence(eq, strided, samples=50, seed=1)
-print(f"\nstrided padded layer: A is {eq.rows} x {eq.cols} with {eq.nnz} nonzeros")
+a = build_equivalent(strided)
+residual = verify_equivalence(a, strided, samples=50, seed=1)
+print(f"\nstrided padded layer: A is {a.shape[0]} x {a.shape[1]} with {a.nnz} nonzeros")
 print(f"max |direct - lowered| over 50 random inputs: {residual:.3e}")
 
 # Whenever the input dimension exceeds the output dimension (and the
@@ -63,7 +63,7 @@ for layer in (
 # For a small layer the numerical nullity confirms the arithmetic.
 small = ConvLayerSpec(2, 8, 8, 1, 3, 3, stride=1, zero_padding=1,
                       kernels=rng.standard_normal((1, 2, 3, 3)))
-eq = build_equivalent(small)
-print(f"\nsmall wide layer {eq.cols} -> {eq.rows}: "
+a = build_equivalent(small)
+print(f"\nsmall wide layer {a.shape[1]} -> {a.shape[0]}: "
       f"predicted {predict_nullspace_dim(small).dim}, "
-      f"numerical {decide_rank(eq.matrix).nullity}")
+      f"numerical {decide_rank(a).nullity}")

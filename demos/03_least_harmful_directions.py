@@ -15,16 +15,15 @@ rng = np.random.default_rng(7)
 # channel-expanding convolution: input 512, output 2048, nullity 0
 spec = ConvLayerSpec(8, 8, 8, 32, 3, 3, stride=1, zero_padding=1,
                      kernels=rng.standard_normal((32, 8, 3, 3)))
-eq = build_equivalent(spec)
-print(f"layer {eq.cols} -> {eq.rows}, harmless dimension = "
-      f"{harmless_basis(eq).dim}")
+a = build_equivalent(spec)
+print(f"layer {a.shape[1]} -> {a.shape[0]}, harmless dimension = "
+      f"{harmless_basis(a).shape[1]}")
 
-lh = least_harmful(eq)
+lh = least_harmful(a)
 print(f"least harmful direction: |A v|^2 = {lh.residual:.6f} "
       f"(in nullspace: {lh.in_nullspace})")
 
 # compare with random unit perturbations at the same norm
-a = eq.matrix
 deltas = rng.standard_normal((512, 2000))
 deltas /= np.linalg.norm(deltas, axis=0)
 energies = np.sum((a @ deltas) ** 2, axis=0)

@@ -36,15 +36,15 @@ spec = NetworkSpec(
     ),
 )
 net = init_network(spec, seed=2024)
-eq = build_equivalent(net.layers[0])
-basis = harmless_basis(eq)
-print(f"first layer {eq.cols} -> {eq.rows}: harmless dimension {basis.dim}")
+a = build_equivalent(net.layers[0])
+u = harmless_basis(a)
+print(f"first layer {a.shape[1]} -> {a.shape[0]}: harmless dimension {u.shape[1]}")
 
 x = synthetic_image(5, (3, 16, 16))
 clean = forward(net, x[None])
 print(f"clean prediction: class {int(np.argmax(clean.logits))}")
 
-delta = sample_harmless(basis, seed=9, target_norm=8 / 255, norm_kind="linf")
+delta = sample_harmless(u, seed=9, target_norm=8 / 255, norm_kind="linf")
 delta = delta.reshape(3, 16, 16)
 
 print("\nmax |logit change| for the harmless direction at growing scales:")

@@ -46,14 +46,14 @@ spec = NetworkSpec(
     ),
 )
 net = init_network(spec, seed=31)
-basis = harmless_basis(build_equivalent(net.layers[0]))
-print(f"harmless subspace of the first layer: {basis.dim} of {basis.ambient_dim} dims")
+u = harmless_basis(build_equivalent(net.layers[0]))
+print(f"harmless subspace of the first layer: {u.shape[1]} of {u.shape[0]} dims")
 
 x = synthetic_image(77, (3, 16, 16))
 
 # the optimizer takes a stack of images (B, C, H, W) and one seed per image;
 # here the stack holds a single image
-result = maximize_dissimilarity(x[None], basis, net, PrivacyConfig(), seeds=[123])
+result = maximize_dissimilarity(x[None], u, net, PrivacyConfig(), seeds=[123])
 x_hat = result.image[0]
 clean, scrambled = result.clean_logits[0], result.scrambled_logits[0]
 
@@ -70,7 +70,7 @@ write_ppm(out_dir / "perturbation.ppm", (pert - pert.min()) / (pert.max() - pert
 
 # ambiguity: subtracting any other harmless vector yields an equally
 # valid "original" with the identical network output
-recons = sample_reconstructions(x_hat, basis, k=4, seed=5)
+recons = sample_reconstructions(x_hat, u, k=4, seed=5)
 print("\nrecovery ambiguity, 4 candidate originals:")
 for i, candidate in enumerate(recons):
     dev = np.max(np.abs(forward(net, candidate[None]).logits - scrambled))

@@ -14,7 +14,6 @@ from .layers import (
     FcLayerSpec,
     Flatten,
     Relu,
-    EquivalentMatrix,
     DimPrediction,
     build_conv_equivalent,
     build_equivalent,
@@ -59,7 +58,6 @@ from .subspace import (
     Decomposition,
     EmptySubspaceError,
     LeastHarmful,
-    NullspaceBasis,
     PairVerdict,
     classify_pair,
     harmless_basis,
@@ -71,7 +69,6 @@ from .subspace import (
 )
 from .verification import (
     CheckResult,
-    ContourGrid,
     VerificationReport,
     default_network_spec,
     full_battery,

@@ -94,21 +94,21 @@ def _out_dir(args) -> Path:
 def cmd_lower(args) -> int:
     out = _out_dir(args)
     spec = args.layer
-    eq = build_equivalent(spec)
+    a = build_equivalent(spec)
     pred = predict_nullspace_dim(spec)
-    decision = decide_rank(eq.matrix)
-    residual = verify_equivalence(eq, spec, samples=args.samples, seed=args.seed)
+    decision = decide_rank(a)
+    residual = verify_equivalence(a, spec, samples=args.samples, seed=args.seed)
 
-    coo = eq.matrix.tocoo()
+    coo = a.tocoo()
     order = np.lexsort((coo.col, coo.row))
     _write_csv(out / "equivalent_matrix.csv", ["row", "col", "value"],
                [[int(coo.row[i]), int(coo.col[i]), float(coo.data[i])] for i in order])
 
     stats = {
-        "layer_kind": eq.layer_kind,
-        "rows": eq.rows,
-        "cols": eq.cols,
-        "nnz": eq.nnz,
+        "layer_kind": "conv" if isinstance(spec, ConvLayerSpec) else "fc",
+        "rows": a.shape[0],
+        "cols": a.shape[1],
+        "nnz": a.nnz,
         "rank": decision.rank,
         "nullity": decision.nullity,
         "rank_path": decision.path,
@@ -134,19 +134,15 @@ def cmd_lower(args) -> int:
 
 # --- dim-sweep -----------------------------------------------------------
 
-def _ints(text: str) -> list[int]:
-    return [int(v) for v in text.split(",")]
-
-
 def _sweep_rows(args, root_seed: int):
     """One nullity row per requested geometry. An invalid geometry is
     reported on stderr and gives an error row; the sweep continues."""
     if args.kind == "conv":
-        c, h, w = _ints(args.in_shape)
+        c, h, w = args.in_shape
         k = args.kernel
         in_dim, stream = c * h * w, 20
         params = [{"stride": s, "out_channels": n}
-                  for s in _ints(args.strides) for n in _ints(args.out_channels)]
+                  for s in args.strides for n in args.out_channels]
 
         def build(rng, stride, out_channels):
             return ConvLayerSpec(in_channels=c, in_height=h, in_width=w,
@@ -155,7 +151,7 @@ def _sweep_rows(args, root_seed: int):
                                  kernels=rng.standard_normal((out_channels, c, k, k)))
     else:
         in_dim, stream = args.in_features, 21
-        params = [{"out_features": n} for n in _ints(args.out_features)]
+        params = [{"out_features": n} for n in args.out_features]
 
         def build(rng, out_features):
             return FcLayerSpec(in_features=in_dim, out_features=out_features,
@@ -190,9 +186,9 @@ def cmd_dim_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     net_spec = args.net or default_network_spec()
-    first = net_spec.layers[net_spec.linear_layer_indices()[0]]
-    if args.basis is not None and args.basis.ambient_dim != first.input_dim:
-        args.usage_error(f"argument --basis: the basis has {args.basis.ambient_dim} rows, "
+    first = net_spec.layers[0]
+    if args.basis is not None and args.basis.shape[0] != first.input_dim:
+        args.usage_error(f"argument --basis: the basis has {args.basis.shape[0]} rows, "
                          f"but the first linear layer takes {first.input_dim} inputs")
     out = _out_dir(args)
     report = full_battery(args.seed, net_spec=net_spec, basis=args.basis,
@@ -232,20 +228,18 @@ def cmd_verify(args) -> int:
 def cmd_contour(args) -> int:
     out = _out_dir(args)
     spec = args.layer or init_network(default_network_spec(), subseed(args.seed, 8)).layers[0]
-    eq = build_equivalent(spec)
-    basis = harmless_basis(eq)
-    if basis.dim == 0:
+    a = build_equivalent(spec)
+    u = harmless_basis(a)
+    if u.shape[1] == 0:
         print("layer has no harmless subspace; contour undefined", file=sys.stderr)
         return 1
     axis = np.linspace(0.0, args.axis_max, args.grid)
-    grid = verification.build_contour(eq, basis, args.seed, axis, axis)
-    checks = verification.contour_checks(grid)
+    values = verification.build_contour(a, u, args.seed, axis)
+    checks = verification.contour_checks(axis, values)
     _print_checks(checks)
-    rows = []
-    for i, a in enumerate(grid.a_values):
-        for j, b in enumerate(grid.b_values):
-            rows.append([float(a), float(b), float(grid.values[i, j])])
-    _write_csv(out / "contour.csv", ["a", "b", "value"], rows)
+    _write_csv(out / "contour.csv", ["a", "b", "value"],
+               [[float(x), float(y), float(values[i, j])]
+                for i, x in enumerate(axis) for j, y in enumerate(axis)])
     if not all(c.passed for c in checks):
         print("contour invariants FAILED", file=sys.stderr)
         return 1
@@ -257,22 +251,18 @@ def cmd_contour(args) -> int:
 def cmd_privacy(args) -> int:
     out = _out_dir(args)
     net = init_network(args.net or default_network_spec(), subseed(args.seed, 8))
-    if net.linear_layer_indices()[0] != 0:
-        print("privacy scrambling needs the first network layer to be linear",
-              file=sys.stderr)
-        return 1
-    basis = harmless_basis(build_equivalent(net.layers[0]))
-    if basis.dim == 0:
+    u = harmless_basis(build_equivalent(net.layers[0]))
+    if u.shape[1] == 0:
         print("first layer has no harmless subspace; cannot scramble", file=sys.stderr)
         return 1
 
     try:
-        battery = privacy_battery(net, basis, args.seed,
+        battery = privacy_battery(net, u, args.seed,
                                   n_images=args.images, n_recon=args.recon,
                                   images=args.image_files or None)
     except ValueError as exc:
         args.usage_error(str(exc))
-    save_basis(basis, out / "first_layer_basis.nspb")
+    save_basis(u, out / "first_layer_basis.nspb")
 
     for i, (x, x_hat, recons) in enumerate(zip(battery.originals, battery.result.image,
                                                battery.reconstructions)):
@@ -328,6 +318,33 @@ def _read(reader):
     return read
 
 
+def _ints(text: str) -> list[int]:
+    """argparse type: a comma list of integers; anything else is a usage error."""
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be a comma list of integers, got {text!r}") from None
+
+
+def _chw(text: str) -> list[int]:
+    """argparse type: exactly three comma-separated integers C,H,W."""
+    values = _ints(text)
+    if len(values) != 3:
+        raise argparse.ArgumentTypeError(f"must be three integers C,H,W, got {text!r}")
+    return values
+
+
+def _load_net(path):
+    """A network spec file whose first layer is conv or fc: the harmless
+    subspace that verify and privacy use is that layer's."""
+    net = load_network_spec(path)
+    if net.linear_layer_indices()[0] != 0:
+        raise ValueError(f"the first layer must be conv or fc, got "
+                         f"{type(net.layers[0]).__name__}")
+    return net
+
+
 def _positive(text):
     """argparse type: a finite float > 0; anything else is a usage error."""
     if not 0.0 < float(text) < np.inf:
@@ -362,21 +379,21 @@ def build_parser() -> argparse.ArgumentParser:
                                          "over a geometry family")
     common(p)
     p.add_argument("--kind", choices=("conv", "fc"), required=True)
-    p.add_argument("--in-shape", type=str, default="3,32,32",
+    p.add_argument("--in-shape", type=_chw, default="3,32,32",
                    help="conv input C,H,W")
-    p.add_argument("--out-channels", type=str, default="1,2,4,8,10,12,16",
+    p.add_argument("--out-channels", type=_ints, default="1,2,4,8,10,12,16",
                    help="comma list of kernel counts (conv)")
-    p.add_argument("--strides", type=str, default="1,2", help="comma list (conv)")
+    p.add_argument("--strides", type=_ints, default="1,2", help="comma list (conv)")
     p.add_argument("--kernel", type=int, default=3, help="square kernel size (conv)")
     p.add_argument("--pad", type=int, default=1, help="zero padding (conv)")
     p.add_argument("--in-features", type=int, default=784, help="fc input width")
-    p.add_argument("--out-features", type=str, default="98,196,392,784,1568",
+    p.add_argument("--out-features", type=_ints, default="98,196,392,784,1568",
                    help="comma list of fc output widths")
     p.set_defaults(func=cmd_dim_sweep)
 
     p = sub.add_parser("verify", help="run the full invariant battery")
     common(p)
-    p.add_argument("--net", type=_read(load_network_spec), default=None,
+    p.add_argument("--net", type=_read(_load_net), default=None,
                    help="network spec JSON path")
     p.add_argument("--basis", type=_read(load_basis), default=None,
                    help="validate this stored basis instead of recomputing")
@@ -400,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("privacy", help="generate output-invariant scrambled images")
     common(p)
-    p.add_argument("--net", type=_read(load_network_spec), default=None,
+    p.add_argument("--net", type=_read(_load_net), default=None,
                    help="network spec JSON path")
     p.add_argument("--images", type=_at_least(1), default=20, help="synthetic image count")
     p.add_argument("--image-files", type=_read(read_ppm), nargs="*", default=None,

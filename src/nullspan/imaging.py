@@ -130,9 +130,8 @@ def save_float_image(path, image: np.ndarray) -> None:
     tensorio.write_tensors(path, {"image": np.asarray(image, dtype=np.float64)})
 
 
-def synthetic_image(seed: int, shape: tuple[int, int, int] = (3, 32, 32),
-                    waves: int = 6) -> np.ndarray:
-    """Deterministic smooth test image: per channel a random mixture of
+def synthetic_image(seed: int, shape: tuple[int, int, int] = (3, 32, 32)) -> np.ndarray:
+    """Deterministic smooth test image: per channel a random mixture of six
     low-frequency cosines, rescaled into [0.02, 0.98]."""
     c, h, w = shape
     rng = np.random.default_rng(seed)
@@ -140,7 +139,7 @@ def synthetic_image(seed: int, shape: tuple[int, int, int] = (3, 32, 32),
     img = np.empty(shape, dtype=np.float64)
     for ch in range(c):
         acc = np.zeros((h, w))
-        for _ in range(waves):
+        for _ in range(6):
             fy, fx = rng.uniform(-0.15, 0.15, size=2)
             phase = rng.uniform(0.0, 2.0 * np.pi)
             amp = rng.uniform(0.3, 1.0)

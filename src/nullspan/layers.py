@@ -3,10 +3,13 @@ ones (convolutional and fully-connected) to a single matrix.
 
 A linear layer z_out = layer(z_in) is represented by the sparse matrix A
 with A @ vec(z_in) = vec(z_out), where vec() flattens channel-major
-(CHW order, i.e. numpy C-order on a (C, H, W) array). Bias terms are
-excluded from A on purpose: an input perturbation delta changes the
-layer output by exactly A @ delta whether or not the layer carries a
-bias, so the matrix captures everything perturbation analysis needs.
+(CHW order, i.e. numpy C-order on a (C, H, W) array). The build_*
+functions return A as a plain scipy csr_matrix of shape
+(output_dim, input_dim); the layer's kind and shapes stay on its spec.
+Bias terms are excluded from A on purpose: an input perturbation delta
+changes the layer output by exactly A @ delta whether or not the layer
+carries a bias, so the matrix captures everything perturbation analysis
+needs.
 
 Convolution here means what neural network libraries compute: sliding
 cross-correlation with the kernel, stride S, and symmetric zero padding
@@ -30,7 +33,6 @@ __all__ = [
     "AvgPool",
     "Flatten",
     "LAYER_KINDS",
-    "EquivalentMatrix",
     "DimPrediction",
     "build_conv_equivalent",
     "build_fc_equivalent",
@@ -195,31 +197,6 @@ LAYER_KINDS = {"conv": ConvLayerSpec, "fc": FcLayerSpec, "relu": Relu,
                "avgpool": AvgPool, "flatten": Flatten}
 
 
-@dataclass
-class EquivalentMatrix:
-    """Sparse matrix A with A @ vec(z_in) = vec(layer(z_in)), bias excluded."""
-
-    matrix: sp.csr_matrix
-    layer_kind: str
-    input_shape: tuple[int, ...]
-    output_shape: tuple[int, ...]
-
-    @property
-    def rows(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.matrix.shape[1]
-
-    @property
-    def nnz(self) -> int:
-        return self.matrix.nnz
-
-    def dense(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-
 class DimPrediction(NamedTuple):
     """Geometric nullspace-dimension prediction.
 
@@ -307,7 +284,7 @@ def _conv_formula_guaranteed(spec: ConvLayerSpec) -> bool:
     return True
 
 
-def build_conv_equivalent(spec: ConvLayerSpec) -> EquivalentMatrix:
+def build_conv_equivalent(spec: ConvLayerSpec) -> sp.csr_matrix:
     """Lower a convolutional layer to its sparse equivalent matrix.
 
     Row j*H_out*W_out + oy*W_out + ox holds the receptive field of
@@ -347,20 +324,21 @@ def build_conv_equivalent(spec: ConvLayerSpec) -> EquivalentMatrix:
     csr = coo.tocsr()
     csr.eliminate_zeros()
     csr.sort_indices()
-    return EquivalentMatrix(csr, "conv", spec.input_shape, spec.output_shape)
+    return csr
 
 
-def build_fc_equivalent(spec: FcLayerSpec) -> EquivalentMatrix:
+def build_fc_equivalent(spec: FcLayerSpec) -> sp.csr_matrix:
     """Lower a fully-connected layer: A = weight.T, bias excluded."""
     if spec.weight is None:
         raise ValueError("spec.weight is None; lowering needs concrete weight values")
     csr = sp.csr_matrix(spec.weight.T)
     csr.eliminate_zeros()
     csr.sort_indices()
-    return EquivalentMatrix(csr, "fc", spec.input_shape, spec.output_shape)
+    return csr
 
 
-def build_equivalent(spec) -> EquivalentMatrix:
+def build_equivalent(spec) -> sp.csr_matrix:
+    """The sparse matrix A of a conv or fc layer; see the module docstring."""
     if isinstance(spec, ConvLayerSpec):
         return build_conv_equivalent(spec)
     if isinstance(spec, FcLayerSpec):
@@ -406,15 +384,15 @@ def fc_forward(spec: FcLayerSpec, z: np.ndarray, include_bias: bool = True) -> n
     return out
 
 
-def verify_equivalence(eq: EquivalentMatrix, spec, samples: int = 100, seed: int = 0) -> float:
-    """Max abs deviation between direct layer evaluation and the eq.matrix
-    product over `samples` seeded standard-normal inputs (bias suppressed),
-    drawn as one (samples, *input_shape) batch.
+def verify_equivalence(a: sp.csr_matrix, spec, samples: int = 100, seed: int = 0) -> float:
+    """Max abs deviation between direct evaluation of spec and the product
+    with its lowered matrix a over `samples` seeded standard-normal inputs
+    (bias suppressed), drawn as one (samples, *input_shape) batch.
     """
-    x = np.random.default_rng(seed).standard_normal((samples, *eq.input_shape))
+    x = np.random.default_rng(seed).standard_normal((samples, *spec.input_shape))
     layer_forward = conv_forward if isinstance(spec, ConvLayerSpec) else fc_forward
     direct = layer_forward(spec, x, include_bias=False).reshape(samples, -1)
-    via = (eq.matrix @ x.reshape(samples, -1).T).T
+    via = (a @ x.reshape(samples, -1).T).T
     return float(np.max(np.abs(direct - via)))
 
 

@@ -125,11 +125,11 @@ class FeatureTrace:
         return z.reshape(len(z), -1)
 
 
-def init_network(spec: NetworkSpec, seed: int, with_bias: bool = True) -> NetworkSpec:
+def init_network(spec: NetworkSpec, seed: int) -> NetworkSpec:
     """The spec with parameters drawn for every linear layer: each weight
-    entry is a seeded standard normal scaled by 1/sqrt(fan_in), bias
-    likewise when with_bias. Bit-reproducible for a given seed; existing
-    parameter values in the spec are ignored and redrawn.
+    and bias entry is a seeded standard normal scaled by 1/sqrt(fan_in).
+    Bit-reproducible for a given seed; existing parameter values in the
+    spec are ignored and redrawn.
     """
     rng = np.random.default_rng(seed)
     filled = []
@@ -138,12 +138,12 @@ def init_network(spec: NetworkSpec, seed: int, with_bias: bool = True) -> Networ
             fan_in = layer.in_channels * layer.kernel_h * layer.kernel_w
             shape = (layer.out_channels, layer.in_channels, layer.kernel_h, layer.kernel_w)
             kernels = rng.standard_normal(shape) / np.sqrt(fan_in)
-            bias = rng.standard_normal(layer.out_channels) / np.sqrt(fan_in) if with_bias else None
+            bias = rng.standard_normal(layer.out_channels) / np.sqrt(fan_in)
             filled.append(replace(layer, kernels=kernels, bias=bias))
         elif isinstance(layer, FcLayerSpec):
             fan_in = layer.in_features
             weight = rng.standard_normal((layer.in_features, layer.out_features)) / np.sqrt(fan_in)
-            bias = rng.standard_normal(layer.out_features) / np.sqrt(fan_in) if with_bias else None
+            bias = rng.standard_normal(layer.out_features) / np.sqrt(fan_in)
             filled.append(replace(layer, weight=weight, bias=bias))
         else:
             filled.append(layer)

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import NetworkSpec, forward
-from .subspace import EmptySubspaceError, NullspaceBasis
+from .subspace import EmptySubspaceError
 
 __all__ = [
     "DivergenceError",
@@ -159,12 +159,12 @@ def _objective_and_gradient(y, p, x_flat, n, penalty_weight):
     return objective, penalty, gradient
 
 
-def maximize_dissimilarity(images: np.ndarray, basis: NullspaceBasis, net: NetworkSpec,
+def maximize_dissimilarity(images: np.ndarray, u: np.ndarray, net: NetworkSpec,
                            cfg: PrivacyConfig, seeds: list[int]) -> PrivacyResult:
     """Scramble a stack of images (B, C, H, W) inside the harmless subspace
     of net's first linear layer, all in one ascent loop.
 
-    `basis` must be that layer's harmless basis; every image must match
+    u must be that layer's (n, d) harmless basis; every image must match
     the network input shape with values in [0, 1]. Image i starts from
     the coefficients cfg.init_coeff_scale * default_rng(seeds[i]).standard_normal(d).
     """
@@ -175,20 +175,19 @@ def maximize_dissimilarity(images: np.ndarray, basis: NullspaceBasis, net: Netwo
     if b < 1 or len(seeds) != b:
         raise ValueError(f"need one seed for each of >= 1 images, got {len(seeds)} for {b}")
     n = x[0].size
-    if basis.ambient_dim != n:
-        raise ValueError(f"basis ambient dim {basis.ambient_dim} != image size {n}")
-    if basis.dim == 0:
+    if u.shape[0] != n:
+        raise ValueError(f"basis ambient dim {u.shape[0]} != image size {n}")
+    if u.shape[1] == 0:
         raise EmptySubspaceError("harmless subspace is {0}; cannot scramble")
     if not np.all(np.isfinite(x)):
         raise ValueError("image values must be finite, got NaN or infinity")
     if x.min() < 0.0 or x.max() > 1.0:
         raise ValueError("image values must lie in [0, 1]")
 
-    u = basis.basis
     p = u @ u.T
     x_flat = x.reshape(b, n)
     c = cfg.init_coeff_scale * np.stack(
-        [np.random.default_rng(seed).standard_normal(basis.dim) for seed in seeds])
+        [np.random.default_rng(seed).standard_normal(u.shape[1]) for seed in seeds])
     y = c @ u.T
 
     history, penalties = [], []
@@ -229,7 +228,7 @@ def maximize_dissimilarity(images: np.ndarray, basis: NullspaceBasis, net: Netwo
     )
 
 
-def sample_reconstructions(x_hat: np.ndarray, basis: NullspaceBasis, k: int,
+def sample_reconstructions(x_hat: np.ndarray, u: np.ndarray, k: int,
                            seed: int) -> np.ndarray:
     """k candidate originals x_hat - U @ c_j with seeded Gaussian c_j, as (k, C, H, W).
 
@@ -239,9 +238,9 @@ def sample_reconstructions(x_hat: np.ndarray, basis: NullspaceBasis, k: int,
     subspace has dimension >= 2.
     """
     x_hat = np.asarray(x_hat, dtype=np.float64)
-    if basis.dim == 0:
+    if u.shape[1] == 0:
         raise EmptySubspaceError("harmless subspace is {0}; nothing to sample")
-    if basis.ambient_dim != x_hat.size:
-        raise ValueError(f"basis ambient dim {basis.ambient_dim} != image size {x_hat.size}")
-    coeffs = np.random.default_rng(seed).standard_normal((k, basis.dim))
-    return (x_hat.ravel() - coeffs @ basis.basis.T).reshape((k, *x_hat.shape))
+    if u.shape[0] != x_hat.size:
+        raise ValueError(f"basis ambient dim {u.shape[0]} != image size {x_hat.size}")
+    coeffs = np.random.default_rng(seed).standard_normal((k, u.shape[1]))
+    return (x_hat.ravel() - coeffs @ u.T).reshape((k, *x_hat.shape))

@@ -8,6 +8,10 @@ arbitrary perturbations into their invisible (parallel) and effective
 subspace is trivial, and classifies perturbation pairs by whether they
 produce identical, proportional, or different layer outputs.
 
+A layer enters as its lowered matrix A (layers.build_equivalent) and the
+harmless subspace as the plain (n, d) array U whose orthonormal columns
+span N(A): n is the layer's input dimension and d the subspace dimension.
+
 Projections in this module use U @ (U.T @ v); with orthonormal columns this equals the
 textbook projector U (U.T U)^-1 U.T without materializing an n x n
 matrix.
@@ -19,13 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import EquivalentMatrix
 from .linalg import orthonormal_nullspace, rank_tolerance_bound, smallest_eigenpair_gram
 from .tensorio import read_tensors, write_tensors
 
 __all__ = [
     "EmptySubspaceError",
-    "NullspaceBasis",
     "Decomposition",
     "LeastHarmful",
     "PairVerdict",
@@ -56,22 +58,6 @@ class EmptySubspaceError(ValueError):
 
 
 @dataclass(frozen=True)
-class NullspaceBasis:
-    """Orthonormal basis (columns of `basis`) of a harmless subspace."""
-
-    basis: np.ndarray
-    source: str = ""
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.basis.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
-
-@dataclass(frozen=True)
 class Decomposition:
     """Split delta = parallel + orthogonal with parallel in span(U)."""
 
@@ -99,52 +85,49 @@ class PairVerdict:
     alpha: float | None = None
 
 
-def harmless_basis(eq: EquivalentMatrix) -> NullspaceBasis:
-    """Orthonormal nullspace basis of a lowered layer."""
-    u = orthonormal_nullspace(eq.matrix)
-    source = f"{eq.layer_kind} {eq.input_shape}->{eq.output_shape}"
-    return NullspaceBasis(basis=u, source=source)
+def harmless_basis(a) -> np.ndarray:
+    """Orthonormal basis U (n, d) of the nullspace of a lowered layer's matrix a."""
+    return orthonormal_nullspace(a)
 
 
-def orthogonal_decompose(basis: NullspaceBasis, delta: np.ndarray) -> Decomposition:
+def orthogonal_decompose(u: np.ndarray, delta: np.ndarray) -> Decomposition:
     """Unique split of delta into its component inside span(U) and the
     remainder orthogonal to it. The orthogonal part alone determines the
     layer output; it does not depend on which orthonormal basis spans
     the subspace.
     """
     delta = np.asarray(delta, dtype=np.float64).ravel()
-    if delta.size != basis.ambient_dim:
-        raise ValueError(f"vector length {delta.size} != ambient dim {basis.ambient_dim}")
-    parallel = basis.basis @ (basis.basis.T @ delta)
+    if delta.size != u.shape[0]:
+        raise ValueError(f"vector length {delta.size} != ambient dim {u.shape[0]}")
+    parallel = u @ (u.T @ delta)
     return Decomposition(parallel=parallel, orthogonal=delta - parallel)
 
 
-def sample_harmless(basis: NullspaceBasis, seed: int, target_norm: float,
+def sample_harmless(u: np.ndarray, seed: int, target_norm: float,
                     norm_kind: str = "l2") -> np.ndarray:
     """Seeded random direction inside the harmless subspace, rescaled so
     its l2 or linf norm equals target_norm."""
-    if basis.dim == 0:
+    if u.shape[1] == 0:
         raise EmptySubspaceError("harmless subspace is {0}; nothing to sample")
     if target_norm <= 0:
         raise ValueError(f"target_norm must be positive, got {target_norm}")
     if norm_kind not in ("l2", "linf"):
         raise ValueError(f"norm_kind must be 'l2' or 'linf', got {norm_kind!r}")
     rng = np.random.default_rng(seed)
-    c = rng.standard_normal(basis.dim)
-    delta = basis.basis @ c
+    delta = u @ rng.standard_normal(u.shape[1])
     cur = np.linalg.norm(delta) if norm_kind == "l2" else np.max(np.abs(delta))
     return delta * (target_norm / cur)
 
 
-def least_harmful(eq: EquivalentMatrix) -> LeastHarmful:
+def least_harmful(a) -> LeastHarmful:
     """Unit perturbation with the smallest layer-output energy.
 
     Meaningful when the layer has no harmless subspace (full column
     rank); if it does have one, the returned direction is harmless
     (residual ~ 0) and in_nullspace is set.
     """
-    v, lam = smallest_eigenpair_gram(eq.matrix)
-    tol = rank_tolerance_bound(eq.matrix)
+    v, lam = smallest_eigenpair_gram(a)
+    tol = rank_tolerance_bound(a)
     return LeastHarmful(direction=v, residual=lam, in_nullspace=lam <= tol * tol)
 
 
@@ -166,15 +149,15 @@ def relate_outputs(y: np.ndarray, y_hat: np.ndarray) -> PairVerdict:
     return PairVerdict(DIFFERENT_OUTPUT)
 
 
-def classify_pair(basis: NullspaceBasis, delta: np.ndarray,
+def classify_pair(u: np.ndarray, delta: np.ndarray,
                   delta_hat: np.ndarray) -> PairVerdict:
     """Relate the layer outputs of two perturbations via their orthogonal
     components, which alone determine the outputs: relate_outputs applied
     to the two components. Two outright-harmless perturbations (both
     components zero) count as identical-output: both outputs are zero.
     """
-    return relate_outputs(orthogonal_decompose(basis, delta).orthogonal,
-                          orthogonal_decompose(basis, delta_hat).orthogonal)
+    return relate_outputs(orthogonal_decompose(u, delta).orthogonal,
+                          orthogonal_decompose(u, delta_hat).orthogonal)
 
 
 # --- serialization -------------------------------------------------------
@@ -183,14 +166,14 @@ def classify_pair(basis: NullspaceBasis, delta: np.ndarray,
 # 2-d tensor named "basis" of shape (n, d).
 
 
-def save_basis(basis: NullspaceBasis, path) -> None:
-    write_tensors(path, {"basis": basis.basis})
+def save_basis(u: np.ndarray, path) -> None:
+    write_tensors(path, {"basis": u})
 
 
-def load_basis(path) -> NullspaceBasis:
+def load_basis(path) -> np.ndarray:
     tensors = read_tensors(path)
     u = tensors.get("basis")
     if len(tensors) != 1 or u is None or u.ndim != 2:
         shapes = {name: t.shape for name, t in tensors.items()}
         raise ValueError(f"not a basis file: expected one 2-d 'basis' tensor, got {shapes}")
-    return NullspaceBasis(basis=u, source=f"file:{path}")
+    return u

@@ -28,14 +28,12 @@ from .linalg import CERTIFIED_PATH, decide_rank, sigma_max_bound, singular_value
 from .network import (
     NetworkSpec,
     forward,
-    forward_from_layer,
     init_network,
     rmse_report,
 )
 from .privacy import PrivacyConfig, PrivacyResult, maximize_dissimilarity, sample_reconstructions
 from .seeding import make_rng, subseed
 from .subspace import (
-    NullspaceBasis,
     DIFFERENT_OUTPUT,
     IDENTICAL_OUTPUT,
     PROPORTIONAL,
@@ -49,7 +47,6 @@ from .subspace import (
 
 __all__ = [
     "CheckResult",
-    "ContourGrid",
     "VerificationReport",
     "PrivacyBatteryResult",
     "default_network_spec",
@@ -88,21 +85,6 @@ class CheckResult:
     measured: float
     tolerance: float
     detail: str = ""
-
-
-@dataclass(frozen=True)
-class ContourGrid:
-    """Layer-output norms ||A (a * d_orth + b * d_par)||_2 on an (a, b) grid.
-
-    Rows (fixed a) are constant because the parallel component never
-    reaches the output; values scale linearly in a. The a = 0 row is
-    numerically zero and is checked against the grid scale rather than
-    against itself.
-    """
-
-    a_values: np.ndarray
-    b_values: np.ndarray
-    values: np.ndarray
 
 
 def default_network_spec() -> NetworkSpec:
@@ -167,7 +149,7 @@ def covering_selector_kernels(c_in: int, c_out: int, kernel: int,
 
 def with_rank(spec):
     """A sweep geometry: the spec and the rank decision of its lowered matrix."""
-    return spec, decide_rank(build_equivalent(spec).matrix)
+    return spec, decide_rank(build_equivalent(spec))
 
 
 def cited_geometries(root_seed: int):
@@ -281,35 +263,32 @@ def dimension_agreement(geometries) -> tuple[list[dict], CheckResult]:
     return rows, check
 
 
-def lowering_residuals(geometries, root_seed: int, samples: int = 100,
-                       tolerance: float = 1e-12) -> CheckResult:
+def lowering_residuals(geometries, root_seed: int) -> CheckResult:
     """Max deviation between direct layer evaluation and the lowered
-    matrix over seeded inputs, across all (spec, RankDecision) geometries."""
+    matrix over 100 seeded inputs, across all (spec, RankDecision) geometries."""
     worst = 0.0
     for i, (spec, _) in enumerate(geometries):
-        eq = build_equivalent(spec)
-        worst = max(worst, verify_equivalence(eq, spec, samples=samples,
+        worst = max(worst, verify_equivalence(build_equivalent(spec), spec, samples=100,
                                               seed=subseed(root_seed, 3, i)))
     return CheckResult(
         name="lowering-residual",
-        passed=worst <= tolerance,
+        passed=worst <= 1e-12,
         measured=worst,
-        tolerance=tolerance,
-        detail=f"{len(geometries)} geometries x {samples} inputs",
+        tolerance=1e-12,
+        detail=f"{len(geometries)} geometries x 100 inputs",
     )
 
 
-def basis_integrity(eq, basis: NullspaceBasis) -> list[CheckResult]:
-    """Orthonormality of the basis and annihilation by the layer matrix.
+def basis_integrity(a, u: np.ndarray) -> list[CheckResult]:
+    """Orthonormality of the (n, d) basis u and annihilation by the layer matrix a.
 
     Fails loudly on a tampered basis; used by the verify command when a
     basis file is supplied instead of being recomputed.
     """
-    u = basis.basis
-    d = basis.dim
+    d = u.shape[1]
     ortho = 0.0 if d == 0 else float(np.max(np.abs(u.T @ u - np.eye(d))))
-    sigma_bound = sigma_max_bound(eq.matrix)
-    residual = 0.0 if d == 0 else float(np.max(np.abs(eq.matrix @ u)))
+    sigma_bound = sigma_max_bound(a)
+    residual = 0.0 if d == 0 else float(np.max(np.abs(a @ u)))
     return [
         CheckResult("basis-orthonormality", ortho <= 1e-12, ortho, 1e-12,
                     detail=f"d={d}"),
@@ -328,9 +307,10 @@ def _zero_nullity_probe_index(net) -> int | None:
     return None
 
 
-def rmse_table(net, first_basis: NullspaceBasis, root_seed: int,
-               scales=RMSE_SCALES, batch: int = 8) -> tuple[dict, list[CheckResult]]:
-    """Logit RMSE rows for four perturbation kinds plus their checks.
+def rmse_table(net, u: np.ndarray, root_seed: int) -> tuple[dict, list[CheckResult]]:
+    """Logit RMSE rows for four perturbation kinds at RMSE_SCALES over 8
+    seeded images, plus their checks; u is the (n, d) harmless basis of
+    the first layer.
 
     Input-level rows (injection before layer 0): a harmless direction
     and a Gaussian direction, both at base linf norm 8/255. Feature
@@ -341,18 +321,18 @@ def rmse_table(net, first_basis: NullspaceBasis, root_seed: int,
     if net.linear_layer_indices()[0] != 0:
         raise ValueError("rmse_table expects the first network layer to be linear")
     images = np.stack([synthetic_image(subseed(root_seed, 4, i), net.input_shape)
-                       for i in range(batch)])
+                       for i in range(8)])
     in_shape = net.input_shape
 
-    harmless = sample_harmless(first_basis, subseed(root_seed, 4, 100),
+    harmless = sample_harmless(u, subseed(root_seed, 4, 100),
                                BASE_LINF, "linf").reshape(in_shape)
     g_rng = make_rng(root_seed, 4, 101)
     gaussian = g_rng.standard_normal(in_shape)
     gaussian *= BASE_LINF / np.max(np.abs(gaussian))
 
     rows = {}
-    rows.update(rmse_report(net, images, harmless, scales, 0, kind="harmless"))
-    rows.update(rmse_report(net, images, gaussian, scales, 0, kind="gaussian"))
+    rows.update(rmse_report(net, images, harmless, RMSE_SCALES, 0, kind="harmless"))
+    rows.update(rmse_report(net, images, gaussian, RMSE_SCALES, 0, kind="gaussian"))
 
     zcl = _zero_nullity_probe_index(net)
     if zcl is not None:
@@ -362,26 +342,26 @@ def rmse_table(net, first_basis: NullspaceBasis, root_seed: int,
         gf_rng = make_rng(root_seed, 4, 102)
         gaussian_feat = gf_rng.standard_normal(feat_shape)
         gaussian_feat /= np.linalg.norm(gaussian_feat)
-        rows.update(rmse_report(net, images, lh_delta, scales, zcl,
+        rows.update(rmse_report(net, images, lh_delta, RMSE_SCALES, zcl,
                                 kind="least-harmful"))
-        rows.update(rmse_report(net, images, gaussian_feat, scales, zcl,
+        rows.update(rmse_report(net, images, gaussian_feat, RMSE_SCALES, zcl,
                                 kind="gaussian-feature"))
 
-    harmless_vals = [rows[("harmless", s)] for s in scales]
-    gauss_vals = [rows[("gaussian", s)] for s in scales]
+    harmless_vals = [rows[("harmless", s)] for s in RMSE_SCALES]
+    gauss_vals = [rows[("gaussian", s)] for s in RMSE_SCALES]
 
     checks = [
         CheckResult("rmse-harmless", max(harmless_vals) <= 1e-10,
                     max(harmless_vals), 1e-10,
-                    detail=f"max over scales {scales}"),
+                    detail=f"max over scales {RMSE_SCALES}"),
         CheckResult("rmse-gaussian-positive-growing",
                     min(gauss_vals) > 0 and all(b > a for a, b in zip(gauss_vals, gauss_vals[1:])),
                     min(np.diff(gauss_vals)) if len(gauss_vals) > 1 else gauss_vals[0],
                     0.0, detail="lower bound: every value positive, strictly increasing"),
     ]
     if zcl is not None:
-        lh_vals = [rows[("least-harmful", s)] for s in scales]
-        gf_vals = [rows[("gaussian-feature", s)] for s in scales]
+        lh_vals = [rows[("least-harmful", s)] for s in RMSE_SCALES]
+        gf_vals = [rows[("gaussian-feature", s)] for s in RMSE_SCALES]
         checks.extend([
             CheckResult("rmse-least-harmful-growing",
                         all(b > a for a, b in zip(lh_vals, lh_vals[1:])),
@@ -394,43 +374,43 @@ def rmse_table(net, first_basis: NullspaceBasis, root_seed: int,
         ])
 
     clean = forward(net, images).logits.argmax(axis=1)
-    shifted = images + np.reshape(scales, (-1,) + (1,) * images.ndim) * harmless
+    shifted = images + np.reshape(RMSE_SCALES, (-1,) + (1,) * images.ndim) * harmless
     pert = forward(net, shifted.reshape(-1, *in_shape)).logits.argmax(axis=1)
     total = pert.size
-    top1 = int(np.sum(pert.reshape(len(scales), -1) == clean))
+    top1 = int(np.sum(pert.reshape(len(RMSE_SCALES), -1) == clean))
     checks.append(CheckResult("argmax-invariance", top1 == total,
                               float(total - top1), 0.0,
                               detail=f"{top1}/{total} class predictions unchanged"))
     return rows, checks
 
 
-def least_harmful_minimality(root_seed: int, n_matrices: int = 10,
-                             n_samples: int = 10_000) -> list[CheckResult]:
+def least_harmful_minimality(root_seed: int) -> list[CheckResult]:
     """Residual consistency and empirical minimality of the least
-    harmful direction on seeded full-column-rank matrices."""
+    harmful direction on 10 seeded full-column-rank matrices, each against
+    10,000 sampled unit directions."""
     worst_rel = 0.0
     worst_margin = np.inf
-    for i in range(n_matrices):
+    for i in range(10):
         rng = make_rng(root_seed, 5, i)
         n = int(rng.integers(15, 41))
         m = n + int(rng.integers(1, 31))
         a = rng.standard_normal((m, n))
-        eq = build_equivalent(FcLayerSpec(in_features=n, out_features=m, weight=a.T))
-        lh = least_harmful(eq)
+        lh = least_harmful(build_equivalent(FcLayerSpec(in_features=n, out_features=m,
+                                                        weight=a.T)))
         av = a @ lh.direction
         rel = abs(float(av @ av) - lh.residual) / max(lh.residual, 1e-300)
         worst_rel = max(worst_rel, rel)
-        deltas = rng.standard_normal((n, n_samples))
+        deltas = rng.standard_normal((n, 10_000))
         deltas /= np.linalg.norm(deltas, axis=0)
         energies = np.sum((a @ deltas) ** 2, axis=0)
         worst_margin = min(worst_margin, float(energies.min() - lh.residual))
     return [
         CheckResult("least-harmful-residual", worst_rel <= 1e-10, worst_rel, 1e-10,
-                    detail=f"{n_matrices} seeded matrices"),
+                    detail="10 seeded matrices"),
         CheckResult("least-harmful-minimality", worst_margin >= -1e-10,
                     worst_margin, -1e-10,
-                    detail=f"lower bound: min sampled energy minus residual, "
-                           f"{n_samples} unit directions per matrix"),
+                    detail="lower bound: min sampled energy minus residual, "
+                           "10000 unit directions per matrix"),
     ]
 
 
@@ -442,11 +422,10 @@ def decomposition_laws(root_seed: int, trials: int = 1000) -> list[CheckResult]:
     n_in, n_out = 40, 24
     spec = FcLayerSpec(in_features=n_in, out_features=n_out,
                        weight=rng.standard_normal((n_in, n_out)))
-    eq = build_equivalent(spec)
-    a = eq.dense()
-    basis = harmless_basis(eq)
-    u = basis.basis
-    d = basis.dim
+    lowered = build_equivalent(spec)
+    u = harmless_basis(lowered)
+    a = lowered.toarray()
+    d = u.shape[1]
     checks = []
 
     deltas = rng.standard_normal((n_in, trials))
@@ -503,7 +482,7 @@ def decomposition_laws(root_seed: int, trials: int = 1000) -> list[CheckResult]:
             delta_hat = delta + u @ trng.standard_normal(d)
             expected = IDENTICAL_OUTPUT
         elif kind == 1:
-            o = orthogonal_decompose(basis, trng.standard_normal(n_in)).orthogonal
+            o = orthogonal_decompose(u, trng.standard_normal(n_in)).orthogonal
             alpha = float(trng.uniform(1.5, 3.0)) * float(trng.choice([-1.0, 1.0]))
             delta = alpha * o + u @ trng.standard_normal(d)
             delta_hat = o + u @ trng.standard_normal(d)
@@ -511,7 +490,7 @@ def decomposition_laws(root_seed: int, trials: int = 1000) -> list[CheckResult]:
         else:
             delta_hat = trng.standard_normal(n_in)
             expected = DIFFERENT_OUTPUT
-        verdict = classify_pair(basis, delta, delta_hat)
+        verdict = classify_pair(u, delta, delta_hat)
         direct = relate_outputs(a @ delta, a @ delta_hat)
         ok = verdict.kind == expected and direct.kind == verdict.kind
         if verdict.kind == PROPORTIONAL and ok:
@@ -525,7 +504,7 @@ def decomposition_laws(root_seed: int, trials: int = 1000) -> list[CheckResult]:
     rng0 = make_rng(root_seed, 6, 2)
     spec0 = FcLayerSpec(in_features=20, out_features=28,
                         weight=rng0.standard_normal((20, 28)))
-    a0 = build_equivalent(spec0).dense()
+    a0 = build_equivalent(spec0).toarray()
     d1 = rng0.standard_normal((20, trials))
     d2 = rng0.standard_normal((20, trials))
     measured = float(np.min(np.max(np.abs(a0 @ d1 - a0 @ d2), axis=0)))
@@ -536,38 +515,35 @@ def decomposition_laws(root_seed: int, trials: int = 1000) -> list[CheckResult]:
     return checks
 
 
-def build_contour(eq, basis: NullspaceBasis, root_seed: int,
-                  a_values=None, b_values=None) -> ContourGrid:
-    """Grid of output norms over combinations of one perturbation's
-    orthogonal and parallel components. Each grid point is evaluated by
-    a full product of the combined vector (no factored shortcut), so the
-    grid genuinely measures the layer; all combined vectors are the
-    columns of one sparse product."""
-    if basis.dim == 0:
+def build_contour(a, u: np.ndarray, root_seed: int, axis: np.ndarray) -> np.ndarray:
+    """Layer-output norms ||A (a * d_orth + b * d_par)||_2 on the grid
+    (a, b) = (axis[i], axis[j]), as values[i, j], for the orthogonal and
+    parallel components of one seeded perturbation; A is the matrix `a`.
+
+    Rows (fixed a) are constant because the parallel component never
+    reaches the output; values scale linearly in a. Each grid point is
+    evaluated by a full product of the combined vector (no factored
+    shortcut), so the grid genuinely measures the layer; all combined
+    vectors are the columns of one sparse product."""
+    n, d = u.shape
+    if d == 0:
         raise ValueError("contour needs a layer with a nontrivial harmless subspace")
-    if a_values is None:
-        a_values = np.linspace(0.0, 2.0, 21)
-    if b_values is None:
-        b_values = np.linspace(0.0, 2.0, 21)
-    a_values = np.asarray(a_values, dtype=np.float64)
-    b_values = np.asarray(b_values, dtype=np.float64)
-    rng = make_rng(root_seed, 7)
-    delta = rng.standard_normal(basis.ambient_dim)
-    dec = orthogonal_decompose(basis, delta)
-    combined = (dec.orthogonal[:, None, None] * a_values[:, None]
-                + dec.parallel[:, None, None] * b_values).reshape(basis.ambient_dim, -1)
-    values = np.linalg.norm(eq.matrix @ combined, axis=0).reshape(a_values.size, b_values.size)
-    return ContourGrid(a_values=a_values, b_values=b_values, values=values)
+    axis = np.asarray(axis, dtype=np.float64)
+    dec = orthogonal_decompose(u, make_rng(root_seed, 7).standard_normal(n))
+    combined = (dec.orthogonal[:, None, None] * axis[:, None]
+                + dec.parallel[:, None, None] * axis).reshape(n, -1)
+    return np.linalg.norm(a @ combined, axis=0).reshape(axis.size, axis.size)
 
 
-def contour_checks(grid: ContourGrid) -> list[CheckResult]:
-    """Row constancy, linear column scaling, and the zero row at a = 0."""
-    vmax = float(grid.values.max())
+def contour_checks(axis: np.ndarray, values: np.ndarray) -> list[CheckResult]:
+    """Row constancy, linear column scaling, and the zero row at a = 0 of
+    the build_contour values over axis. The a = 0 row is numerically zero
+    and is checked against the grid scale rather than against itself."""
+    vmax = float(values.max())
     checks = []
 
     worst = 0.0
-    for i in range(grid.a_values.size):
-        row = grid.values[i]
+    for row in values:
         scale = max(float(row.mean()), 1e-3 * vmax)
         worst = max(worst, float(row.max() - row.min()) / scale)
     checks.append(CheckResult("contour-row-constancy", worst <= 1e-9, worst, 1e-9,
@@ -575,20 +551,19 @@ def contour_checks(grid: ContourGrid) -> list[CheckResult]:
 
     worst = 0.0
     pairs = 0
-    a = grid.a_values
-    for i, av in enumerate(a):
+    for i, av in enumerate(axis):
         if av <= 0:
             continue
-        hits = np.flatnonzero(np.abs(a - 2.0 * av) <= 1e-12 * max(1.0, 2.0 * av))
+        hits = np.flatnonzero(np.abs(axis - 2.0 * av) <= 1e-12 * max(1.0, 2.0 * av))
         for k in hits:
             pairs += 1
-            num = np.abs(grid.values[k] - 2.0 * grid.values[i])
-            worst = max(worst, float(np.max(num / grid.values[i])))
+            num = np.abs(values[k] - 2.0 * values[i])
+            worst = max(worst, float(np.max(num / values[i])))
     checks.append(CheckResult("contour-column-linearity", worst <= 1e-9, worst, 1e-9,
                               detail=f"|v(2a, b) - 2 v(a, b)| / v(a, b) over {pairs} doubling pairs"))
 
-    zero_rows = np.flatnonzero(grid.a_values == 0.0)
-    measured = float(max((grid.values[i].max() for i in zero_rows), default=0.0))
+    zero_rows = np.flatnonzero(axis == 0.0)
+    measured = float(max((values[i].max() for i in zero_rows), default=0.0))
     checks.append(CheckResult("contour-zero-row", measured <= 1e-9 * max(vmax, 1.0),
                               measured, 1e-9 * max(vmax, 1.0),
                               detail="a = 0 row against the grid scale"))
@@ -607,13 +582,13 @@ class VerificationReport:
 
 
 def full_battery(root_seed: int, net_spec: NetworkSpec | None = None,
-                 basis: NullspaceBasis | None = None,
+                 basis: np.ndarray | None = None,
                  geometry_count: int = 50, trials: int = 1000,
                  include_geometry_sweep: bool = True) -> VerificationReport:
     """Run every invariant battery and collect one report.
 
-    When `basis` is given it is used (after integrity checks) as the
-    first linear layer's harmless basis instead of being recomputed,
+    When the (n, d) `basis` is given it is used (after integrity checks) as
+    the first linear layer's harmless basis instead of being recomputed,
     which lets a stored basis file be validated against the network.
     """
     report = VerificationReport()
@@ -626,17 +601,18 @@ def full_battery(root_seed: int, net_spec: NetworkSpec | None = None,
         report.checks.append(lowering_residuals(geometries, root_seed))
 
     net = init_network(net_spec or default_network_spec(), subseed(root_seed, 8))
-    eq1 = build_equivalent(net.layers[net.linear_layer_indices()[0]])
+    a1 = build_equivalent(net.layers[net.linear_layer_indices()[0]])
     if basis is None:
-        basis = harmless_basis(eq1)
-    report.checks.extend(basis_integrity(eq1, basis))
+        basis = harmless_basis(a1)
+    report.checks.extend(basis_integrity(a1, basis))
 
-    if all(c.passed for c in report.checks[-2:]) and basis.dim > 0:
+    if all(c.passed for c in report.checks[-2:]) and basis.shape[1] > 0:
         rmse_rows, rmse_checks = rmse_table(net, basis, root_seed)
         report.rmse_rows = rmse_rows
         report.checks.extend(rmse_checks)
 
-        report.checks.extend(contour_checks(build_contour(eq1, basis, root_seed)))
+        axis = np.linspace(0.0, 2.0, 21)
+        report.checks.extend(contour_checks(axis, build_contour(a1, basis, root_seed, axis)))
 
     report.checks.extend(least_harmful_minimality(root_seed))
     report.checks.extend(decomposition_laws(root_seed, trials=trials))
@@ -656,15 +632,15 @@ class PrivacyBatteryResult:
         return all(c.passed for c in self.checks)
 
 
-def privacy_battery(net, basis: NullspaceBasis, root_seed: int,
+def privacy_battery(net, u: np.ndarray, root_seed: int,
                     n_images: int = 20, n_recon: int = 16,
-                    mse_floor: float = 0.05,
                     images: list | None = None) -> PrivacyBatteryResult:
-    """Scramble seeded images and verify the output-invariance contract.
+    """Scramble seeded images inside span(u), u the (n, d) harmless basis
+    of net's first layer, and verify the output-invariance contract.
 
     All images are scrambled in one batched ascent. Per image: argmax
     agreement, output deviation <= 1e-9, bound violation <= 0.01, mse >=
-    mse_floor, and n_recon >= 2 sampled reconstructions that all share
+    0.05, and n_recon >= 2 sampled reconstructions that all share
     the scrambled image's output while being pairwise distinct. SSIM
     against the original and against a Gaussian-noised image of matched
     l2 distortion is recorded for reporting, not asserted.
@@ -678,7 +654,7 @@ def privacy_battery(net, basis: NullspaceBasis, root_seed: int,
         raise ValueError("the privacy battery needs at least 2 reconstructions per image "
                          f"to compare, got {n_recon}")
     originals = np.asarray(images, dtype=np.float64)
-    res = maximize_dissimilarity(originals, basis, net, PrivacyConfig(),
+    res = maximize_dissimilarity(originals, u, net, PrivacyConfig(),
                                  [subseed(root_seed, 9, i, 1) for i in range(len(originals))])
     agree = res.scrambled_logits.argmax(axis=1) == res.clean_logits.argmax(axis=1)
     argmax_bad = len(agree) - int(agree.sum())
@@ -692,7 +668,7 @@ def privacy_battery(net, basis: NullspaceBasis, root_seed: int,
         noise *= np.linalg.norm(x_hat - x) / np.linalg.norm(noise)
         gauss_score = ssim(x, x + noise)
 
-        recons = sample_reconstructions(x_hat, basis, n_recon, subseed(root_seed, 9, i, 3))
+        recons = sample_reconstructions(x_hat, u, n_recon, subseed(root_seed, 9, i, 3))
         recon_sets.append(recons)
         gaps = (recons[pairs[0]] - recons[pairs[1]]).reshape(len(pairs[0]), -1)
         recon_min_dist = min(recon_min_dist, float(np.linalg.norm(gaps, axis=1).min()))
@@ -719,7 +695,7 @@ def privacy_battery(net, basis: NullspaceBasis, root_seed: int,
                     detail=f"{len(images) - argmax_bad}/{len(images)} images keep their class"),
         CheckResult("privacy-output-deviation", worst_dev <= 1e-9, worst_dev, 1e-9),
         CheckResult("privacy-bound-violation", worst_viol <= 0.01, worst_viol, 0.01),
-        CheckResult("privacy-mse-floor", min_mse >= mse_floor, min_mse, mse_floor,
+        CheckResult("privacy-mse-floor", min_mse >= 0.05, min_mse, 0.05,
                     detail="lower bound: scrambling must move pixels"),
         CheckResult("privacy-reconstruction-invariance", recon_dev <= 1e-9, recon_dev, 1e-9,
                     detail=f"{n_recon} reconstructions per image share the scrambled output"),

@@ -14,7 +14,7 @@ from nullspan.layers import (
     save_layer_json,
 )
 from nullspan.network import NetworkSpec, save_network_spec
-from nullspan.subspace import harmless_basis, load_basis, save_basis, NullspaceBasis
+from nullspan.subspace import harmless_basis, load_basis, save_basis
 
 
 def small_net_spec():
@@ -76,7 +76,7 @@ class TestLower:
         dense = np.zeros((108, 72))
         for r, c, v in rows:
             dense[int(r), int(c)] = float(v)
-        np.testing.assert_array_equal(dense, eq.dense())
+        np.testing.assert_array_equal(dense, eq.toarray())
 
     def test_svd_path_reports_its_evidence(self, tmp_path, capsys):
         # Full rank in exact arithmetic but numerically deficient: the rank
@@ -139,6 +139,29 @@ class TestDimSweep:
         assert rows[0][4] == "error"
         assert "skipping invalid geometry" in capsys.readouterr().err
 
+    def test_invalid_fc_width_gives_error_row(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["dim-sweep", "--kind", "fc", "--in-features", "0", "--out-features", "4",
+                   "--seed", "13", "--out", str(out)])
+        assert rc == 0
+        _, rows = read_csv(out / "dim_sweep.csv")
+        assert rows == [["0", "", "", "", "error"]]
+        assert "skipping invalid geometry" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, flag, value", [
+        ("conv", "--in-shape", "3,32"), ("conv", "--in-shape", "3,32,32,1"),
+        ("conv", "--in-shape", "3,x,32"), ("conv", "--out-channels", "1,,2"),
+        ("conv", "--strides", ""), ("fc", "--out-features", "4,x"),
+    ])
+    def test_malformed_list_is_usage_error(self, tmp_path, kind, flag, value, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["dim-sweep", "--kind", kind, flag, value, "--seed", "13", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "out"
         main(["dim-sweep", "--kind", "fc", "--in-features", "10",
@@ -178,10 +201,10 @@ class TestVerify:
 
         net = init_network(load_network_spec(net_json), subseed(21, 8))
         basis = harmless_basis(build_equivalent(net.layers[0]))
-        tampered = basis.basis.copy()
+        tampered = basis.copy()
         tampered[:, 0] += 1e-3
         bad_path = tmp_path / "bad.nspb"
-        save_basis(NullspaceBasis(basis=tampered), bad_path)
+        save_basis(tampered, bad_path)
 
         rc = main(["verify", "--net", net_json, "--seed", "21",
                    "--out", str(tmp_path / "out"), "--skip-sweep",
@@ -268,7 +291,7 @@ class TestPrivacy:
         assert all(r[6] == "true" for r in rows)
         assert all(float(r[1]) >= 0.05 for r in rows)
         basis = load_basis(out / "first_layer_basis.nspb")
-        assert basis.dim == 64 and basis.ambient_dim == 192
+        assert basis.shape == (192, 64)
 
     def test_byte_identical_reports(self, tmp_path, net_json):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -300,7 +323,7 @@ class TestPrivacy:
     def test_degenerate_counts_are_usage_errors(self, tmp_path, net_json, conv_layer_json,
                                                 count, capsys, monkeypatch):
         # The counts are checked before any work, such as the (costly) harmless basis.
-        def no_basis(eq):
+        def no_basis(a):
             raise AssertionError("harmless_basis called before the count check")
 
         monkeypatch.setattr("nullspan.cli.harmless_basis", no_basis)
@@ -314,6 +337,13 @@ class TestPrivacy:
         assert not out.exists() or not any(out.iterdir())
 
 
+# A valid network whose harmless subspace would belong to its second layer.
+RELU_FIRST_NET = (b'{"input_shape": [3, 8, 8], "layers": [{"kind": "relu"}, '
+                  b'{"kind": "conv", "in_channels": 3, "in_height": 8, "in_width": 8, '
+                  b'"out_channels": 2, "kernel_h": 3, "kernel_w": 3, "zero_padding": 1}, '
+                  b'{"kind": "flatten"}, {"kind": "fc", "in_features": 128, "out_features": 4}]}')
+
+
 class TestMalformedFiles:
     """Every file flag reads its file while the arguments are parsed, so a
     missing or malformed file is a usage error (exit 2) that names the flag
@@ -325,10 +355,14 @@ class TestMalformedFiles:
         ("contour", "--layer", "relu.json", b'{"kind": "relu"}', "got kind 'relu'"),
         ("verify", "--net", "net.json", b'{"input_shape": [4]}', "missing field 'layers'"),
         ("privacy", "--net", "net.json", b"[1, 2", "Expecting"),
-        ("verify", "--basis", "tall.nspb", NullspaceBasis(np.eye(100, 5)),
+        ("verify", "--basis", "tall.nspb", np.eye(100, 5),
          "the basis has 100 rows, but the first linear layer takes 3072 inputs"),
         ("privacy", "--image-files", "img.ppm", b"P5\n1 1\n255\n\x00", "magic"),
         ("privacy", "--net", "absent.json", None, "No such file"),
+        ("verify", "--net", "relu_first.json", RELU_FIRST_NET,
+         "the first layer must be conv or fc, got Relu"),
+        ("privacy", "--net", "relu_first.json", RELU_FIRST_NET,
+         "the first layer must be conv or fc, got Relu"),
     ])
     def test_usage_error_names_the_cause(self, tmp_path, command, flag, name, content,
                                          cause, capsys, monkeypatch):
@@ -338,7 +372,7 @@ class TestMalformedFiles:
         for stage in ("harmless_basis", "full_battery"):
             monkeypatch.setattr(f"nullspan.cli.{stage}", refuse)
         path = tmp_path / name
-        if isinstance(content, NullspaceBasis):
+        if isinstance(content, np.ndarray):
             save_basis(content, path)
         elif content is not None:
             path.write_bytes(content)

@@ -54,39 +54,39 @@ class TestConvLowering:
     def test_identity_1x1(self):
         spec = ConvLayerSpec(1, 4, 4, 1, 1, 1, kernels=np.ones((1, 1, 1, 1)))
         eq = build_conv_equivalent(spec)
-        np.testing.assert_array_equal(eq.dense(), np.eye(16))
+        np.testing.assert_array_equal(eq.toarray(), np.eye(16))
 
     def test_hand_computed_2x2(self):
         spec = ConvLayerSpec(1, 3, 3, 1, 2, 2,
                              kernels=np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
         eq = build_conv_equivalent(spec)
         x = np.arange(1.0, 10.0).reshape(1, 3, 3)
-        np.testing.assert_allclose(eq.matrix @ x.ravel(), [37.0, 47.0, 67.0, 77.0],
+        np.testing.assert_allclose(eq @ x.ravel(), [37.0, 47.0, 67.0, 77.0],
                                    rtol=0, atol=0)
 
-    def test_cifar_first_layer_shape_and_nullity(self, first_layer_eq, first_layer_basis):
-        assert (first_layer_eq.rows, first_layer_eq.cols) == (2560, 3072)
-        assert first_layer_basis.dim == 512
+    def test_cifar_first_layer_shape_and_nullity(self, first_layer_a, first_layer_basis):
+        assert first_layer_a.shape == (2560, 3072)
+        assert first_layer_basis.shape[1] == 512
 
     def test_row_nnz_bound(self):
         rng = np.random.default_rng(8)
         spec = ConvLayerSpec(3, 10, 10, 4, 3, 3, stride=2, zero_padding=1,
                              kernels=rng.standard_normal((4, 3, 3, 3)))
         eq = build_conv_equivalent(spec)
-        assert eq.rows == spec.output_dim
-        assert np.max(np.diff(eq.matrix.indptr)) <= 3 * 3 * 3
+        assert eq.shape[0] == spec.output_dim
+        assert np.max(np.diff(eq.indptr)) <= 3 * 3 * 3
 
     def test_output_channel_major_order(self):
         kernels = np.array([[[[1.0]]], [[[2.0]]]])  # two 1x1 kernels on 1 channel
         spec = ConvLayerSpec(1, 2, 2, 2, 1, 1, kernels=kernels)
-        dense = build_conv_equivalent(spec).dense()
+        dense = build_conv_equivalent(spec).toarray()
         np.testing.assert_array_equal(dense[:4], np.eye(4))
         np.testing.assert_array_equal(dense[4:], 2.0 * np.eye(4))
 
     def test_input_channel_major_order(self):
         kernels = np.array([[[[5.0]], [[7.0]]]])  # one 1x1 kernel on 2 channels
         spec = ConvLayerSpec(2, 2, 2, 1, 1, 1, kernels=kernels)
-        dense = build_conv_equivalent(spec).dense()
+        dense = build_conv_equivalent(spec).toarray()
         np.testing.assert_array_equal(dense, np.hstack([5.0 * np.eye(4), 7.0 * np.eye(4)]))
 
     def test_geometry_error_names_dimension(self):
@@ -105,25 +105,25 @@ class TestConvLowering:
 class TestFcLowering:
     def test_identity(self):
         eq = build_fc_equivalent(FcLayerSpec(3, 3, weight=np.eye(3)))
-        np.testing.assert_array_equal(eq.dense(), np.eye(3))
+        np.testing.assert_array_equal(eq.toarray(), np.eye(3))
 
     def test_square_784(self):
         rng = np.random.default_rng(12)
         eq = build_fc_equivalent(FcLayerSpec(784, 784, weight=rng.standard_normal((784, 784))))
-        assert decide_rank(eq.matrix).nullity == 0
+        assert decide_rank(eq).nullity == 0
 
     def test_seeded_20_to_12(self):
         rng = np.random.default_rng(4)
         spec = FcLayerSpec(20, 12, weight=rng.standard_normal((20, 12)))
         eq = build_fc_equivalent(spec)
-        assert (eq.rows, eq.cols) == (12, 20)
-        res = svd(eq.dense())
-        assert eq.cols - numerical_rank(res.singular_values, eq.rows, eq.cols) == 8
+        assert eq.shape == (12, 20)
+        res = svd(eq.toarray())
+        assert 20 - numerical_rank(res.singular_values, 12, 20) == 8
 
     def test_transpose_convention(self):
         w = np.arange(6.0).reshape(3, 2)
         eq = build_fc_equivalent(FcLayerSpec(3, 2, weight=w))
-        np.testing.assert_array_equal(eq.dense(), w.T)
+        np.testing.assert_array_equal(eq.toarray(), w.T)
 
 
 class TestVerifyEquivalence:
@@ -136,8 +136,8 @@ class TestVerifyEquivalence:
                              kernels=np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
         assert verify_equivalence(build_conv_equivalent(spec), spec, samples=20, seed=1) <= 1e-12
 
-    def test_strided_padded_cifar_shape(self, default_net, first_layer_eq):
-        residual = verify_equivalence(first_layer_eq, default_net.layers[0],
+    def test_strided_padded_cifar_shape(self, default_net, first_layer_a):
+        residual = verify_equivalence(first_layer_a, default_net.layers[0],
                                       samples=100, seed=3)
         assert residual <= 1e-12
 
@@ -146,7 +146,7 @@ class TestVerifyEquivalence:
         spec = FcLayerSpec(30, 12, weight=rng.standard_normal((30, 12)))
         assert verify_equivalence(build_fc_equivalent(spec), spec, samples=50, seed=2) <= 1e-12
 
-    def test_equals_per_sample_reference(self, default_net, first_layer_eq):
+    def test_equals_per_sample_reference(self, default_net, first_layer_a):
         # One (samples, C, H, W) draw gives the values of one draw per sample.
         spec = default_net.layers[0]
         rng = np.random.default_rng(5)
@@ -154,8 +154,8 @@ class TestVerifyEquivalence:
         for _ in range(7):
             x = rng.standard_normal(spec.input_shape)
             direct = conv_forward(spec, x[None], include_bias=False).ravel()
-            worst = max(worst, float(np.max(np.abs(direct - first_layer_eq.matrix @ x.ravel()))))
-        assert verify_equivalence(first_layer_eq, spec, samples=7, seed=5) == worst
+            worst = max(worst, float(np.max(np.abs(direct - first_layer_a @ x.ravel()))))
+        assert verify_equivalence(first_layer_a, spec, samples=7, seed=5) == worst
 
 
 @settings(max_examples=20, deadline=None)
@@ -191,7 +191,7 @@ class TestBiasHandling:
         x = rng.standard_normal((2, 6, 6))
         delta = rng.standard_normal((2, 6, 6))
         change = conv_forward(spec, (x + delta)[None]) - conv_forward(spec, x[None])
-        np.testing.assert_allclose(change.ravel(), eq.matrix @ delta.ravel(), atol=1e-12)
+        np.testing.assert_allclose(change.ravel(), eq @ delta.ravel(), atol=1e-12)
 
     def test_fc_bias_cancels(self):
         rng = np.random.default_rng(34)
@@ -201,7 +201,7 @@ class TestBiasHandling:
         z = rng.standard_normal(10)
         delta = rng.standard_normal(10)
         change = fc_forward(spec, (z + delta)[None]) - fc_forward(spec, z[None])
-        np.testing.assert_allclose(change[0], eq.matrix @ delta, atol=1e-12)
+        np.testing.assert_allclose(change[0], eq @ delta, atol=1e-12)
 
 
 class TestDimPrediction:
@@ -232,7 +232,7 @@ class TestDimPrediction:
                              kernels=rng.standard_normal((23, 4, 2, 4)))
         pred = predict_nullspace_dim(spec)
         assert not pred.guaranteed
-        assert decide_rank(build_conv_equivalent(spec).matrix).nullity > pred.dim
+        assert decide_rank(build_conv_equivalent(spec)).nullity > pred.dim
 
     def test_starved_boundary_unguaranteed_and_detected(self):
         # padding-dominated corner windows read fewer real units than kernels
@@ -241,7 +241,7 @@ class TestDimPrediction:
                              kernels=rng.standard_normal((5, 4, 3, 3)))
         pred = predict_nullspace_dim(spec)
         assert not pred.guaranteed
-        assert decide_rank(build_conv_equivalent(spec).matrix).nullity > pred.dim
+        assert decide_rank(build_conv_equivalent(spec)).nullity > pred.dim
 
     def test_near_equal_channels_common_roots_unguaranteed_and_structural(self):
         # One in-channel feeding two kernels admits geometric-pattern
@@ -255,8 +255,8 @@ class TestDimPrediction:
         assert pred.dim == 0
         assert not pred.guaranteed
         eq = build_conv_equivalent(spec)
-        float_nullity = decide_rank(eq.matrix).nullity
-        exact_nullity = eq.cols - gf_rank(np.rint(eq.dense()).astype(np.int64))
+        float_nullity = decide_rank(eq).nullity
+        exact_nullity = eq.shape[1] - gf_rank(np.rint(eq.toarray()).astype(np.int64))
         assert exact_nullity > 0
         assert float_nullity == exact_nullity
 
@@ -274,10 +274,10 @@ class TestDimPrediction:
         pred = predict_nullspace_dim(spec)
         assert pred == (0, False)
         eq = build_conv_equivalent(spec)
-        exact_nullity = eq.cols - gf_rank(np.rint(eq.dense()).astype(np.int64))
+        exact_nullity = eq.shape[1] - gf_rank(np.rint(eq.toarray()).astype(np.int64))
         assert exact_nullity == 0
-        assert decide_rank(eq.matrix).nullity > 0
-        sv = singular_values(eq.matrix)
+        assert decide_rank(eq).nullity > 0
+        sv = singular_values(eq)
         assert sv[-1] <= 1e-13 * sv[0]
 
 

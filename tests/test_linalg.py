@@ -209,19 +209,19 @@ class TestRankCertificate:
         spec = ConvLayerSpec(3, 16, 16, 12, 3, 3, stride=2, zero_padding=1,
                              kernels=kernels)
         eq = build_conv_equivalent(spec)
-        decision = decide_rank(eq.matrix)
+        decision = decide_rank(eq)
         assert decision.path == SVD_PATH
-        assert decision.nullity == svd_nullity(eq.matrix) > 0
-        sv = singular_values(eq.matrix)
+        assert decision.nullity == svd_nullity(eq) > 0
+        sv = singular_values(eq)
         assert decision.evidence == {"sigma_r": float(sv[decision.rank - 1]),
                                      "sigma_r1": float(sv[decision.rank]),
-                                     "tolerance": rank_tolerance(sv, eq.rows, eq.cols)}
-        with_basis = decide_rank(eq.matrix, with_basis=True)
+                                     "tolerance": rank_tolerance(sv, eq.shape[0], eq.shape[1])}
+        with_basis = decide_rank(eq, with_basis=True)
         assert with_basis.path == SVD_PATH
-        assert with_basis.basis.shape == (eq.cols, with_basis.nullity)
+        assert with_basis.basis.shape == (eq.shape[1], with_basis.nullity)
         # Declined calls run the plain SVD basis: right singular vectors past
         # the rank, re-orthonormalized, largest component of each made positive.
-        q, _ = np.linalg.qr(svd_nullspace(eq.matrix))
+        q, _ = np.linalg.qr(svd_nullspace(eq))
         for j in range(q.shape[1]):
             if q[np.argmax(np.abs(q[:, j])), j] < 0:
                 q[:, j] = -q[:, j]

@@ -1,4 +1,5 @@
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -128,11 +129,7 @@ class TestInitNetwork:
         assert not np.array_equal(a.layers[0].kernels, b.layers[0].kernels)
 
     def test_first_layer_harmless_dim(self, first_layer_basis):
-        assert first_layer_basis.dim == 512
-
-    def test_bias_free(self):
-        net = init_network(golden_spec(), 7, with_bias=False)
-        assert net.layers[0].bias is None and net.layers[4].bias is None
+        assert first_layer_basis.shape[1] == 512
 
 
 class TestForward:
@@ -164,7 +161,9 @@ class TestForward:
                 FcLayerSpec(32, 3),
             ),
         )
-        net = init_network(spec, 3, with_bias=False)
+        conv, flatten, fc = init_network(spec, 3).layers
+        net = NetworkSpec(input_shape=(1, 4, 4),
+                          layers=(replace(conv, bias=None), flatten, replace(fc, bias=None)))
         logits = forward(net, np.zeros((1, 1, 4, 4))).logits
         np.testing.assert_array_equal(logits, np.zeros((1, 3)))
 
@@ -214,7 +213,7 @@ class TestForwardFromLayer:
         idx = INTERIOR_HARMLESS_LAYER
         fc1 = default_net.layers[idx]
         basis = harmless_basis(build_equivalent(fc1))
-        assert basis.dim == 1024 - 64
+        assert basis.shape[1] == 1024 - 64
         x = synthetic_image(9, (3, 32, 32))
         trace = forward(net=default_net, x=x[None])
         z = trace.activations[idx]

@@ -16,7 +16,6 @@ from nullspan.subspace import (
     IDENTICAL_OUTPUT,
     PROPORTIONAL,
     EmptySubspaceError,
-    NullspaceBasis,
     classify_pair,
     harmless_basis,
     least_harmful,
@@ -28,81 +27,76 @@ from nullspan.subspace import (
 
 
 @pytest.fixture(scope="module")
-def fc_eq():
+def fc_a():
     rng = np.random.default_rng(100)
     spec = FcLayerSpec(20, 12, weight=rng.standard_normal((20, 12)))
     return build_fc_equivalent(spec)
 
 
 @pytest.fixture(scope="module")
-def fc_basis(fc_eq):
-    return harmless_basis(fc_eq)
+def fc_basis(fc_a):
+    return harmless_basis(fc_a)
 
 
 class TestHarmlessBasis:
     def test_identity_fc_empty(self):
         eq = build_fc_equivalent(FcLayerSpec(3, 3, weight=np.eye(3)))
         basis = harmless_basis(eq)
-        assert basis.dim == 0 and basis.ambient_dim == 3
+        assert basis.shape == (3, 0)
 
-    def test_seeded_fc(self, fc_eq, fc_basis):
-        assert fc_basis.dim == 8
-        u = fc_basis.basis
+    def test_seeded_fc(self, fc_a, fc_basis):
+        assert fc_basis.shape[1] == 8
+        u = fc_basis
         assert np.max(np.abs(u.T @ u - np.eye(8))) <= 1e-12
-        sigma_max = singular_values(fc_eq.dense())[0]
-        assert np.max(np.abs(fc_eq.matrix @ u)) <= 1e-10 * sigma_max
+        sigma_max = singular_values(fc_a.toarray())[0]
+        assert np.max(np.abs(fc_a @ u)) <= 1e-10 * sigma_max
 
-    def test_cifar_conv_residual(self, first_layer_eq, first_layer_basis,
+    def test_cifar_conv_residual(self, first_layer_a, first_layer_basis,
                                  first_layer_sigma_max):
-        assert first_layer_basis.dim == 512
-        residual = np.max(np.abs(first_layer_eq.matrix @ first_layer_basis.basis))
+        assert first_layer_basis.shape[1] == 512
+        residual = np.max(np.abs(first_layer_a @ first_layer_basis))
         assert residual <= 1e-10 * first_layer_sigma_max
-
-    def test_source_describes_layer(self, fc_basis):
-        assert "fc" in fc_basis.source
 
 
 class TestOrthogonalDecompose:
     def test_inside_subspace(self, fc_basis):
         rng = np.random.default_rng(1)
-        delta = fc_basis.basis @ rng.standard_normal(fc_basis.dim)
+        delta = fc_basis @ rng.standard_normal(fc_basis.shape[1])
         dec = orthogonal_decompose(fc_basis, delta)
         assert np.linalg.norm(dec.orthogonal) <= 1e-12 * np.linalg.norm(delta)
         np.testing.assert_allclose(dec.parallel, delta, atol=1e-12)
 
-    def test_orthogonal_to_subspace(self, fc_eq, fc_basis):
+    def test_orthogonal_to_subspace(self, fc_a, fc_basis):
         rng = np.random.default_rng(2)
         delta = rng.standard_normal(20)
         orth = orthogonal_decompose(fc_basis, delta).orthogonal
         dec2 = orthogonal_decompose(fc_basis, orth)
         assert np.linalg.norm(dec2.parallel) <= 1e-12 * np.linalg.norm(orth)
 
-    def test_layer_sees_only_orthogonal_part(self, fc_eq, fc_basis):
+    def test_layer_sees_only_orthogonal_part(self, fc_a, fc_basis):
         rng = np.random.default_rng(3)
-        a = fc_eq.matrix
         for i in range(100):
             delta = rng.standard_normal(20)
             dec = orthogonal_decompose(fc_basis, delta)
-            out = a @ delta
-            assert np.max(np.abs(out - a @ dec.orthogonal)) <= 1e-10 * np.linalg.norm(out)
-            assert np.max(np.abs(fc_basis.basis.T @ dec.orthogonal)) <= 1e-10
+            out = fc_a @ delta
+            assert np.max(np.abs(out - fc_a @ dec.orthogonal)) <= 1e-10 * np.linalg.norm(out)
+            assert np.max(np.abs(fc_basis.T @ dec.orthogonal)) <= 1e-10
             recon = dec.parallel + dec.orthogonal
             assert np.linalg.norm(recon - delta) <= 1e-12 * np.linalg.norm(delta)
 
-    def test_arbitrary_split_equivalence(self, fc_eq, fc_basis):
+    def test_arbitrary_split_equivalence(self, fc_a, fc_basis):
         rng = np.random.default_rng(4)
-        a = fc_eq.matrix
         for i in range(100):
             delta = rng.standard_normal(20)
-            harmless = fc_basis.basis @ rng.standard_normal(8)
-            out = a @ delta
-            assert np.max(np.abs(a @ (delta - harmless) - out)) <= 1e-10 * np.linalg.norm(out)
+            harmless = fc_basis @ rng.standard_normal(8)
+            out = fc_a @ delta
+            assert np.max(np.abs(fc_a @ (delta - harmless) - out)) <= 1e-10 * np.linalg.norm(out)
 
     def test_basis_independence(self, fc_basis):
         rng = np.random.default_rng(5)
         q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
         perm = rng.permutation(8)
-        other = NullspaceBasis(basis=(fc_basis.basis @ q)[:, perm])
+        other = (fc_basis @ q)[:, perm]
         for i in range(50):
             delta = rng.standard_normal(20)
             o1 = orthogonal_decompose(fc_basis, delta).orthogonal
@@ -114,7 +108,7 @@ class TestOrthogonalDecompose:
         for i in range(100):
             delta = rng.standard_normal(20)
             orth = orthogonal_decompose(fc_basis, delta).orthogonal
-            h = fc_basis.basis @ rng.standard_normal(8)
+            h = fc_basis @ rng.standard_normal(8)
             assert np.linalg.norm(orth) <= np.linalg.norm(orth + h) * (1 + 1e-12)
 
     def test_dimension_mismatch(self, fc_basis):
@@ -131,12 +125,12 @@ class TestSampleHarmless:
         delta = sample_harmless(fc_basis, seed=9, target_norm=2.5, norm_kind="l2")
         assert abs(np.linalg.norm(delta) - 2.5) <= 1e-12
 
-    def test_harmless_at_all_scales(self, first_layer_eq, first_layer_basis,
+    def test_harmless_at_all_scales(self, first_layer_a, first_layer_basis,
                                     first_layer_sigma_max):
         delta = sample_harmless(first_layer_basis, seed=10, target_norm=8 / 255,
                                 norm_kind="linf")
         for scale in [2.0 ** k for k in range(9)]:
-            residual = np.max(np.abs(first_layer_eq.matrix @ (scale * delta)))
+            residual = np.max(np.abs(first_layer_a @ (scale * delta)))
             assert residual <= 1e-10 * first_layer_sigma_max
 
     def test_empty_subspace(self):
@@ -172,60 +166,58 @@ class TestLeastHarmful:
         rng = np.random.default_rng(21)
         spec = ConvLayerSpec(8, 8, 8, 32, 3, 3, stride=1, zero_padding=1,
                              kernels=rng.standard_normal((32, 8, 3, 3)))
-        eq = build_conv_equivalent(spec)
-        assert (eq.rows, eq.cols) == (2048, 512)
-        lh = least_harmful(eq)
+        a = build_conv_equivalent(spec)
+        assert a.shape == (2048, 512)
+        lh = least_harmful(a)
         assert not lh.in_nullspace
-        a = eq.matrix
         best = float(np.linalg.norm(a @ lh.direction))
         deltas = rng.standard_normal((512, 10_000))
         deltas /= np.linalg.norm(deltas, axis=0)
         energies = np.linalg.norm(a @ deltas, axis=0)
         assert np.all(energies + 1e-10 >= best)
 
-    def test_nullspace_present_flagged(self, fc_eq):
-        lh = least_harmful(fc_eq)
+    def test_nullspace_present_flagged(self, fc_a):
+        lh = least_harmful(fc_a)
         assert lh.in_nullspace
         assert lh.residual <= 1e-20
 
 
 class TestClassifyPair:
-    def test_identical_after_harmless_shift(self, fc_eq, fc_basis):
+    def test_identical_after_harmless_shift(self, fc_a, fc_basis):
         rng = np.random.default_rng(30)
         delta = rng.standard_normal(20)
-        delta_hat = delta + fc_basis.basis @ rng.standard_normal(8)
+        delta_hat = delta + fc_basis @ rng.standard_normal(8)
         verdict = classify_pair(fc_basis, delta, delta_hat)
         assert verdict.kind == IDENTICAL_OUTPUT
 
-    def test_proportional_alpha_three(self, fc_eq, fc_basis):
+    def test_proportional_alpha_three(self, fc_a, fc_basis):
         rng = np.random.default_rng(31)
         base = orthogonal_decompose(fc_basis, rng.standard_normal(20)).orthogonal
-        delta = 3.0 * base + fc_basis.basis @ rng.standard_normal(8)
-        delta_hat = base + fc_basis.basis @ rng.standard_normal(8)
+        delta = 3.0 * base + fc_basis @ rng.standard_normal(8)
+        delta_hat = base + fc_basis @ rng.standard_normal(8)
         verdict = classify_pair(fc_basis, delta, delta_hat)
         assert verdict.kind == PROPORTIONAL
         assert verdict.alpha == pytest.approx(3.0, abs=1e-9)
-        a = fc_eq.matrix
-        out = a @ delta_hat
-        assert np.max(np.abs(a @ delta - 3.0 * out)) <= 1e-9 * np.linalg.norm(out)
+        out = fc_a @ delta_hat
+        assert np.max(np.abs(fc_a @ delta - 3.0 * out)) <= 1e-9 * np.linalg.norm(out)
 
-    def test_general_position_different(self, fc_eq, fc_basis):
+    def test_general_position_different(self, fc_a, fc_basis):
         rng = np.random.default_rng(32)
         verdict = classify_pair(fc_basis, rng.standard_normal(20),
                                 rng.standard_normal(20))
         assert verdict.kind == DIFFERENT_OUTPUT
 
-    def test_zero_against_nonzero(self, fc_eq, fc_basis):
+    def test_zero_against_nonzero(self, fc_a, fc_basis):
         rng = np.random.default_rng(33)
-        harmless = fc_basis.basis @ rng.standard_normal(8)
+        harmless = fc_basis @ rng.standard_normal(8)
         delta = rng.standard_normal(20)
         verdict = classify_pair(fc_basis, delta, harmless)
         assert verdict.kind == DIFFERENT_OUTPUT
 
-    def test_both_harmless_identical(self, fc_eq, fc_basis):
+    def test_both_harmless_identical(self, fc_a, fc_basis):
         rng = np.random.default_rng(34)
-        h1 = fc_basis.basis @ rng.standard_normal(8)
-        h2 = fc_basis.basis @ rng.standard_normal(8)
+        h1 = fc_basis @ rng.standard_normal(8)
+        h2 = fc_basis @ rng.standard_normal(8)
         verdict = classify_pair(fc_basis, h1, h2)
         assert verdict.kind == IDENTICAL_OUTPUT
 
@@ -234,10 +226,10 @@ class TestZeroNullityInjective:
     def test_distinct_outputs(self):
         rng = np.random.default_rng(40)
         eq = build_fc_equivalent(FcLayerSpec(20, 28, weight=rng.standard_normal((20, 28))))
-        assert harmless_basis(eq).dim == 0
+        assert harmless_basis(eq).shape[1] == 0
         d1 = rng.standard_normal((20, 1000))
         d2 = rng.standard_normal((20, 1000))
-        deviations = np.max(np.abs(eq.matrix @ d1 - eq.matrix @ d2), axis=0)
+        deviations = np.max(np.abs(eq @ d1 - eq @ d2), axis=0)
         assert np.min(deviations) > 1e-6
 
 
@@ -246,11 +238,11 @@ class TestBasisFile:
         path = tmp_path / "basis.nspb"
         save_basis(fc_basis, path)
         back = load_basis(path)
-        assert back.basis.tobytes() == fc_basis.basis.tobytes()
-        assert back.ambient_dim == 20 and back.dim == 8
+        assert back.tobytes() == fc_basis.tobytes()
+        assert back.shape == (20, 8)
 
     def test_frozen_layout(self, tmp_path):
-        basis = NullspaceBasis(basis=np.array([[1.5], [-2.5]]))
+        basis = np.array([[1.5], [-2.5]])
         path = tmp_path / "tiny.nspb"
         save_basis(basis, path)
         blob = path.read_bytes()
@@ -270,7 +262,7 @@ class TestBasisFile:
             load_basis(path)
 
     def test_truncated(self, tmp_path):
-        basis = NullspaceBasis(basis=np.eye(3)[:, :2])
+        basis = np.eye(3)[:, :2]
         path = tmp_path / "trunc.nspb"
         save_basis(basis, path)
         path.write_bytes(path.read_bytes()[:-8])
