@@ -1,6 +1,6 @@
 """End-to-end output invariance through a real nonlinear network.
 
-A harmless perturbation of the first linear layer's input leaves that
+A harmless perturbation of the first layer's input leaves that
 layer's output bit-near-identical, so every downstream nonlinearity
 receives the same values and the network output cannot change, whatever
 the perturbation's magnitude. This demo measures that through a small
@@ -61,11 +61,10 @@ scales = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 gauss = np.random.default_rng(11).standard_normal((3, 16, 16))
 gauss *= (8 / 255) / np.max(np.abs(gauss))
 
-harmless_rows = rmse_report(net, inputs, delta, scales, 0, kind="harmless")
-gauss_rows = rmse_report(net, inputs, gauss, scales, 0, kind="gaussian")
+harmless_rmse = rmse_report(net, inputs, delta, scales, 0)
+gauss_rmse = rmse_report(net, inputs, gauss, scales, 0)
 
 print("\nlogit RMSE over 6 images:")
 print("  scale      harmless       gaussian")
-for s in scales:
-    print(f"  {s:>5.0f}    {harmless_rows[('harmless', s)]:.3e}    "
-          f"{gauss_rows[('gaussian', s)]:.3e}")
+for s, h, g in zip(scales, harmless_rmse, gauss_rmse):
+    print(f"  {s:>5.0f}    {h:.3e}    {g:.3e}")

@@ -28,12 +28,13 @@ from .layers import (
     verify_equivalence,
 )
 from .linalg import decide_rank
-from .network import init_network, load_network_spec
+from .network import load_network_spec
 from .imaging import read_ppm, save_float_image, write_ppm
-from .seeding import make_rng, subseed
+from .seeding import make_rng
 from .subspace import harmless_basis, load_basis, save_basis
 from .verification import (
     DIM_SWEEP_HEADER,
+    RMSE_SCALES,
     CheckResult,
     default_network_spec,
     full_battery,
@@ -196,8 +197,8 @@ def cmd_verify(args) -> int:
                           include_geometry_sweep=not args.skip_sweep)
 
     checks_doc = [_check_dict(c) for c in report.checks]
-    rmse_rows = [[kind, scale, value]
-                 for (kind, scale), value in sorted(report.rmse_rows.items())]
+    rmse_rows = [[kind, scale, float(value)] for kind in sorted(report.rmse)
+                 for scale, value in zip(RMSE_SCALES, report.rmse[kind])]
     if args.format == "json":
         doc = {
             "seed": args.seed,
@@ -227,7 +228,7 @@ def cmd_verify(args) -> int:
 
 def cmd_contour(args) -> int:
     out = _out_dir(args)
-    spec = args.layer or init_network(default_network_spec(), subseed(args.seed, 8)).layers[0]
+    spec = args.layer or verification.seeded_network(args.seed, None).layers[0]
     a = build_equivalent(spec)
     u = harmless_basis(a)
     if u.shape[1] == 0:
@@ -237,9 +238,13 @@ def cmd_contour(args) -> int:
     values = verification.build_contour(a, u, args.seed, axis)
     checks = verification.contour_checks(axis, values)
     _print_checks(checks)
-    _write_csv(out / "contour.csv", ["a", "b", "value"],
-               [[float(x), float(y), float(values[i, j])]
-                for i, x in enumerate(axis) for j, y in enumerate(axis)])
+    header = ["a", "b", "value"]
+    rows = [[float(x), float(y), float(values[i, j])]
+            for i, x in enumerate(axis) for j, y in enumerate(axis)]
+    if args.format == "json":
+        _write_json(out / "contour.json", [dict(zip(header, row)) for row in rows])
+    else:
+        _write_csv(out / "contour.csv", header, rows)
     if not all(c.passed for c in checks):
         print("contour invariants FAILED", file=sys.stderr)
         return 1
@@ -249,19 +254,19 @@ def cmd_contour(args) -> int:
 # --- privacy -------------------------------------------------------------
 
 def cmd_privacy(args) -> int:
+    net = verification.seeded_network(args.seed, args.net)
+    for i, image in enumerate(args.image_files or ()):
+        if image.shape != net.input_shape:
+            args.usage_error(f"argument --image-files: image {i} has shape {image.shape}, "
+                             f"but the network takes {net.input_shape}")
     out = _out_dir(args)
-    net = init_network(args.net or default_network_spec(), subseed(args.seed, 8))
     u = harmless_basis(build_equivalent(net.layers[0]))
     if u.shape[1] == 0:
         print("first layer has no harmless subspace; cannot scramble", file=sys.stderr)
         return 1
 
-    try:
-        battery = privacy_battery(net, u, args.seed,
-                                  n_images=args.images, n_recon=args.recon,
-                                  images=args.image_files or None)
-    except ValueError as exc:
-        args.usage_error(str(exc))
+    battery = privacy_battery(net, u, args.seed, n_images=args.images, n_recon=args.recon,
+                              images=args.image_files)
     save_basis(u, out / "first_layer_basis.nspb")
 
     for i, (x, x_hat, recons) in enumerate(zip(battery.originals, battery.result.image,
@@ -277,8 +282,7 @@ def cmd_privacy(args) -> int:
         for j, recon in enumerate(recons):
             write_ppm(f"{stem}_recon{j:02d}.ppm", recon)
 
-    header = ["image", "mse", "ssim", "ssim_gaussian_matched", "output_deviation",
-              "max_bound_violation", "argmax_agree"]
+    header = list(battery.rows[0])
     if args.format == "json":
         _write_json(out / "privacy_report.json",
                     {"seed": args.seed,
@@ -335,16 +339,6 @@ def _chw(text: str) -> list[int]:
     return values
 
 
-def _load_net(path):
-    """A network spec file whose first layer is conv or fc: the harmless
-    subspace that verify and privacy use is that layer's."""
-    net = load_network_spec(path)
-    if net.linear_layer_indices()[0] != 0:
-        raise ValueError(f"the first layer must be conv or fc, got "
-                         f"{type(net.layers[0]).__name__}")
-    return net
-
-
 def _positive(text):
     """argparse type: a finite float > 0; anything else is a usage error."""
     if not 0.0 < float(text) < np.inf:
@@ -393,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the full invariant battery")
     common(p)
-    p.add_argument("--net", type=_read(_load_net), default=None,
+    p.add_argument("--net", type=_read(load_network_spec), default=None,
                    help="network spec JSON path")
     p.add_argument("--basis", type=_read(load_basis), default=None,
                    help="validate this stored basis instead of recomputing")
@@ -417,10 +411,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("privacy", help="generate output-invariant scrambled images")
     common(p)
-    p.add_argument("--net", type=_read(_load_net), default=None,
+    p.add_argument("--net", type=_read(load_network_spec), default=None,
                    help="network spec JSON path")
     p.add_argument("--images", type=_at_least(1), default=20, help="synthetic image count")
-    p.add_argument("--image-files", type=_read(read_ppm), nargs="*", default=None,
+    p.add_argument("--image-files", type=_read(read_ppm), nargs="+", default=None,
                    help="PPM images to scramble instead of synthetic ones")
     p.add_argument("--recon", type=_at_least(2), default=16,
                    help="sampled reconstructions per image")

@@ -83,7 +83,10 @@ def shape_after(layer, shape: tuple[int, ...]) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class NetworkSpec:
     """Ordered layer list plus the input shape. Linear layers may be
-    geometry-only (kernels/weight None) until init_network fills them."""
+    geometry-only (kernels/weight None) until init_network fills them.
+
+    The first layer is conv or fc: it reads the image, and its harmless
+    subspace is the one every analysis of the network uses."""
 
     input_shape: tuple[int, ...]
     layers: tuple
@@ -91,13 +94,12 @@ class NetworkSpec:
     def __post_init__(self):
         object.__setattr__(self, "input_shape", tuple(int(s) for s in self.input_shape))
         object.__setattr__(self, "layers", tuple(self.layers))
-        if not any(isinstance(l, (ConvLayerSpec, FcLayerSpec)) for l in self.layers):
-            raise ValueError("network needs at least one linear layer")
         self.activation_shapes()
-
-    @property
-    def output_shape(self) -> tuple[int, ...]:
-        return self.activation_shapes()[-1]
+        if not self.layers:
+            raise ValueError("a network needs at least one layer, got none")
+        if not isinstance(self.layers[0], (ConvLayerSpec, FcLayerSpec)):
+            raise ValueError(f"the first layer must be conv or fc, got "
+                             f"{type(self.layers[0]).__name__}")
 
     def activation_shapes(self) -> list[tuple[int, ...]]:
         shapes = [self.input_shape]
@@ -193,9 +195,9 @@ def forward_from_layer(net: NetworkSpec, layer_index: int, z: np.ndarray) -> np.
 
 
 def rmse_report(net: NetworkSpec, inputs: np.ndarray, delta: np.ndarray, scales,
-                inject_layer: int = 0, kind: str = "perturbation") -> dict:
+                inject_layer: int) -> np.ndarray:
     """RMSE of the logit change caused by adding scale*delta to the
-    activation entering net.layers[inject_layer], keyed by (kind, scale).
+    activation entering net.layers[inject_layer], one entry per scale.
 
     inputs is a (B, *input_shape) batch and delta one sample's activation.
     RMSE = mean over the B inputs of ||perturbed_logits - clean_logits||_2
@@ -212,7 +214,7 @@ def rmse_report(net: NetworkSpec, inputs: np.ndarray, delta: np.ndarray, scales,
     logits = forward_from_layer(net, inject_layer, shifted.reshape(-1, *want))
     logits = logits.reshape(len(scales) + 1, len(feats), -1)
     change = np.linalg.norm(logits[1:] - logits[0], axis=2) / np.sqrt(logits.shape[2])
-    return {(kind, float(s)): float(r) for s, r in zip(scales, change.mean(axis=1))}
+    return change.mean(axis=1)
 
 
 # --- serialization ------------------------------------------------------

@@ -1,6 +1,6 @@
 """Output-invariant image scrambling.
 
-Given the harmless basis U of a network's first linear layer, the image
+Given the harmless basis U of a network's first layer, the image
 x_hat = x + U @ c has exactly the same network output as x for every
 coefficient vector c. Visual privacy comes from choosing c to maximize
 the mean squared pixel difference (1/n) * ||U c||^2 while two soft
@@ -162,7 +162,7 @@ def _objective_and_gradient(y, p, x_flat, n, penalty_weight):
 def maximize_dissimilarity(images: np.ndarray, u: np.ndarray, net: NetworkSpec,
                            cfg: PrivacyConfig, seeds: list[int]) -> PrivacyResult:
     """Scramble a stack of images (B, C, H, W) inside the harmless subspace
-    of net's first linear layer, all in one ascent loop.
+    of net's first layer, all in one ascent loop.
 
     u must be that layer's (n, d) harmless basis; every image must match
     the network input shape with values in [0, 1]. Image i starts from

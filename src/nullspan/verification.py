@@ -50,6 +50,7 @@ __all__ = [
     "VerificationReport",
     "PrivacyBatteryResult",
     "default_network_spec",
+    "seeded_network",
     "cited_geometries",
     "seeded_geometries",
     "with_rank",
@@ -112,6 +113,12 @@ def default_network_spec() -> NetworkSpec:
             FcLayerSpec(in_features=64, out_features=10),
         ),
     )
+
+
+def seeded_network(root_seed: int, spec: NetworkSpec | None) -> NetworkSpec:
+    """The network under analysis: spec, or default_network_spec() when it
+    is None, with its weights drawn from seed path 8 of root_seed."""
+    return init_network(spec or default_network_spec(), subseed(root_seed, 8))
 
 
 def _conv_with_kernels(rng, **kw) -> ConvLayerSpec:
@@ -194,13 +201,9 @@ def seeded_geometries(root_seed: int, count: int = 50):
                 kw = int(rng.integers(1, min(5, w_in + 1)))
                 stride = int(rng.integers(1, min(kh, kw) + 1))
                 pad = int(rng.integers(0, min(kh, kw)))
-                try:
-                    probe = ConvLayerSpec(in_channels=c_in, in_height=h_in,
-                                          in_width=w_in, out_channels=1,
-                                          kernel_h=kh, kernel_w=kw,
-                                          stride=stride, zero_padding=pad)
-                except ValueError:
-                    continue
+                probe = ConvLayerSpec(in_channels=c_in, in_height=h_in, in_width=w_in,
+                                      out_channels=1, kernel_h=kh, kernel_w=kw,
+                                      stride=stride, zero_padding=pad)
                 plane_out = probe.out_height * probe.out_width
                 c_out_cap = min(c_in * kh * kw,
                                 max(1, (c_in * h_in * w_in) // plane_out + 2))
@@ -308,9 +311,9 @@ def _zero_nullity_probe_index(net) -> int | None:
 
 
 def rmse_table(net, u: np.ndarray, root_seed: int) -> tuple[dict, list[CheckResult]]:
-    """Logit RMSE rows for four perturbation kinds at RMSE_SCALES over 8
-    seeded images, plus their checks; u is the (n, d) harmless basis of
-    the first layer.
+    """Logit RMSE for four perturbation kinds over 8 seeded images, as
+    {kind: array of one RMSE per RMSE_SCALES entry}, plus their checks; u
+    is the (n, d) harmless basis of the first layer.
 
     Input-level rows (injection before layer 0): a harmless direction
     and a Gaussian direction, both at base linf norm 8/255. Feature
@@ -318,8 +321,6 @@ def rmse_table(net, u: np.ndarray, root_seed: int) -> tuple[dict, list[CheckResu
     least harmful unit direction and a Gaussian unit direction. The
     feature rows are omitted when the network has no such layer.
     """
-    if net.linear_layer_indices()[0] != 0:
-        raise ValueError("rmse_table expects the first network layer to be linear")
     images = np.stack([synthetic_image(subseed(root_seed, 4, i), net.input_shape)
                        for i in range(8)])
     in_shape = net.input_shape
@@ -330,9 +331,8 @@ def rmse_table(net, u: np.ndarray, root_seed: int) -> tuple[dict, list[CheckResu
     gaussian = g_rng.standard_normal(in_shape)
     gaussian *= BASE_LINF / np.max(np.abs(gaussian))
 
-    rows = {}
-    rows.update(rmse_report(net, images, harmless, RMSE_SCALES, 0, kind="harmless"))
-    rows.update(rmse_report(net, images, gaussian, RMSE_SCALES, 0, kind="gaussian"))
+    rmse = {"harmless": rmse_report(net, images, harmless, RMSE_SCALES, 0),
+            "gaussian": rmse_report(net, images, gaussian, RMSE_SCALES, 0)}
 
     zcl = _zero_nullity_probe_index(net)
     if zcl is not None:
@@ -342,13 +342,11 @@ def rmse_table(net, u: np.ndarray, root_seed: int) -> tuple[dict, list[CheckResu
         gf_rng = make_rng(root_seed, 4, 102)
         gaussian_feat = gf_rng.standard_normal(feat_shape)
         gaussian_feat /= np.linalg.norm(gaussian_feat)
-        rows.update(rmse_report(net, images, lh_delta, RMSE_SCALES, zcl,
-                                kind="least-harmful"))
-        rows.update(rmse_report(net, images, gaussian_feat, RMSE_SCALES, zcl,
-                                kind="gaussian-feature"))
+        rmse["least-harmful"] = rmse_report(net, images, lh_delta, RMSE_SCALES, zcl)
+        rmse["gaussian-feature"] = rmse_report(net, images, gaussian_feat, RMSE_SCALES, zcl)
 
-    harmless_vals = [rows[("harmless", s)] for s in RMSE_SCALES]
-    gauss_vals = [rows[("gaussian", s)] for s in RMSE_SCALES]
+    harmless_vals = rmse["harmless"].tolist()
+    gauss_vals = rmse["gaussian"].tolist()
 
     checks = [
         CheckResult("rmse-harmless", max(harmless_vals) <= 1e-10,
@@ -360,8 +358,8 @@ def rmse_table(net, u: np.ndarray, root_seed: int) -> tuple[dict, list[CheckResu
                     0.0, detail="lower bound: every value positive, strictly increasing"),
     ]
     if zcl is not None:
-        lh_vals = [rows[("least-harmful", s)] for s in RMSE_SCALES]
-        gf_vals = [rows[("gaussian-feature", s)] for s in RMSE_SCALES]
+        lh_vals = rmse["least-harmful"].tolist()
+        gf_vals = rmse["gaussian-feature"].tolist()
         checks.extend([
             CheckResult("rmse-least-harmful-growing",
                         all(b > a for a, b in zip(lh_vals, lh_vals[1:])),
@@ -381,7 +379,7 @@ def rmse_table(net, u: np.ndarray, root_seed: int) -> tuple[dict, list[CheckResu
     checks.append(CheckResult("argmax-invariance", top1 == total,
                               float(total - top1), 0.0,
                               detail=f"{top1}/{total} class predictions unchanged"))
-    return rows, checks
+    return rmse, checks
 
 
 def least_harmful_minimality(root_seed: int) -> list[CheckResult]:
@@ -574,7 +572,7 @@ def contour_checks(axis: np.ndarray, values: np.ndarray) -> list[CheckResult]:
 class VerificationReport:
     checks: list = field(default_factory=list)
     dim_rows: list = field(default_factory=list)
-    rmse_rows: dict = field(default_factory=dict)
+    rmse: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -588,7 +586,7 @@ def full_battery(root_seed: int, net_spec: NetworkSpec | None = None,
     """Run every invariant battery and collect one report.
 
     When the (n, d) `basis` is given it is used (after integrity checks) as
-    the first linear layer's harmless basis instead of being recomputed,
+    the first layer's harmless basis instead of being recomputed,
     which lets a stored basis file be validated against the network.
     """
     report = VerificationReport()
@@ -600,15 +598,14 @@ def full_battery(root_seed: int, net_spec: NetworkSpec | None = None,
         report.checks.append(check)
         report.checks.append(lowering_residuals(geometries, root_seed))
 
-    net = init_network(net_spec or default_network_spec(), subseed(root_seed, 8))
-    a1 = build_equivalent(net.layers[net.linear_layer_indices()[0]])
+    net = seeded_network(root_seed, net_spec)
+    a1 = build_equivalent(net.layers[0])
     if basis is None:
         basis = harmless_basis(a1)
     report.checks.extend(basis_integrity(a1, basis))
 
     if all(c.passed for c in report.checks[-2:]) and basis.shape[1] > 0:
-        rmse_rows, rmse_checks = rmse_table(net, basis, root_seed)
-        report.rmse_rows = rmse_rows
+        report.rmse, rmse_checks = rmse_table(net, basis, root_seed)
         report.checks.extend(rmse_checks)
 
         axis = np.linspace(0.0, 2.0, 21)

@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from nullspan.layers import build_equivalent
-from nullspan.network import init_network
-from nullspan.seeding import subseed
 from nullspan.subspace import harmless_basis
-from nullspan.verification import default_network_spec
+from nullspan.verification import seeded_network
 
 ROOT_SEED = 1234
 
@@ -17,7 +15,7 @@ def root_seed():
 
 @pytest.fixture(scope="session")
 def default_net():
-    return init_network(default_network_spec(), subseed(ROOT_SEED, 8))
+    return seeded_network(ROOT_SEED, None)
 
 
 @pytest.fixture(scope="session")

@@ -271,6 +271,21 @@ class TestContour:
         main(["contour", "--layer", str(path), "--seed", "7", "--out", str(b)])
         assert (a / "contour.csv").read_bytes() == (b / "contour.csv").read_bytes()
 
+    def test_json_format_matches_csv(self, tmp_path):
+        rng = np.random.default_rng(63)
+        spec = ConvLayerSpec(2, 6, 6, 1, 3, 3, stride=1, zero_padding=1,
+                             kernels=rng.standard_normal((1, 2, 3, 3)))
+        path = tmp_path / "l.json"
+        save_layer_json(spec, path)
+        csv_out, json_out = tmp_path / "csv", tmp_path / "json"
+        assert main(["contour", "--layer", str(path), "--seed", "7", "--out", str(csv_out)]) == 0
+        assert main(["contour", "--layer", str(path), "--seed", "7", "--out", str(json_out),
+                     "--format", "json"]) == 0
+        assert not (json_out / "contour.csv").exists()
+        header, rows = read_csv(csv_out / "contour.csv")
+        doc = json.loads((json_out / "contour.json").read_text())
+        assert doc == [dict(zip(header, map(float, row))) for row in rows]
+
 
 class TestPrivacy:
     def test_small_run(self, tmp_path, net_json):
@@ -313,6 +328,14 @@ class TestPrivacy:
         _, rows = read_csv(out / "privacy_report.csv")
         assert len(rows) == 1
 
+    def test_image_files_needs_a_path(self, tmp_path, net_json, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["privacy", "--net", net_json, "--seed", "43", "--out", str(out),
+                  "--image-files"])
+        assert exc.value.code == 2
+        assert "argument --image-files:" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("count", [
         ["privacy", "--images", "0"], ["privacy", "--recon", "1"], ["privacy", "--recon", "0"],
@@ -358,6 +381,8 @@ class TestMalformedFiles:
         ("verify", "--basis", "tall.nspb", np.eye(100, 5),
          "the basis has 100 rows, but the first linear layer takes 3072 inputs"),
         ("privacy", "--image-files", "img.ppm", b"P5\n1 1\n255\n\x00", "magic"),
+        ("privacy", "--image-files", "small.ppm", b"P6\n8 8\n255\n" + bytes(192),
+         "image 0 has shape (3, 8, 8), but the network takes (3, 32, 32)"),
         ("privacy", "--net", "absent.json", None, "No such file"),
         ("verify", "--net", "relu_first.json", RELU_FIRST_NET,
          "the first layer must be conv or fc, got Relu"),

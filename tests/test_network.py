@@ -279,14 +279,14 @@ class TestRmseReport:
                                 norm_kind="linf").reshape(3, 32, 32)
         inputs = [synthetic_image(100 + i, (3, 32, 32)) for i in range(4)]
         scales = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
-        rows = rmse_report(default_net, inputs, delta, scales, 0, kind="harmless")
-        assert set(rows) == {("harmless", s) for s in scales}
-        assert all(v <= 1e-10 for v in rows.values())
+        rmse = rmse_report(default_net, inputs, delta, scales, 0)
+        assert rmse.shape == (len(scales),)
+        assert np.all(rmse <= 1e-10)
 
     def test_zero_delta_exactly_zero(self, default_net):
         inputs = [synthetic_image(200, (3, 32, 32))]
-        rows = rmse_report(default_net, inputs, np.zeros((3, 32, 32)), (1.0, 4.0), 0)
-        assert all(v == 0.0 for v in rows.values())
+        rmse = rmse_report(default_net, inputs, np.zeros((3, 32, 32)), (1.0, 4.0), 0)
+        assert np.all(rmse == 0.0)
 
     def test_gaussian_grows(self, default_net):
         rng = np.random.default_rng(18)
@@ -294,16 +294,24 @@ class TestRmseReport:
         delta *= (8 / 255) / np.max(np.abs(delta))
         inputs = [synthetic_image(300 + i, (3, 32, 32)) for i in range(4)]
         scales = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
-        rows = rmse_report(default_net, inputs, delta, scales, 0, kind="gaussian")
-        values = [rows[("gaussian", s)] for s in scales]
-        assert all(v > 0 for v in values)
-        assert all(b > a for a, b in zip(values, values[1:]))
+        rmse = rmse_report(default_net, inputs, delta, scales, 0)
+        assert np.all(rmse > 0)
+        assert np.all(np.diff(rmse) > 0)
 
 
 class TestSpecValidation:
-    def test_requires_linear_layer(self):
-        with pytest.raises(ValueError, match="linear"):
-            NetworkSpec(input_shape=(1, 4, 4), layers=(Relu(),))
+    # The first layer reads the image, and its harmless subspace is the one
+    # every analysis uses, so it must be conv or fc.
+    @pytest.mark.parametrize("layers, message", [
+        ((Relu(),), "the first layer must be conv or fc, got Relu"),
+        ((Relu(), ConvLayerSpec(1, 4, 4, 2, 3, 3, zero_padding=1), Flatten(),
+          FcLayerSpec(32, 3)), "the first layer must be conv or fc, got Relu"),
+        ((Flatten(), FcLayerSpec(16, 3)), "the first layer must be conv or fc, got Flatten"),
+        ((), "a network needs at least one layer"),
+    ], ids=["relu", "relu-conv-flatten-fc", "flatten-fc", "empty"])
+    def test_requires_linear_layer(self, layers, message):
+        with pytest.raises(ValueError, match=message):
+            NetworkSpec(input_shape=(1, 4, 4), layers=layers)
 
     def test_inconsistent_chain_names_layer(self):
         with pytest.raises(ValueError, match="layer 1"):

@@ -196,12 +196,9 @@ class TestMaximizeDissimilarity:
                                    PrivacyConfig(), [1])
 
     def test_empty_subspace_rejected(self, image):
-        spec = NetworkSpec(
-            input_shape=(3, 8, 8),
-            layers=(Flatten(), FcLayerSpec(192, 192)),
-        )
+        spec = NetworkSpec(input_shape=(3, 8, 8), layers=(FcLayerSpec(192, 192),))
         net = init_network(spec, 6)
-        basis = harmless_basis(build_equivalent(net.layers[1]))
+        basis = harmless_basis(build_equivalent(net.layers[0]))
         with pytest.raises(EmptySubspaceError):
             scramble(image, basis, net, PrivacyConfig(), 0)
 
