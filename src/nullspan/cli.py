@@ -29,7 +29,7 @@ from .layers import (
 )
 from .linalg import decide_rank
 from .network import load_network_spec
-from .imaging import read_ppm, save_float_image, write_ppm
+from .imaging import SSIM_WINDOW, read_ppm, save_float_image, write_ppm
 from .seeding import make_rng
 from .subspace import harmless_basis, load_basis, save_basis
 from .verification import (
@@ -188,6 +188,9 @@ def cmd_dim_sweep(args) -> int:
 def cmd_verify(args) -> int:
     net_spec = args.net or default_network_spec()
     first = net_spec.layers[0]
+    if len(net_spec.input_shape) != 3:
+        args.usage_error(f"argument --net: verify needs a (C, H, W) input, "
+                         f"but the network takes {net_spec.input_shape}")
     if args.basis is not None and args.basis.shape[0] != first.input_dim:
         args.usage_error(f"argument --basis: the basis has {args.basis.shape[0]} rows, "
                          f"but the first linear layer takes {first.input_dim} inputs")
@@ -255,6 +258,10 @@ def cmd_contour(args) -> int:
 
 def cmd_privacy(args) -> int:
     net = verification.seeded_network(args.seed, args.net)
+    c, *hw = net.input_shape
+    if c != 3 or len(hw) != 2 or min(hw) < SSIM_WINDOW:
+        args.usage_error(f"argument --net: privacy needs a (3, H, W) input with H, W >= "
+                         f"{SSIM_WINDOW}, but the network takes {net.input_shape}")
     for i, image in enumerate(args.image_files or ()):
         if image.shape != net.input_shape:
             args.usage_error(f"argument --image-files: image {i} has shape {image.shape}, "
@@ -282,7 +289,6 @@ def cmd_privacy(args) -> int:
         for j, recon in enumerate(recons):
             write_ppm(f"{stem}_recon{j:02d}.ppm", recon)
 
-    header = list(battery.rows[0])
     if args.format == "json":
         _write_json(out / "privacy_report.json",
                     {"seed": args.seed,
@@ -290,8 +296,8 @@ def cmd_privacy(args) -> int:
                      "checks": [_check_dict(c) for c in battery.checks],
                      "images": battery.rows})
     else:
-        _write_csv(out / "privacy_report.csv", header,
-                   [[r[k] for k in header] for r in battery.rows])
+        _write_csv(out / "privacy_report.csv", list(battery.rows[0]),
+                   [list(r.values()) for r in battery.rows])
         _write_checks_csv(out / "privacy_checks.csv", battery.checks)
     _print_checks(battery.checks)
     if not battery.passed:

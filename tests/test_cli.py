@@ -196,10 +196,10 @@ class TestVerify:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_tampered_basis_fails_loudly(self, tmp_path, net_json, capsys):
-        from nullspan.network import init_network, load_network_spec
-        from nullspan.seeding import subseed
+        from nullspan.network import load_network_spec
+        from nullspan.verification import seeded_network
 
-        net = init_network(load_network_spec(net_json), subseed(21, 8))
+        net = seeded_network(21, load_network_spec(net_json))
         basis = harmless_basis(build_equivalent(net.layers[0]))
         tampered = basis.copy()
         tampered[:, 0] += 1e-3
@@ -215,10 +215,10 @@ class TestVerify:
         assert "FAILED" in err.err
 
     def test_stored_good_basis_passes(self, tmp_path, net_json):
-        from nullspan.network import init_network, load_network_spec
-        from nullspan.seeding import subseed
+        from nullspan.network import load_network_spec
+        from nullspan.verification import seeded_network
 
-        net = init_network(load_network_spec(net_json), subseed(21, 8))
+        net = seeded_network(21, load_network_spec(net_json))
         basis = harmless_basis(build_equivalent(net.layers[0]))
         good_path = tmp_path / "good.nspb"
         save_basis(basis, good_path)
@@ -366,6 +366,13 @@ RELU_FIRST_NET = (b'{"input_shape": [3, 8, 8], "layers": [{"kind": "relu"}, '
                   b'"out_channels": 2, "kernel_h": 3, "kernel_w": 3, "zero_padding": 1}, '
                   b'{"kind": "flatten"}, {"kind": "fc", "in_features": 128, "out_features": 4}]}')
 
+TINY_IMAGE_NET = (b'{"input_shape": [3, 4, 4], "layers": [{"kind": "conv", "in_channels": 3, '
+                  b'"in_height": 4, "in_width": 4, "out_channels": 2, "kernel_h": 3, '
+                  b'"kernel_w": 3}, {"kind": "flatten"}, '
+                  b'{"kind": "fc", "in_features": 8, "out_features": 4}]}')
+FLAT_INPUT_NET = (b'{"input_shape": [192], "layers": '
+                  b'[{"kind": "fc", "in_features": 192, "out_features": 4}]}')
+
 
 class TestMalformedFiles:
     """Every file flag reads its file while the arguments are parsed, so a
@@ -388,6 +395,12 @@ class TestMalformedFiles:
          "the first layer must be conv or fc, got Relu"),
         ("privacy", "--net", "relu_first.json", RELU_FIRST_NET,
          "the first layer must be conv or fc, got Relu"),
+        ("privacy", "--net", "tiny.json", TINY_IMAGE_NET,
+         "privacy needs a (3, H, W) input with H, W >= 8, but the network takes (3, 4, 4)"),
+        ("verify", "--net", "flat.json", FLAT_INPUT_NET,
+         "verify needs a (C, H, W) input, but the network takes (192,)"),
+        ("privacy", "--net", "flat.json", FLAT_INPUT_NET,
+         "privacy needs a (3, H, W) input with H, W >= 8, but the network takes (192,)"),
     ])
     def test_usage_error_names_the_cause(self, tmp_path, command, flag, name, content,
                                          cause, capsys, monkeypatch):
