@@ -274,11 +274,16 @@ def _row_space_complement(m) -> np.ndarray:
     cols - rows columns of Q in m.T = Q R, formed without the rest of Q."""
     import scipy.linalg
     a_t = m.toarray().T if sp.issparse(m) else np.array(m, dtype=np.float64).T
-    (h, tau), _ = scipy.linalg.qr(a_t, overwrite_a=True, mode="raw", check_finite=False)
+    geqrf, ormqr = scipy.linalg.get_lapack_funcs(("geqrf", "ormqr"), (a_t,))
+    # The workspace query's optimal lwork gives geqrf its blocked path, as in
+    # scipy.linalg.qr, which would also build an R that is never used here.
+    lwork = int(geqrf(a_t, lwork=-1, overwrite_a=True)[2][0])
+    h, tau, _, info = geqrf(a_t, lwork=lwork, overwrite_a=True)
+    if info != 0:
+        raise FactorizationError(f"geqrf failed with info={info}")
     n, k = h.shape
     c = np.zeros((n, n - k), order="F")
     c[k:, :] = np.eye(n - k)
-    (ormqr,) = scipy.linalg.get_lapack_funcs(("ormqr",), (h,))
     lwork = int(ormqr("L", "N", h, tau, c, -1)[1][0])
     q, _, info = ormqr("L", "N", h, tau, c, lwork, overwrite_c=True)
     if info != 0:

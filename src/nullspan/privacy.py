@@ -22,12 +22,14 @@ c step by U gives y <- y + step * ((2/n) * y - penalty_weight * P @ g)
 with the harmless projector P = U U.T, so no iteration needs a product
 with U. P is n x n (72 MiB at n = 3072); it is formed once per call by
 one GEMM, because each of the 2,300 iterations of a default run reuses
-it, and freed when the call returns. g is
-nonzero only at out-of-box pixels, which after the first few iterations
-are a handful per image, so P @ g of each image is the signed sum of the
-rows of P at those pixels, added in ascending pixel order. A stack of B
-images is scrambled in one ascent with a (B, n) offset, one row per
-image; rows never interact, so batching changes only rounding.
+it, and freed when the call returns. g is nonzero only at out-of-box
+pixels, which after the first few iterations are a handful per image,
+so the penalty gradients of all images are one product G @ P of the
+sparse (B, n) sign matrix G with P: scipy's CSR kernel adds the rows of
+P at each image's out-of-box pixels, times their signs, in ascending
+pixel order, and each of those terms is exact. A stack of B images is
+scrambled in one ascent with a (B, n) offset, one row per image; rows
+never interact, so batching changes only rounding.
 
 In exact arithmetic y stays in span(U). Rounding leaves a tiny part
 outside it that every iteration multiplies by 1 + 2 * step / n while
@@ -46,6 +48,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .network import NetworkSpec, forward
 from .subspace import EmptySubspaceError
@@ -133,10 +136,11 @@ def _objective_and_gradient(y, p, x_flat, n, penalty_weight):
 
     y is the (B, n) pixel offset and p the (n, n) harmless projector
     U U.T. The penalty gradient P @ g of image i is the signed sum of the
-    rows of P at its out-of-box pixels (P is symmetric), added in ascending
-    pixel order; g is zero almost everywhere once the ascent is under way,
-    so this replaces a dense (B, n) @ (n, n) product. Only one image's
-    gathered rows exist at a time.
+    rows of P at its out-of-box pixels (P is symmetric). All B of them are
+    one product of the sparse sign matrix with p, whose CSR kernel adds
+    those rows in ascending pixel order without gathering them; g is zero
+    almost everywhere once the ascent is under way, so this replaces a
+    dense (B, n) @ (n, n) product.
     """
     # overflow here is caught by the caller's finiteness check
     with np.errstate(over="ignore", invalid="ignore"):
@@ -148,14 +152,13 @@ def _objective_and_gradient(y, p, x_flat, n, penalty_weight):
         # bincount adds in input order; it returns int64 zeros when nothing is out of box
         penalty = np.bincount(image, weights=np.abs(value), minlength=len(y)).astype(np.float64)
         objective = np.einsum("ij,ij->i", y, y) / n - penalty_weight * penalty
-        penalty_grad = np.zeros_like(y)
-        bounds = np.searchsorted(image, np.arange(len(y) + 1)).tolist()
-        for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-            if lo < hi:
-                signed = p.take(pixel[lo:hi], axis=0)
-                signed *= sign[lo:hi, None]
-                signed.sum(axis=0, out=penalty_grad[i])
-        gradient = (2.0 / n) * y - penalty_weight * penalty_grad
+        # image is sorted, so each image's signs form one row of G in pixel order
+        g = sp.csr_array((sign, pixel, np.searchsorted(image, np.arange(len(y) + 1))),
+                         shape=y.shape)
+        penalty_grad = g @ p
+        gradient = np.multiply(y, 2.0 / n)
+        penalty_grad *= penalty_weight
+        gradient -= penalty_grad
     return objective, penalty, gradient
 
 
@@ -201,7 +204,8 @@ def maximize_dissimilarity(images: np.ndarray, u: np.ndarray, net: NetworkSpec,
                                   "try a smaller step_size")
         history.append(objective)
         penalties.append(penalty)
-        y = y + step * gradient
+        gradient *= step
+        y += gradient
         # the rounding-level part of y outside span(U) grows by this factor
         growth *= 1.0 + 2.0 * step / n
         if growth >= 2.0:

@@ -277,6 +277,40 @@ class TestQrBasis:
         b = decide_rank(wide.copy(), with_basis=True).basis
         assert a.tobytes() == b.tobytes()
 
+    @staticmethod
+    def raw_qr_basis(m):
+        """Reference: the trailing columns of Q from scipy.linalg.qr's raw mode
+        (geqrf at its optimal lwork) applied by ormqr, signs fixed as decide_rank
+        fixes them."""
+        import scipy.linalg
+        a_t = m.toarray().T if sp.issparse(m) else np.array(m, dtype=np.float64).T
+        (h, tau), _ = scipy.linalg.qr(a_t, mode="raw")
+        n, k = h.shape
+        c = np.zeros((n, n - k), order="F")
+        c[k:, :] = np.eye(n - k)
+        (ormqr,) = scipy.linalg.get_lapack_funcs(("ormqr",), (h,))
+        lwork = int(ormqr("L", "N", h, tau, c, -1)[1][0])
+        q, _, info = ormqr("L", "N", h, tau, c, lwork)
+        assert info == 0
+        peaks = q[np.abs(q).argmax(axis=0), np.arange(q.shape[1])]
+        return q * np.where(peaks < 0, -1.0, 1.0)
+
+    @pytest.mark.parametrize("kind", ["dense", "conv"])
+    def test_basis_bits_match_blocked_qr(self, kind):
+        # Both shapes have more than 128 rows, where geqrf runs blocked at
+        # its optimal workspace and unblocked at a minimal one; the two round
+        # differently, so this pins the workspace query.
+        if kind == "dense":
+            m = np.random.default_rng(29).standard_normal((200, 300))
+        else:
+            kernels = np.random.default_rng(31).standard_normal((8, 3, 3, 3))
+            m = build_conv_equivalent(ConvLayerSpec(3, 16, 16, 8, 3, 3, stride=2,
+                                                    zero_padding=1, kernels=kernels))
+            assert m.shape == (512, 768)
+        decision = decide_rank(m, with_basis=True)
+        assert decision.path == CERTIFIED_PATH
+        assert decision.basis.tobytes() == self.raw_qr_basis(m).tobytes()
+
     def test_tall_and_square_bases_are_empty(self):
         rng = np.random.default_rng(23)
         for shape in ((50, 30), (30, 30)):

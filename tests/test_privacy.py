@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -284,6 +286,42 @@ class TestSparsePenaltyGradient:
         assert np.all(np.abs(objective - ref_obj) <= obj_tol)
         if kind == "inside":
             assert np.array_equal(gradient, ref_grad) and np.all(penalty == 0.0)
+
+    @pytest.mark.parametrize("b", [1, 4])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_per_image_sum_exactly(self, kind, b):
+        # Every term of P @ g is +-1 times an entry of P, so summing the same
+        # terms in the same (ascending pixel) order gives the same bits.
+        y, p, x = self.case(kind, b)
+        n, w = self.N, self.W
+        x_hat = x + y
+        penalty_grad = np.zeros_like(y)
+        for i, row in enumerate(x_hat):
+            pixel = np.flatnonzero((row > 1.0) | (row < 0.0))
+            if pixel.size:
+                signed = p[pixel] * np.where(row[pixel] > 1.0, 1.0, -1.0)[:, None]
+                penalty_grad[i] = signed.sum(axis=0)
+        _, _, gradient = _objective_and_gradient(y, p, x, n, w)
+        assert np.array_equal(gradient, (2.0 / n) * y - w * penalty_grad)
+
+    def test_no_gather_of_out_of_box_rows(self):
+        # Every pixel of 8 images out of the box: gathering their rows of P
+        # would take 8 * 768 * 768 * 8 bytes = 37.7 MB.
+        b, n = 8, 768
+        rng = np.random.default_rng(41)
+        u = np.linalg.qr(rng.standard_normal((n, 64)))[0]
+        p = u @ u.T
+        x = np.empty((b, n))
+        x[:, ::2], x[:, 1::2] = -1.0, 2.0
+        y = 1e-3 * rng.standard_normal((b, 64)) @ u.T
+        tracemalloc.start()
+        try:
+            _, penalty, _ = _objective_and_gradient(y, p, x, n, self.W)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(penalty > 0)
+        assert peak < 2 * 1024 * 1024
 
     def test_overflow_stays_non_finite(self):
         y, p, x = self.case("few", 2)
