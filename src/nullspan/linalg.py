@@ -1,6 +1,7 @@
-"""Dense factorizations shared by the rest of the package.
+"""Factorizations shared by the rest of the package.
 
-Everything runs in float64 through LAPACK (via numpy and scipy).
+Everything runs in float64 through LAPACK (via numpy and scipy), except
+the sparse eigenpair route below (SuperLU and ARPACK, via scipy).
 
 Rank, nullity and harmless basis have one entry point, decide_rank. It
 first tries a cheap certificate that the matrix has full rank: a
@@ -15,8 +16,10 @@ returned with it. smallest_eigenpair_gram solves for one eigenpair of
 A.T @ A only.
 
 Sparse inputs keep their sparsity for Gram products and are densified
-for the dense factorizations; this package targets desk-scale matrices
-(a few thousand rows/columns), not sparse factorization.
+for the dense factorizations of decide_rank and svd. smallest_eigenpair_gram
+factors the Gram matrix of a sparse input sparse (SuperLU) and runs
+shift-invert Lanczos (ARPACK) on it; a dense input, or one filled above
+_DENSE_GRAM_FILL, goes through a dense eigh.
 
 All functions are pure and deterministic: repeated calls on identical
 input return bit-identical results.
@@ -194,10 +197,15 @@ def _gamma(k: int) -> float:
     return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
 
 
+def _sparse_gram(s) -> bool:
+    """Whether s is sparse and sparse enough to form its Gram product sparse."""
+    return sp.issparse(s) and s.nnz < _DENSE_GRAM_FILL * s.shape[0] * s.shape[1]
+
+
 def _gram(s) -> np.ndarray:
     """Dense s @ s.T; a sparse s stays sparse for the product unless it is
     mostly nonzero."""
-    if sp.issparse(s) and s.nnz < _DENSE_GRAM_FILL * s.shape[0] * s.shape[1]:
+    if _sparse_gram(s):
         return (s @ s.T).toarray()
     d = s.toarray() if sp.issparse(s) else s
     return d @ d.T
@@ -345,29 +353,66 @@ def _fix_column_signs(u: np.ndarray) -> np.ndarray:
     return u * np.where(peaks < 0, -1.0, 1.0)
 
 
+def _lowest_eigvec_shift_invert(g) -> np.ndarray:
+    """Eigenvector for the smallest eigenvalue of a sparse symmetric positive
+    semidefinite n x n matrix g.
+
+    It is the dominant eigenvector of (g + s I)^-1, found by Lanczos (ARPACK)
+    on one SuperLU factorization of g + s I: the spectral transformation of
+    Ericsson & Ruhe (Math. Comp. 35, 1980). The shift s = n u trace(g) +
+    eta, eta the smallest subnormal, is at rounding level, so a singular g
+    still factors. One more solve (a step of inverse iteration) finishes the
+    Ritz vector: in a cluster of equal eigenvalues, such as the null space
+    of a wide matrix, Lanczos mixes in rounding from outside the cluster
+    (||M v||^2 = 1e-14 for g = M.T @ M, M sparse 100x300), which that
+    solve damps by s over the next eigenvalue. An all-zero g, and n = 1,
+    which ARPACK does not take, return the first unit vector.
+    """
+    n = g.shape[0]
+    trace = float(g.diagonal().sum())
+    if n == 1 or trace == 0.0:
+        return np.eye(n, 1)[:, 0]
+    import scipy.sparse.linalg as spla  # on first use: ~0.09 s of CLI start-up
+    shift = n * _UNIT_ROUNDOFF * trace + _SMALLEST_SUBNORMAL
+    try:
+        lu = spla.splu((g + shift * sp.identity(n)).tocsc(), permc_spec="MMD_AT_PLUS_A")
+        inverse = spla.LinearOperator((n, n), matvec=lu.solve, dtype=np.float64)
+        _, vecs = spla.eigsh(inverse, k=1, which="LM", v0=np.ones(n),
+                             ncv=min(20, n), tol=0)
+    except RuntimeError as exc:  # SuperLU's, and ARPACK's ArpackNoConvergence
+        raise FactorizationError(
+            f"shift-invert Lanczos failed for a {n}x{n} Gram matrix: {exc}"
+        ) from exc
+    return lu.solve(vecs[:, 0])
+
+
 def smallest_eigenpair_gram(m) -> tuple[np.ndarray, float]:
     """Unit eigenvector of M.T @ M with the smallest eigenvalue.
 
-    The Gram matrix is formed from the sparse M when it is sparse, and
-    only its lowest eigenpair is solved for. Returns (v, lam) with lam =
-    ||M v||^2, the Rayleigh quotient of the selected eigenvector
-    (consistent with v by construction, and equal to the smallest Gram
-    eigenvalue up to factorization error). Sign convention: the first
-    nonzero component of v is positive. Eigenvalue ties resolve to the
-    lowest index in the ascending eigendecomposition order.
+    Only the lowest eigenpair is solved for. A sparse M below the dense-Gram
+    fill keeps its Gram matrix sparse and goes through shift-invert Lanczos
+    (_lowest_eigvec_shift_invert); any other M through a dense eigh. Returns
+    (v, lam) with lam = ||M v||^2, the Rayleigh quotient of the selected
+    eigenvector (consistent with v by construction, and equal to the
+    smallest Gram eigenvalue up to factorization error). Sign convention:
+    the first nonzero component of v is positive. Eigenvalue ties resolve
+    through the fixed start vector (all ones) on the sparse route, and to
+    the lowest index in eigh's ascending order on the dense one.
     """
     m = _checked(m)
     cols = m.shape[1]
-    gram = _gram(m.T)
-    import scipy.linalg
-    try:
-        _, vecs = scipy.linalg.eigh(gram, subset_by_index=[0, 0], overwrite_a=True,
-                                    check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError(
-            f"eigendecomposition did not converge for a {cols}x{cols} Gram matrix"
-        ) from exc
-    v = vecs[:, 0]
+    if _sparse_gram(m):
+        v = _lowest_eigvec_shift_invert(m.T @ m)
+    else:
+        import scipy.linalg
+        try:
+            _, vecs = scipy.linalg.eigh(_gram(m.T), subset_by_index=[0, 0],
+                                        overwrite_a=True, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise FactorizationError(
+                f"eigendecomposition did not converge for a {cols}x{cols} Gram matrix"
+            ) from exc
+        v = vecs[:, 0]
     v = v / np.linalg.norm(v)
     nz = np.flatnonzero(np.abs(v) > np.abs(v).max() * 1e-12)
     if v[nz[0]] < 0:

@@ -183,11 +183,15 @@ def seeded_geometries(root_seed: int, count: int = 50):
 
     Convolutions are resampled until the dimension formula's hypotheses
     hold (predict_nullspace_dim(...).guaranteed) and decide_rank certifies
-    the drawn kernels' full rank; that decision is the pair's. The formula
-    holds for generic weights, but about 1% of root seeds draw Gaussian
-    kernels so ill-conditioned (sigma_min / sigma_max near 1e-17) that no
-    64-bit rank test sees the full rank. Sizes stay small enough that most
-    strided multi-channel draws remain well conditioned.
+    the drawn kernels' full rank; that decision is the pair's. At about 1%
+    of root seeds a draw is flagged guaranteed but not certified. At
+    1010146033 it is conv 3x9x9 -> 5x7x7 k3 s1 p0, predicted nullity 0,
+    which is not ill-conditioning but a generic rank drop of 3 for that
+    shape: integer kernels give rank 240 of 243 over GF(p), and
+    Gaussian kernels leave 3 singular values near 1e-17 relative with the
+    next near 1e-3. The flag is wrong there, and the resample hides it.
+    Sizes stay small enough that most strided multi-channel draws remain
+    well conditioned.
     """
     out = []
     for i in range(count):

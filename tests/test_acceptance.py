@@ -88,9 +88,10 @@ def test_criterion_1_detail_is_deterministic(sweep):
 
 
 def test_criterion_1_at_a_seed_that_drew_an_ill_conditioned_conv():
-    # This seed draws conv 3x9x9->5x7x7 k3x3 s1 p0 with Gaussian kernels:
-    # formula guaranteed, full rank, yet sigma_min / sigma_max ~ 8e-18, so
-    # 64-bit arithmetic sees nullity 3. The sampler resamples such draws.
+    # This seed draws conv 3x9x9->5x7x7 k3x3 s1 p0: flagged guaranteed with
+    # nullity 0, yet generic kernels of that shape drop rank by 3 (not
+    # ill-conditioning; see test_layers.py's strict xfail). The sampler
+    # resamples such draws.
     _, check = dimension_agreement(seeded_geometries(1010146033))
     assert check.passed, check.detail
 

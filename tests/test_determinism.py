@@ -6,10 +6,11 @@ verdicts, details and integers stay identical and floats move only by
 rounding, within the per-field bounds below.
 
 Measured between OPENBLAS_NUM_THREADS=1 and =2 at seed 1234 (OpenBLAS
-0.3.31, 2-core x86-64): privacy_report.json is byte-identical, and in
-verify_report.json only the six least-harmful RMSE rows and the
-rmse-least-harmful-* checks differ, by at most 8.1e-15 relative. The four
-runs take about 17 s.
+0.3.31, 2-core x86-64): privacy_report.json and verify_report.json are
+byte-identical. Before the least-harmful direction of the sparse second
+conv came from SuperLU and ARPACK instead of a dense eigh, its six RMSE
+rows and the rmse-least-harmful-* checks differed by up to 8.1e-15
+relative. The four runs take about 17 s.
 """
 
 import json
@@ -28,7 +29,8 @@ RUNS = {
 }
 
 # Relative bound of every float not listed below; largest difference
-# measured: 8.1e-15 (the least-harmful fields), 0 elsewhere.
+# measured: 0 (8.1e-15 in the least-harmful fields while a dense eigh
+# computed that direction).
 RELATIVE = 1e-12
 # Fields the 2,300-iteration privacy ascent produces, where rounding
 # compounds; measured: 0 (an earlier coefficient-space ascent moved the

@@ -260,6 +260,22 @@ class TestDimPrediction:
         assert exact_nullity > 0
         assert float_nullity == exact_nullity
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="known wrong guaranteed flag: a generic rank drop "
+                              "the conv rules do not see (ROADMAP item 2)")
+    def test_guaranteed_prediction_is_the_exact_nullity_3x9x9_to_5x7x7(self):
+        # Flagged guaranteed with dimension 0 (243 inputs, 245 outputs), yet
+        # generic kernels of this shape drop rank by 3: integer kernels give rank
+        # 240 over GF(p), and Gaussian kernels leave 3 singular values near
+        # 1e-17 relative with the next near 1e-3. This is the geometry
+        # seeded_geometries draws and resamples at root seed 1010146033.
+        kernels = np.random.default_rng(47).integers(-9, 10, size=(5, 3, 3, 3)).astype(float)
+        spec = ConvLayerSpec(3, 9, 9, 5, 3, 3, stride=1, zero_padding=0, kernels=kernels)
+        pred = predict_nullspace_dim(spec)
+        eq = build_conv_equivalent(spec)
+        exact_nullity = eq.shape[1] - gf_rank(np.rint(eq.toarray()).astype(np.int64))
+        assert not pred.guaranteed or pred.dim == exact_nullity
+
     def test_polyphase_square_geometry_numerically_deficient_despite_full_rank(self):
         # Stride-2 multi-channel geometry whose kernel count equals the
         # polyphase channel count: full rank in exact arithmetic, yet the

@@ -18,6 +18,7 @@ from nullspan.linalg import (
     smallest_eigenpair_gram,
     svd,
 )
+from nullspan.subspace import least_harmful
 
 
 class TestSvd:
@@ -379,6 +380,93 @@ class TestSmallestEigenpairGram:
         v, lam = smallest_eigenpair_gram(m)
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
         assert lam <= 1e-24 and np.linalg.norm(m @ v) ** 2 == lam
+
+
+class TestSparseShiftInvert:
+    """smallest_eigenpair_gram on sparse input below the dense-Gram fill:
+    shift-invert Lanczos on one sparse factorization, not a dense eigh."""
+
+    @pytest.fixture(scope="class")
+    def conv(self):
+        # Tall (800 x 400) and 8% filled, so it takes the sparse route.
+        kernels = np.random.default_rng(41).standard_normal((8, 4, 3, 3))
+        return build_conv_equivalent(ConvLayerSpec(4, 10, 10, 8, 3, 3, stride=1,
+                                                   zero_padding=1, kernels=kernels))
+
+    @staticmethod
+    def eigh_reference(m):
+        import scipy.linalg
+        d = m.toarray()
+        _, vecs = scipy.linalg.eigh(d.T @ d, subset_by_index=[0, 0])
+        v = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
+        nz = np.flatnonzero(np.abs(v) > np.abs(v).max() * 1e-12)
+        v = -v if v[nz[0]] < 0 else v
+        mv = d @ v
+        return v, float(mv @ mv)
+
+    def test_conv_lowering_matches_dense_eigh(self, conv):
+        v, lam = smallest_eigenpair_gram(conv)
+        v_ref, lam_ref = self.eigh_reference(conv)
+        assert abs(lam - lam_ref) <= 1e-12 * lam_ref
+        assert np.max(np.abs(v - v_ref)) <= 1e-10
+
+    def test_conv_lowering_takes_the_sparse_route(self, conv, monkeypatch):
+        import scipy.linalg
+
+        def no_dense_eigh(*args, **kwargs):
+            raise AssertionError("dense eigh called on sparse input")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", no_dense_eigh)
+        v, lam = smallest_eigenpair_gram(conv)
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12) and lam > 0
+
+    def test_repeated_calls_are_byte_identical(self, conv):
+        v, lam = smallest_eigenpair_gram(conv)
+        v2, lam2 = smallest_eigenpair_gram(conv.copy())
+        assert v.tobytes() == v2.tobytes() and lam == lam2
+
+    def test_wide_matrix_gives_a_null_direction(self):
+        # The Gram matrix is singular with a 200-dimensional null space, a
+        # cluster of equal eigenvalues of the shifted inverse.
+        rng = np.random.default_rng(3)
+        m = sp.random(100, 300, density=0.05, random_state=rng, format="csr",
+                      data_rvs=rng.standard_normal)
+        v, lam = smallest_eigenpair_gram(m)
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+        assert lam <= 1e-24
+        assert least_harmful(m).in_nullspace
+
+    def test_single_column(self):
+        m = sp.csr_matrix(([2.0], ([3], [0])), shape=(10, 1))
+        v, lam = smallest_eigenpair_gram(m)
+        assert v.tolist() == [1.0] and lam == 4.0
+
+    def test_all_zero_matrix(self):
+        # Every unit vector is a lowest eigenvector. Unshifted, the sparse
+        # factorization stops at an exactly singular pivot, and ARPACK cannot
+        # start on the subnormal-shifted one.
+        v, lam = smallest_eigenpair_gram(sp.csr_matrix((5, 4)))
+        assert v.tolist() == [1.0, 0.0, 0.0, 0.0] and lam == 0.0
+
+    def test_lanczos_non_convergence_is_a_factorization_error(self, conv, monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        def stalled(*args, **kwargs):
+            raise spla.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((400, 0)))
+
+        monkeypatch.setattr(spla, "eigsh", stalled)
+        with pytest.raises(FactorizationError, match="400x400 Gram matrix"):
+            smallest_eigenpair_gram(conv)
+
+    def test_sparse_factorization_failure_is_a_factorization_error(self, conv, monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        def singular(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(spla, "splu", singular)
+        with pytest.raises(FactorizationError, match="400x400 Gram matrix"):
+            smallest_eigenpair_gram(conv)
 
 
 def test_factorization_error_is_runtime_error():
