@@ -45,9 +45,10 @@ residual = verify_equivalence(a, strided, samples=50, seed=1)
 print(f"\nstrided padded layer: A is {a.shape[0]} x {a.shape[1]} with {a.nnz} nonzeros")
 print(f"max |direct - lowered| over 50 random inputs: {residual:.3e}")
 
-# Whenever the input dimension exceeds the output dimension (and the
-# geometry is benign), the difference is exactly the nullspace dimension:
-# the number of independent input directions the layer cannot see.
+# Whenever the input dimension exceeds the output dimension and the
+# lowered matrix has full rank, the difference is exactly the nullspace
+# dimension: the number of independent input directions the layer cannot
+# see. Only a rank decision of the concrete layer proves the full rank.
 print("\npredicted nullspace dimensions:")
 for layer in (
     strided,
@@ -55,15 +56,14 @@ for layer in (
     FcLayerSpec(3072, 3072),
     FcLayerSpec(784, 98),
 ):
-    pred = predict_nullspace_dim(layer)
     kind = "conv" if isinstance(layer, ConvLayerSpec) else "fc"
-    print(f"  {kind} {layer.input_dim:>5} -> {layer.output_dim:>5}: dim {pred.dim:>5}"
-          f"{'' if pred.guaranteed else '  (formula unguaranteed, use numerics)'}")
+    print(f"  {kind} {layer.input_dim:>5} -> {layer.output_dim:>5}: "
+          f"dim {predict_nullspace_dim(layer):>5}")
 
 # For a small layer the numerical nullity confirms the arithmetic.
 small = ConvLayerSpec(2, 8, 8, 1, 3, 3, stride=1, zero_padding=1,
                       kernels=rng.standard_normal((1, 2, 3, 3)))
 a = build_equivalent(small)
 print(f"\nsmall wide layer {a.shape[1]} -> {a.shape[0]}: "
-      f"predicted {predict_nullspace_dim(small).dim}, "
+      f"predicted {predict_nullspace_dim(small)}, "
       f"numerical {decide_rank(a).nullity}")

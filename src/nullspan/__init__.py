@@ -14,7 +14,6 @@ from .layers import (
     FcLayerSpec,
     Flatten,
     Relu,
-    DimPrediction,
     build_conv_equivalent,
     build_equivalent,
     build_fc_equivalent,

@@ -96,7 +96,6 @@ def cmd_lower(args) -> int:
     out = _out_dir(args)
     spec = args.layer
     a = build_equivalent(spec)
-    pred = predict_nullspace_dim(spec)
     decision = decide_rank(a)
     residual = verify_equivalence(a, spec, samples=args.samples, seed=args.seed)
 
@@ -114,8 +113,7 @@ def cmd_lower(args) -> int:
         "nullity": decision.nullity,
         "rank_path": decision.path,
         **decision.evidence,
-        "predicted_dim": pred.dim,
-        "formula_guaranteed": pred.guaranteed,
+        "predicted_dim": predict_nullspace_dim(spec),
         "verify_residual": residual,
         "samples": args.samples,
         "seed": args.seed,
@@ -126,10 +124,6 @@ def cmd_lower(args) -> int:
         _write_csv(out / "lower_stats.csv", list(stats), [list(stats.values())])
     for k, v in stats.items():
         print(f"{k}: {_fmt(v)}")
-    if not pred.guaranteed:
-        print("note: geometry outside the guaranteed regime (stride/padding/"
-              "coverage/boundary support); dimension formula unguaranteed, "
-              "use the numerical nullity")
     return 0
 
 

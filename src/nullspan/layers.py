@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import MISSING, dataclass, fields
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,7 +32,6 @@ __all__ = [
     "AvgPool",
     "Flatten",
     "LAYER_KINDS",
-    "DimPrediction",
     "build_conv_equivalent",
     "build_fc_equivalent",
     "build_equivalent",
@@ -197,93 +195,6 @@ LAYER_KINDS = {"conv": ConvLayerSpec, "fc": FcLayerSpec, "relu": Relu,
                "avgpool": AvgPool, "flatten": Flatten}
 
 
-class DimPrediction(NamedTuple):
-    """Geometric nullspace-dimension prediction.
-
-    dim = max(0, input_dim - output_dim). `guaranteed` is True when the
-    geometry provably yields an equivalent matrix of full (row or
-    column) rank for generic weights, making the prediction exact.
-    Fully-connected layers always qualify. Convolutions must satisfy all
-    of:
-
-      - kernel >= stride in both directions (no interior gaps), and
-        either strictly greater or an exact unpadded tiling (otherwise
-        boundary windows partition the input into under- or
-        over-determined blocks);
-      - every input unit covered by some window (padding < kernel and
-        the last window reaching the final row/column);
-      - out_channels <= in_channels * kernel_h * kernel_w (vectorized
-        kernels can be linearly independent);
-      - every window position reads at least out_channels real (non
-        padding) input units, so no boundary position is locally
-        overdetermined.
-
-    Outside this regime the formula can undercount: uncovered inputs add
-    nullspace directions, starved boundary windows create dependent
-    equations, and overlapping windows whose kernel count sits within 1
-    of the polyphase channel count in_channels * stride^2 admit
-    common-root solutions (geometric patterns annihilated by every
-    window) that defeat the formula even with no padding at all, or sit
-    so close to that regime that the singular values decay below what
-    64-bit arithmetic resolves. Callers must fall back to the
-    numerically computed nullity whenever the flag is False.
-    """
-
-    dim: int
-    guaranteed: bool
-
-
-def _window_real_extent(length: int, kernel: int, stride: int, pad: int,
-                        n_windows: int) -> tuple[int, int]:
-    # Real (non-padding) units seen by the first and last window along one axis.
-    first = min(length - 1, kernel - 1 - pad) - max(0, -pad) + 1
-    last_start = stride * (n_windows - 1) - pad
-    last = min(length - 1, last_start + kernel - 1) - max(0, last_start) + 1
-    return first, last
-
-
-def _conv_formula_guaranteed(spec: ConvLayerSpec) -> bool:
-    k_min = min(spec.kernel_h, spec.kernel_w)
-    if spec.stride > k_min or spec.zero_padding >= k_min:
-        return False
-    for length, kernel, n_win in (
-        (spec.in_height, spec.kernel_h, spec.out_height),
-        (spec.in_width, spec.kernel_w, spec.out_width),
-    ):
-        covered = spec.stride * (n_win - 1) - spec.zero_padding + kernel >= length
-        if not covered:
-            return False
-        dim_tiling = spec.zero_padding == 0 and (length - kernel) % spec.stride == 0
-        if kernel == spec.stride and not dim_tiling:
-            return False
-    if spec.out_channels > spec.in_channels * spec.kernel_h * spec.kernel_w:
-        return False
-    fr, lr = _window_real_extent(spec.in_height, spec.kernel_h, spec.stride,
-                                 spec.zero_padding, spec.out_height)
-    fc, lc = _window_real_extent(spec.in_width, spec.kernel_w, spec.stride,
-                                 spec.zero_padding, spec.out_width)
-    if spec.in_channels * min(fr, lr) * min(fc, lc) < spec.out_channels:
-        return False
-    # Band-level counting: all windows pinned to the first/last row (or
-    # column) must jointly see at least as many real units as equations.
-    if spec.out_channels * spec.out_width > spec.in_channels * min(fr, lr) * spec.in_width:
-        return False
-    if spec.out_channels * spec.out_height > spec.in_channels * spec.in_height * min(fc, lc):
-        return False
-    # A stride-S convolution is a stride-1 convolution on the S^2
-    # polyphase components. With overlapping windows, kernel counts
-    # within 1 of the polyphase channel count admit common-root
-    # (geometric/boundary) nullvectors, or sit so close to that regime
-    # that the spectrum decays below 64-bit resolution; require a gap of
-    # at least 2. Non-overlapping windows (kernel == stride) decouple
-    # positions and are exempt.
-    overlapping = spec.kernel_h > spec.stride or spec.kernel_w > spec.stride
-    polyphase_channels = spec.in_channels * spec.stride * spec.stride
-    if overlapping and abs(spec.out_channels - polyphase_channels) < 2:
-        return False
-    return True
-
-
 def build_conv_equivalent(spec: ConvLayerSpec) -> sp.csr_matrix:
     """Lower a convolutional layer to its sparse equivalent matrix.
 
@@ -396,14 +307,12 @@ def verify_equivalence(a: sp.csr_matrix, spec, samples: int = 100, seed: int = 0
     return float(np.max(np.abs(direct - via)))
 
 
-def predict_nullspace_dim(spec) -> DimPrediction:
-    """Predicted nullspace dimension max(0, input_dim - output_dim)."""
-    dim = max(0, spec.input_dim - spec.output_dim)
-    if isinstance(spec, ConvLayerSpec):
-        guaranteed = _conv_formula_guaranteed(spec)
-    else:
-        guaranteed = True
-    return DimPrediction(dim=dim, guaranteed=guaranteed)
+def predict_nullspace_dim(spec) -> int:
+    """Predicted nullspace dimension max(0, input_dim - output_dim): the
+    nullity of a lowered matrix of full rank. Only a rank decision of the
+    instance proves it; a convolution can drop rank for every kernel of
+    its shape."""
+    return max(0, spec.input_dim - spec.output_dim)
 
 
 # --- JSON serialization ------------------------------------------------

@@ -163,7 +163,7 @@ def classify_pair(u: np.ndarray, delta: np.ndarray,
 # --- serialization -------------------------------------------------------
 #
 # A basis file is a tensor container (see tensorio) holding exactly one
-# 2-d tensor named "basis" of shape (n, d).
+# 2-d tensor named "basis" of shape (n, d) with finite entries.
 
 
 def save_basis(u: np.ndarray, path) -> None:
@@ -176,4 +176,6 @@ def load_basis(path) -> np.ndarray:
     if len(tensors) != 1 or u is None or u.ndim != 2:
         shapes = {name: t.shape for name, t in tensors.items()}
         raise ValueError(f"not a basis file: expected one 2-d 'basis' tensor, got {shapes}")
+    if not np.all(np.isfinite(u)):
+        raise ValueError("basis contains non-finite values")
     return u

@@ -37,6 +37,7 @@ from .subspace import (
     DIFFERENT_OUTPUT,
     IDENTICAL_OUTPUT,
     PROPORTIONAL,
+    LeastHarmful,
     classify_pair,
     harmless_basis,
     least_harmful,
@@ -181,17 +182,13 @@ def seeded_geometries(root_seed: int, count: int = 50):
     """Random desk-scale layer geometries with seeded weights, as
     (spec, RankDecision) pairs.
 
-    Convolutions are resampled until the dimension formula's hypotheses
-    hold (predict_nullspace_dim(...).guaranteed) and decide_rank certifies
-    the drawn kernels' full rank; that decision is the pair's. At about 1%
-    of root seeds a draw is flagged guaranteed but not certified. At
-    1010146033 it is conv 3x9x9 -> 5x7x7 k3 s1 p0, predicted nullity 0,
-    which is not ill-conditioning but a generic rank drop of 3 for that
-    shape: integer kernels give rank 240 of 243 over GF(p), and
-    Gaussian kernels leave 3 singular values near 1e-17 relative with the
-    next near 1e-3. The flag is wrong there, and the resample hides it.
-    Sizes stay small enough that most strided multi-channel draws remain
-    well conditioned.
+    Convolutions are resampled until decide_rank certifies the drawn
+    kernels' full rank; that decision is the pair's, and a certified full
+    rank proves the nullity max(0, n - m). The certificate declines on
+    ill-conditioned draws and on shapes that drop rank for every kernel,
+    such as conv 3x9x9 -> 5x7x7 k3 s1 p0 (rank 240 of 243 over GF(p) for
+    integer kernels), which root seed 1010146033 draws; hence up to 100
+    attempts per geometry. Fully-connected draws are taken as drawn.
     """
     out = []
     for i in range(count):
@@ -216,14 +213,12 @@ def seeded_geometries(root_seed: int, count: int = 50):
                     rng, in_channels=c_in, in_height=h_in, in_width=w_in,
                     out_channels=c_out, kernel_h=kh, kernel_w=kw,
                     stride=stride, zero_padding=pad)
-                if not predict_nullspace_dim(spec).guaranteed:
-                    continue
                 spec, decision = with_rank(spec)
                 if decision.path == CERTIFIED_PATH:
                     out.append((spec, decision))
                     break
             else:
-                raise RuntimeError("could not sample a guaranteed, certified conv geometry")
+                raise RuntimeError("no conv geometry drawn in 100 attempts had a certified rank")
         else:
             rng = make_rng(root_seed, 2, i)
             n_in = int(rng.integers(8, 120))
@@ -236,9 +231,9 @@ def seeded_geometries(root_seed: int, count: int = 50):
 def nullity_row(spec, decision) -> list:
     """One dim-sweep row for a layer geometry and its RankDecision: input and
     output dimensions, predicted and numerical nullity, and whether they agree."""
-    pred = predict_nullspace_dim(spec)
-    return [spec.input_dim, spec.output_dim, pred.dim, decision.nullity,
-            decision.nullity == pred.dim]
+    predicted = predict_nullspace_dim(spec)
+    return [spec.input_dim, spec.output_dim, predicted, decision.nullity,
+            decision.nullity == predicted]
 
 
 def _describe(spec) -> str:
@@ -305,12 +300,15 @@ def basis_integrity(a, u: np.ndarray) -> list[CheckResult]:
     ]
 
 
-def _zero_nullity_probe_index(net) -> int | None:
-    # First interior linear layer that provably has no harmless subspace.
+def _least_harmful_probe(net) -> tuple[int, LeastHarmful] | None:
+    # First interior linear layer predicted to have no harmless subspace
+    # whose least-harmful direction is not outright harmless, with that
+    # direction.
     for idx in net.linear_layer_indices()[1:]:
-        pred = predict_nullspace_dim(net.layers[idx])
-        if pred.dim == 0 and pred.guaranteed:
-            return idx
+        if predict_nullspace_dim(net.layers[idx]) == 0:
+            lh = least_harmful(build_equivalent(net.layers[idx]))
+            if not lh.in_nullspace:
+                return idx, lh
     return None
 
 
@@ -321,9 +319,10 @@ def rmse_table(net, u: np.ndarray, root_seed: int) -> tuple[dict, list[CheckResu
 
     Input-level rows (injection before layer 0): a harmless direction
     and a Gaussian direction, both at base linf norm 8/255. Feature
-    rows (injection at the first interior zero-nullity linear layer): the
-    least harmful unit direction and a Gaussian unit direction. The
-    feature rows are omitted when the network has no such layer.
+    rows (injection at the first interior linear layer with predicted
+    nullity 0 whose least harmful direction is not outright harmless):
+    that unit direction and a Gaussian unit direction. The feature rows
+    are omitted when the network has no such layer.
     """
     images = np.stack([synthetic_image(subseed(root_seed, 4, i), net.input_shape)
                        for i in range(8)])
@@ -338,10 +337,10 @@ def rmse_table(net, u: np.ndarray, root_seed: int) -> tuple[dict, list[CheckResu
     rmse = {"harmless": rmse_report(net, images, harmless, RMSE_SCALES, 0),
             "gaussian": rmse_report(net, images, gaussian, RMSE_SCALES, 0)}
 
-    zcl = _zero_nullity_probe_index(net)
-    if zcl is not None:
+    probe = _least_harmful_probe(net)
+    if probe is not None:
+        zcl, lh = probe
         feat_shape = net.activation_shapes()[zcl]
-        lh = least_harmful(build_equivalent(net.layers[zcl]))
         lh_delta = lh.direction.reshape(feat_shape)
         gf_rng = make_rng(root_seed, 4, 102)
         gaussian_feat = gf_rng.standard_normal(feat_shape)
@@ -361,7 +360,7 @@ def rmse_table(net, u: np.ndarray, root_seed: int) -> tuple[dict, list[CheckResu
                     min(np.diff(gauss_vals)) if len(gauss_vals) > 1 else gauss_vals[0],
                     0.0, detail="lower bound: every value positive, strictly increasing"),
     ]
-    if zcl is not None:
+    if probe is not None:
         lh_vals = rmse["least-harmful"].tolist()
         gf_vals = rmse["gaussian-feature"].tolist()
         checks.extend([

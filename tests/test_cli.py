@@ -73,7 +73,11 @@ class TestLower:
         assert stats["rank_path"] == "certified"
         assert stats["sigma_min_lower"] > stats["tau_ub"] > 0
         assert stats["verify_residual"] <= 1e-12
-        assert stats["formula_guaranteed"] is False  # channel gap is 1
+        assert stats["predicted_dim"] == 0
+        assert list(stats) == [
+            "layer_kind", "rows", "cols", "nnz", "rank", "nullity", "rank_path",
+            "sigma_min_lower", "tau_ub", "predicted_dim", "verify_residual",
+            "samples", "seed"]
 
         header, rows = read_csv(out / "equivalent_matrix.csv")
         assert header == ["row", "col", "value"]
@@ -98,16 +102,6 @@ class TestLower:
         assert stats["rank_path"] == "svd"
         assert stats["nullity"] > 0
         assert stats["sigma_r"] > stats["tolerance"] >= stats["sigma_r1"]
-
-    def test_unguaranteed_note(self, tmp_path, capsys):
-        spec = ConvLayerSpec(1, 8, 8, 1, 1, 1, stride=2,
-                             kernels=np.ones((1, 1, 1, 1)))
-        path = tmp_path / "l.json"
-        save_layer_json(spec, path)
-        rc = main(["lower", "--layer", str(path), "--seed", "1",
-                   "--out", str(tmp_path / "o")])
-        assert rc == 0
-        assert "unguaranteed" in capsys.readouterr().out
 
 
 class TestDimSweep:
@@ -189,6 +183,26 @@ class TestVerify:
                 "contour-row-constancy"} <= names
         kinds = {row["kind"] for row in doc["rmse"]}
         assert kinds == {"harmless", "gaussian", "least-harmful", "gaussian-feature"}
+
+    def test_no_least_harmful_rows_at_a_rank_deficient_layer(self, tmp_path):
+        # The second conv (243 -> 245) is predicted to have nullity 0, but
+        # every kernel of its shape drops rank by 3, so its smallest-energy
+        # direction is harmless and the feature rows have no probe layer.
+        spec = NetworkSpec(
+            input_shape=(3, 11, 11),
+            layers=(ConvLayerSpec(3, 11, 11, 3, 3, 3), Relu(),
+                    ConvLayerSpec(3, 9, 9, 5, 3, 3), Relu(), Flatten(),
+                    FcLayerSpec(245, 10)),
+        )
+        path = tmp_path / "net.json"
+        save_network_spec(spec, path)
+        out = tmp_path / "out"
+        rc = main(["verify", "--net", str(path), "--seed", "21", "--out", str(out),
+                   "--skip-sweep", "--trials", "100", "--format", "json"])
+        assert rc == 0
+        doc = json.loads((out / "verify_report.json").read_text())
+        assert {row["kind"] for row in doc["rmse"]} == {"harmless", "gaussian"}
+        assert not any("least-harmful-growing" in c["name"] for c in doc["checks"])
 
     def test_reports_byte_identical(self, tmp_path, net_json):
         args = ["verify", "--net", net_json, "--seed", "21", "--skip-sweep",
@@ -391,6 +405,8 @@ class TestMalformedFiles:
         ("privacy", "--net", "net.json", b"[1, 2", "Expecting"),
         ("verify", "--basis", "tall.nspb", np.eye(100, 5),
          "the basis has 100 rows, but the first linear layer takes 3072 inputs"),
+        ("verify", "--basis", "nan.nspb", np.full((3072, 2), np.nan),
+         "basis contains non-finite values"),
         ("privacy", "--image-files", "img.ppm", b"P5\n1 1\n255\n\x00", "magic"),
         ("privacy", "--image-files", "small.ppm", b"P6\n8 8\n255\n" + bytes(192),
          "image 0 has shape (3, 8, 8), but the network takes (3, 32, 32)"),

@@ -25,7 +25,7 @@ from nullspan.layers import (
     save_layer_json,
     verify_equivalence,
 )
-from nullspan.linalg import decide_rank, numerical_rank, singular_values, svd
+from nullspan.linalg import CERTIFIED_PATH, decide_rank, numerical_rank, singular_values, svd
 
 
 def gf_rank(a_int, p=2147483647):
@@ -205,43 +205,41 @@ class TestBiasHandling:
 
 
 class TestDimPrediction:
+    """predict_nullspace_dim is the formula max(0, n - m). A test named
+    "unguaranteed" holds a geometry where the formula need not hold, and
+    checks what the rank decision measures there."""
+
     def test_cited_conv_values(self):
         big = ConvLayerSpec(3, 32, 32, 10, 7, 7, stride=2, zero_padding=3)
-        assert predict_nullspace_dim(big) == (512, True)
+        assert predict_nullspace_dim(big) == 512
         same = ConvLayerSpec(3, 32, 32, 12, 3, 3, stride=2, zero_padding=1)
-        # kernel count equals the polyphase channel count 3 * 2^2, so the
-        # formula value holds only for well-conditioned kernels
-        assert predict_nullspace_dim(same) == (0, False)
+        assert predict_nullspace_dim(same) == 0
         interior = ConvLayerSpec(64, 8, 8, 128, 3, 3, stride=2, zero_padding=1)
-        assert predict_nullspace_dim(interior).dim == 2048
+        assert predict_nullspace_dim(interior) == 2048
 
     def test_fc_values(self):
-        assert predict_nullspace_dim(FcLayerSpec(3072, 3072)) == (0, True)
-        assert predict_nullspace_dim(FcLayerSpec(784, 98)).dim == 686
+        assert predict_nullspace_dim(FcLayerSpec(3072, 3072)) == 0
+        assert predict_nullspace_dim(FcLayerSpec(784, 98)) == 686
 
     def test_kernel_smaller_than_stride_unguaranteed(self):
-        spec = ConvLayerSpec(1, 8, 8, 1, 1, 1, stride=2)
-        pred = predict_nullspace_dim(spec)
-        assert pred.dim == max(0, 64 - 16)
-        assert not pred.guaranteed
+        # a 1x1 kernel at stride 2 reads 16 of the 64 inputs
+        spec = ConvLayerSpec(1, 8, 8, 1, 1, 1, stride=2, kernels=np.ones((1, 1, 1, 1)))
+        assert predict_nullspace_dim(spec) == 64 - 16
+        assert decide_rank(build_conv_equivalent(spec)).nullity == 64 - 16
 
     def test_uncovered_inputs_unguaranteed_and_detected(self):
         # (H - k) % stride != 0 with no padding leaves trailing columns unread
         rng = np.random.default_rng(44)
         spec = ConvLayerSpec(4, 9, 10, 23, 2, 4, stride=2, zero_padding=0,
                              kernels=rng.standard_normal((23, 4, 2, 4)))
-        pred = predict_nullspace_dim(spec)
-        assert not pred.guaranteed
-        assert decide_rank(build_conv_equivalent(spec)).nullity > pred.dim
+        assert decide_rank(build_conv_equivalent(spec)).nullity > predict_nullspace_dim(spec)
 
     def test_starved_boundary_unguaranteed_and_detected(self):
         # padding-dominated corner windows read fewer real units than kernels
         rng = np.random.default_rng(45)
         spec = ConvLayerSpec(4, 6, 7, 5, 3, 3, stride=2, zero_padding=2,
                              kernels=rng.standard_normal((5, 4, 3, 3)))
-        pred = predict_nullspace_dim(spec)
-        assert not pred.guaranteed
-        assert decide_rank(build_conv_equivalent(spec)).nullity > pred.dim
+        assert decide_rank(build_conv_equivalent(spec)).nullity > predict_nullspace_dim(spec)
 
     def test_near_equal_channels_common_roots_unguaranteed_and_structural(self):
         # One in-channel feeding two kernels admits geometric-pattern
@@ -251,50 +249,76 @@ class TestDimPrediction:
         kernels = rng.integers(-9, 10, size=(2, 1, 3, 2)).astype(float)
         spec = ConvLayerSpec(1, 6, 9, 2, 3, 2, stride=1, zero_padding=0,
                              kernels=kernels)
-        pred = predict_nullspace_dim(spec)
-        assert pred.dim == 0
-        assert not pred.guaranteed
+        assert predict_nullspace_dim(spec) == 0
         eq = build_conv_equivalent(spec)
         float_nullity = decide_rank(eq).nullity
         exact_nullity = eq.shape[1] - gf_rank(np.rint(eq.toarray()).astype(np.int64))
         assert exact_nullity > 0
         assert float_nullity == exact_nullity
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="known wrong guaranteed flag: a generic rank drop "
-                              "the conv rules do not see (ROADMAP item 2)")
-    def test_guaranteed_prediction_is_the_exact_nullity_3x9x9_to_5x7x7(self):
-        # Flagged guaranteed with dimension 0 (243 inputs, 245 outputs), yet
-        # generic kernels of this shape drop rank by 3: integer kernels give rank
-        # 240 over GF(p), and Gaussian kernels leave 3 singular values near
-        # 1e-17 relative with the next near 1e-3. This is the geometry
-        # seeded_geometries draws and resamples at root seed 1010146033.
+    def test_generic_rank_drop_3x9x9_to_5x7x7_detected(self):
+        # 243 inputs, 245 outputs, so the formula gives 0, yet every kernel
+        # of this shape drops rank by 3: integer kernels give rank 240 over
+        # GF(p), and Gaussian kernels leave 3 singular values near 1e-17
+        # relative with the next near 1e-3. Root seed 1010146033 draws
+        # this geometry in seeded_geometries, which resamples it because
+        # the rank certificate declines.
         kernels = np.random.default_rng(47).integers(-9, 10, size=(5, 3, 3, 3)).astype(float)
         spec = ConvLayerSpec(3, 9, 9, 5, 3, 3, stride=1, zero_padding=0, kernels=kernels)
-        pred = predict_nullspace_dim(spec)
+        assert predict_nullspace_dim(spec) == 0
         eq = build_conv_equivalent(spec)
         exact_nullity = eq.shape[1] - gf_rank(np.rint(eq.toarray()).astype(np.int64))
-        assert not pred.guaranteed or pred.dim == exact_nullity
+        decision = decide_rank(eq)
+        assert exact_nullity == 3
+        assert decision.path != CERTIFIED_PATH
+        assert decision.nullity == exact_nullity
 
     def test_polyphase_square_geometry_numerically_deficient_despite_full_rank(self):
         # Stride-2 multi-channel geometry whose kernel count equals the
         # polyphase channel count: full rank in exact arithmetic, yet the
         # singular values decay exponentially, so 64-bit precision
-        # reports extra nullity for generic kernels. The prediction flag
-        # marks this regime unguaranteed; the numerical nullity is what
-        # the layer effectively has at this precision.
+        # reports extra nullity for generic kernels. The rank certificate
+        # declines here; the numerical nullity is what the layer
+        # effectively has at this precision.
         rng = np.random.default_rng(1603)
         kernels = rng.integers(-9, 10, size=(12, 3, 3, 3)).astype(float)
         spec = ConvLayerSpec(3, 16, 16, 12, 3, 3, stride=2, zero_padding=1,
                              kernels=kernels)
-        pred = predict_nullspace_dim(spec)
-        assert pred == (0, False)
+        assert predict_nullspace_dim(spec) == 0
         eq = build_conv_equivalent(spec)
         exact_nullity = eq.shape[1] - gf_rank(np.rint(eq.toarray()).astype(np.int64))
         assert exact_nullity == 0
         assert decide_rank(eq).nullity > 0
         sv = singular_values(eq)
         assert sv[-1] <= 1e-13 * sv[0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    c_in=st.integers(1, 3),
+    h_in=st.integers(4, 9),
+    w_in=st.integers(4, 9),
+    kernel_h=st.integers(1, 3),
+    kernel_w=st.integers(1, 3),
+    stride=st.integers(1, 3),
+    pad=st.integers(0, 2),
+    c_out=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_certified_rank_proves_the_dimension_formula(c_in, h_in, w_in, kernel_h, kernel_w,
+                                                     stride, pad, c_out, seed):
+    # A certified rank decision is full rank, so the exact nullity of the
+    # integer-kernel instance is the formula's max(0, n - m).
+    if h_in - kernel_h + 2 * pad < 0 or w_in - kernel_w + 2 * pad < 0:
+        return
+    kernels = np.random.default_rng(seed).integers(-9, 10, size=(c_out, c_in, kernel_h, kernel_w))
+    spec = ConvLayerSpec(c_in, h_in, w_in, c_out, kernel_h, kernel_w, stride=stride,
+                         zero_padding=pad, kernels=kernels.astype(float))
+    eq = build_conv_equivalent(spec)
+    if decide_rank(eq).path != CERTIFIED_PATH:
+        return
+    exact_nullity = eq.shape[1] - gf_rank(np.rint(eq.toarray()).astype(np.int64))
+    assert exact_nullity == predict_nullspace_dim(spec)
 
 
 class TestLayerJson:

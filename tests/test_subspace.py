@@ -268,3 +268,12 @@ class TestBasisFile:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ValueError, match="truncated"):
             load_basis(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry(self, tmp_path, bad):
+        basis = np.eye(3)[:, :2]
+        basis[1, 0] = bad
+        path = tmp_path / "bad.nspb"
+        save_basis(basis, path)
+        with pytest.raises(ValueError, match="basis contains non-finite values"):
+            load_basis(path)
