@@ -15,10 +15,20 @@ as a plain SVD rank query does; the evidence for either decision is
 returned with it. smallest_eigenpair_gram solves for one eigenpair of
 A.T @ A only.
 
-Sparse inputs keep their sparsity for Gram products and are densified
-for the dense factorizations of decide_rank and svd. smallest_eigenpair_gram
-factors the Gram matrix of a sparse input sparse (SuperLU) and runs
-shift-invert Lanczos (ARPACK) on it; a dense input, or one filled above
+Both the certificate and the QR work in band order (_band_order): rows
+sorted by their first nonzero column, columns by the first sorted row
+that touches them. A layer lowering is local, so in that order its Gram
+matrix is a band (half-width 686 for the 2560 x 3072 first conv layer
+of the default network, 4.3% filled) and A.T is a staircase. The Gram
+matrix of a sparse input is formed sparse and factored by LAPACK's band
+Cholesky (pbtrf), and the QR follows the staircase (George & Heath,
+Linear Algebra Appl. 34, 1980, on row orders for sparse QR); neither
+touches more than the band or the staircase holds. A dense input (or a
+sparse one filled above _DENSE_GRAM_FILL) keeps its order, with a full
+band and a full staircase, and goes through the same two routines. The
+SVD fallback densifies its input. smallest_eigenpair_gram factors the
+Gram matrix of a sparse input sparse (SuperLU) and runs shift-invert
+Lanczos (ARPACK) on it; a dense input, or one filled above
 _DENSE_GRAM_FILL, goes through a dense eigh.
 
 All functions are pure and deterministic: repeated calls on identical
@@ -202,16 +212,91 @@ def _sparse_gram(s) -> bool:
     return sp.issparse(s) and s.nnz < _DENSE_GRAM_FILL * s.shape[0] * s.shape[1]
 
 
-def _gram(s) -> np.ndarray:
-    """Dense s @ s.T; a sparse s stays sparse for the product unless it is
-    mostly nonzero."""
-    if _sparse_gram(s):
-        return (s @ s.T).toarray()
+def _dense_gram(s) -> np.ndarray:
+    """s @ s.T as one dense BLAS product."""
     d = s.toarray() if sp.issparse(s) else s
     return d @ d.T
 
 
-def _certify_full_rank(m) -> tuple[float, float] | None:
+def _entry_rows(m) -> np.ndarray:
+    """Row index of every stored entry of a CSR matrix, in storage order
+    and in the matrix's index dtype."""
+    return np.repeat(np.arange(m.shape[0], dtype=m.indices.dtype), np.diff(m.indptr))
+
+
+def _segment_extreme(ufunc, values, indptr, empty: int) -> np.ndarray:
+    """ufunc.reduce (np.minimum or np.maximum) of values over each segment
+    of a CSR/CSC index pointer; an empty segment (an all-zero row or
+    column) gets `empty`."""
+    out = np.full(len(indptr) - 1, empty, dtype=np.int64)
+    nonempty = np.diff(indptr) > 0
+    # reduceat takes the starts of the non-empty segments only: an empty
+    # segment's start repeats its successor's, or lies past the end.
+    if nonempty.any():
+        out[nonempty] = ufunc.reduceat(values, indptr[:-1][nonempty])
+    return out
+
+
+def _ranks(keys: np.ndarray) -> np.ndarray:
+    """Position of each key in a stable ascending sort."""
+    order = np.argsort(keys, kind="stable")
+    ranks = np.empty_like(order)
+    ranks[order] = np.arange(order.size)
+    return ranks
+
+
+def _band_order(m) -> tuple[np.ndarray, np.ndarray]:
+    """Positions (row_rank, col_rank) of m's rows and columns in band order.
+
+    Rows are sorted by their first nonzero column, then columns by the
+    first sorted row that touches them; both sorts are stable and put
+    all-zero rows and columns last. For a CHW conv lowering the rows come
+    out in (output row, output column, channel) order, so m m.T is a band
+    and the nonzeros of m.T keep close to its diagonal (a staircase). A
+    matrix that takes the dense Gram product keeps the identity order.
+    O(nnz).
+    """
+    rows, cols = m.shape
+    if not _sparse_gram(m):
+        return np.arange(rows), np.arange(cols)
+    row_rank = _ranks(_segment_extreme(np.minimum, m.indices, m.indptr, cols))
+    csc = m.tocsc()
+    col_rank = _ranks(_segment_extreme(np.minimum, row_rank[csc.indices], csc.indptr, rows))
+    return row_rank, col_rank
+
+
+def _banded_gram(s, rank: np.ndarray) -> np.ndarray:
+    """g = s @ s.T in LAPACK's lower band storage, ab[i - j, j] = g[i, j]
+    for i >= j, with row and column i of g placed at rank[i].
+
+    A sparse s below the dense-Gram fill keeps the product sparse, and the
+    band reaches the farthest nonzero of g from its diagonal in that order.
+    Any other s (whose rank is the identity) takes the dense product with a
+    full band: g is symmetric, so shifting row j of its buffer left by j
+    turns the buffer itself into band storage.
+    """
+    p = s.shape[0]
+    if not _sparse_gram(s):
+        flat = _dense_gram(s).reshape(-1)
+        for j in range(1, p):
+            flat[j * p:(j + 1) * p - j] = flat[j * p + j:(j + 1) * p]
+        return flat.reshape((p, p), order="F")
+    s = s[np.argsort(rank)]
+    g = (s @ s.T).tocsr()
+    del s
+    i = _entry_rows(g)
+    lower = g.indices <= i
+    i, j, data = i[lower], g.indices[lower], g.data[lower]
+    del g, lower
+    kd = int((i - j).max(initial=0))
+    ab = np.zeros((kd + 1, p), order="F")
+    # ab[i - j, j] sits at j * (kd + 1) + i - j of the Fortran-order buffer
+    ab.reshape(-1, order="F")[j.astype(np.int64) * kd + i] = data
+    return ab
+
+
+def _certify_full_rank(m, row_rank: np.ndarray,
+                       col_rank: np.ndarray) -> tuple[float, float] | None:
     """Prove that m has full rank min(rows, cols) = p with margin, or decline.
 
     Returns (sigma_min_lower, tau_ub) with sigma_p(m) > sigma_min_lower =
@@ -237,6 +322,14 @@ def _certify_full_rank(m) -> tuple[float, float] | None:
     rounding in evaluating the bounds (Rump, "Verification of positive
     definiteness", BIT 46, 2006, uses the same construction).
 
+    The Gram matrix is formed and factored in band order (rows of a wide
+    m, columns of a tall one; see _band_order), by LAPACK's band Cholesky
+    pbtrf. Permuting G symmetrically changes none of the bounds, and a
+    band Cholesky is a Cholesky that skips exact zeros: its rounding obeys
+    the same bound 3, with the same trace. So the shift, summed over the
+    diagonal in m's own order, is bit for bit what a dense Cholesky of G
+    would need, and the evidence never depends on the factorization.
+
     Why this margin: LAPACK's SVD returns singular values with
     |hat sigma_i - sigma_i| <= c u ||m||_2 (LAPACK Users' Guide, section
     4.9), where Householder bidiagonalization gives c <= 4 rows cols
@@ -253,8 +346,9 @@ def _certify_full_rank(m) -> tuple[float, float] | None:
     beta = sigma_max_bound(m)
     tau_ub = rank_tolerance_bound(m)
     margin = 2.0 + 2.0 * p * np.sqrt(p)
-    g = _gram(m if rows <= cols else m.T)
-    diag = g.diagonal()
+    rank = row_rank if rows <= cols else col_rank
+    ab = _banded_gram(m if rows <= cols else m.T, rank)
+    diag = ab[0, rank]
     max_h, trace = float(diag.max()), float(diag.sum())
     cholesky_gamma = _gamma(p + 1)
     shift = 2.0 * (_gamma(q) * beta * beta
@@ -265,38 +359,144 @@ def _certify_full_rank(m) -> tuple[float, float] | None:
     if not np.isfinite(shift):
         return None
     import scipy.linalg  # on first use: importing it adds ~0.15 s to CLI start-up
-    g.flat[:: p + 1] -= shift
+    ab[0] -= shift
     try:
-        r = scipy.linalg.cholesky(g.T, overwrite_a=True, check_finite=False)
+        r = scipy.linalg.cholesky_banded(ab, overwrite_ab=True, lower=True,
+                                         check_finite=False)
     except np.linalg.LinAlgError:
         return None
-    # A NaN pivot can slip through some potrf implementations; the
+    # A NaN pivot can slip through some factorization implementations; the
     # certificate needs every pivot positive.
-    if not np.all(np.diagonal(r) > 0):
+    if not np.all(r[0] > 0):
         return None
     return float(margin * tau_ub), float(tau_ub)
 
 
-def _row_space_complement(m) -> np.ndarray:
-    """Orthonormal basis of N(m) for a wide m of full row rank: the trailing
-    cols - rows columns of Q in m.T = Q R, formed without the rest of Q."""
+# Columns per block of the staircase QR, and per geqrt call within a block.
+# Past 32 columns OpenBLAS threads geqrt's inner products, and on 2 cores a
+# 64-column geqrt ran 5x slower after a large GEMM than before it; a block
+# of three geqrt panels gives the trailing update a GEMM of depth 96.
+_QR_BLOCK, _GEQRT_COLS = 96, 32
+# Largest product buffer of a trailing update, in float64 entries (4 MiB);
+# wider updates are applied a slice of columns at a time.
+_UPDATE_ENTRIES = 1 << 19
+
+
+def _row_space_complement(m, row_rank: np.ndarray, col_rank: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of N(m) for a wide k x n m of full row rank: the
+    trailing n - k columns of Q in B = Q R, B the n x k m.T in band order.
+
+    Right-looking blocked Householder QR (Golub & Van Loan, Matrix
+    Computations, 4th ed., sections 5.1.7 and 5.2.3) that follows B's
+    staircase. The block of columns [j0, j1) is factored over rows [j0,
+    r1), r1 one past the last row any column up to j1 reaches, by LAPACK
+    geqrt panels whose compact WY factors I - V T V.T are merged into one
+    for the block (Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 10,
+    1989). Its update reaches only the trailing columns with a nonzero
+    above r1, a prefix in band order: below r1, and past that prefix, the
+    block's reflectors would meet only exact zeros. The reflectors stay
+    where geqrt puts them, below the diagonal of B. Q[:, k:] is then
+    [0; I] with the blocks applied in reverse, each to the columns of
+    [0; I] it reaches, and its rows are put back in m's column order. A
+    dense m has a full staircase, so the same loop is a plain blocked QR.
+
+    B is held in the layout of LAPACK's band storage when that is shorter
+    than n rows: column j keeps rows [j - ku, j + kl] at stride kl + ku, so
+    every block the loop touches is a strided view that the GEMMs read and
+    update in place (for the first 2560 x 3072 conv layer of the default
+    network, 30 MB against 63 MB).
+    """
     import scipy.linalg
-    a_t = m.toarray().T if sp.issparse(m) else np.array(m, dtype=np.float64).T
-    geqrf, ormqr = scipy.linalg.get_lapack_funcs(("geqrf", "ormqr"), (a_t,))
-    # The workspace query's optimal lwork gives geqrf its blocked path, as in
-    # scipy.linalg.qr, which would also build an R that is never used here.
-    lwork = int(geqrf(a_t, lwork=-1, overwrite_a=True)[2][0])
-    h, tau, _, info = geqrf(a_t, lwork=lwork, overwrite_a=True)
-    if info != 0:
-        raise FactorizationError(f"geqrf failed with info={info}")
-    n, k = h.shape
-    c = np.zeros((n, n - k), order="F")
-    c[k:, :] = np.eye(n - k)
-    lwork = int(ormqr("L", "N", h, tau, c, -1)[1][0])
-    q, _, info = ormqr("L", "N", h, tau, c, lwork, overwrite_c=True)
-    if info != 0:
-        raise FactorizationError(f"ormqr failed with info={info}")
-    return _fix_column_signs(q)
+    k, n = m.shape
+    sparse = _sparse_gram(m)
+    # first[j] / last[j]: first and last nonzero row of B's column j.
+    if sparse:
+        b_row, b_col = col_rank[m.indices], row_rank[_entry_rows(m)]
+        first, last = np.empty(k, dtype=np.int64), np.empty(k, dtype=np.int64)
+        first[row_rank] = _segment_extreme(np.minimum, b_row, m.indptr, n)
+        last[row_rank] = _segment_extreme(np.maximum, b_row, m.indptr, -1)
+    else:
+        first, last = np.zeros(k, dtype=np.int64), np.full(k, n - 1)
+    # bottom[j]: last row reached by a column up to j (at least row j);
+    # top[j]: first row reached by a column from j on.
+    bottom = np.maximum.accumulate(np.maximum(last, np.arange(k)))
+    top = np.minimum.accumulate(first[::-1])[::-1]
+    spans = []
+    for j0 in range(0, k, _QR_BLOCK):
+        j1 = min(j0 + _QR_BLOCK, k)
+        r1 = int(bottom[j1 - 1]) + 1
+        spans.append((j0, j1, r1, max(j1, int(np.searchsorted(top, r1 - 1, side="right")))))
+    kl = max(r1 - 1 - j0 for j0, _, r1, _ in spans)
+    ku = max(end - 1 - j0 for j0, _, _, end in spans)
+    lda = min(kl + ku + 1, n)
+    # B[i, j] sits at store[j * stride + i + origin]
+    stride, origin = (lda - 1, ku) if lda < n else (n, 0)
+    # One allocation holds B and Q[:, k:]. Freed on its own, B's 30 MB (below
+    # glibc's 32 MiB cap) raised the mmap threshold past the size of Q and
+    # the basis, which then came from the heap and stayed resident: peak
+    # RSS of privacy ended 4 MB above the dense QR's.
+    work = np.zeros(k * lda + n * (n - k))
+    store, q = work[:k * lda], work[k * lda:].reshape((n, n - k), order="F")
+    if sparse:
+        store[b_col * stride + b_row + origin] = m.data
+        del b_row, b_col
+    elif sp.issparse(m):
+        m.toarray(out=store.reshape(k, n))
+    else:
+        store.reshape(k, n)[...] = m
+
+    def block(r0, r1, c0, c1):
+        return np.lib.stride_tricks.as_strided(
+            store[c0 * stride + r0 + origin:], (r1 - r0, c1 - c0),
+            (store.itemsize, store.itemsize * stride))
+
+    buffer = np.empty(max(_UPDATE_ENTRIES, n))
+
+    def reflect(x, v, t):
+        # x <- x - v (t (v.T x)); the last product goes through the buffer
+        # in x's Fortran order, a slice of columns at a time.
+        w = t @ (v.T @ x)
+        step = buffer.size // x.shape[0]
+        for c0 in range(0, x.shape[1], step):
+            part = w[:, c0:c0 + step]
+            out = buffer[:x.shape[0] * part.shape[1]].reshape((x.shape[0], -1), order="F")
+            x[:, c0:c0 + step] -= np.matmul(v, part, out=out)
+
+    def reflectors(j0, j1, r1):
+        v = np.tril(block(j0, r1, j0, j1), -1)
+        np.fill_diagonal(v, 1.0)
+        return v
+
+    (geqrt,) = scipy.linalg.get_lapack_funcs(("geqrt",), (store,))
+    factors = []
+    for j0, j1, r1, end in spans:
+        t = np.zeros((j1 - j0, j1 - j0))
+        for s0 in range(j0, j1, _GEQRT_COLS):
+            s1 = min(s0 + _GEQRT_COLS, j1)
+            h, t_s, info = geqrt(s1 - s0, block(s0, r1, s0, s1))
+            if info != 0:
+                raise FactorizationError(f"geqrt failed with info={info}")
+            block(s0, r1, s0, s1)[...] = h
+            v = reflectors(j0, s1, r1)
+            if s1 < j1:
+                reflect(block(s0, r1, s1, j1), v[s0 - j0:, s0 - j0:], t_s.T)
+            # T of the block's reflectors so far, I - V T V.T their product
+            a, b = slice(0, s0 - j0), slice(s0 - j0, s1 - j0)
+            t[b, b] = t_s
+            t[a, b] = -t[a, a] @ (v[:, a].T @ v[:, b]) @ t_s
+        if end > j1:
+            reflect(block(j0, r1, j1, end), v, t.T)
+        factors.append((j0, j1, r1, t))
+    np.fill_diagonal(q[k:], 1.0)
+    reached = 0
+    for j0, j1, r1, t in reversed(factors):
+        reached = max(reached, r1 - k)
+        if reached > 0:
+            reflect(q[j0:r1, :reached], reflectors(j0, j1, r1), t)
+    # gather along the contiguous axis of the Fortran-order q
+    u = q.T.take(col_rank, axis=1).T
+    del work, store, q
+    return _fix_column_signs(u)
 
 
 def decide_rank(m, with_basis: bool = False) -> RankDecision:
@@ -304,7 +504,15 @@ def decide_rank(m, with_basis: bool = False) -> RankDecision:
 
     When _certify_full_rank proves full rank, the nullity is cols -
     min(rows, cols) and the basis is empty for a tall or square m, or the
-    QR complement of m's row space for a wide m. Otherwise the singular
+    QR complement of m's row space for a wide m (_row_space_complement).
+    Both work on m in band order (_band_order), which for a sparse layer
+    lowering turns the Gram matrix into a band and m.T into a staircase.
+    The certificate factors that band with a band Cholesky; the
+    inequality it rests on bounds the rounding of any Cholesky of the
+    symmetrically permuted Gram matrix, and its shift and evidence are
+    computed as before, so the evidence and the decision are those of a
+    dense Cholesky up to a pivot at rounding level. The QR follows the
+    staircase, skipping only exact zeros. Otherwise the singular
     values decide: the rank counts those above rank_tolerance, and the
     basis is the right singular vectors past the rank, re-orthonormalized
     by QR. Either way each basis column's largest-magnitude component is
@@ -312,12 +520,13 @@ def decide_rank(m, with_basis: bool = False) -> RankDecision:
     """
     m = _checked(m)
     rows, cols = m.shape
-    certificate = _certify_full_rank(m)
+    order = _band_order(m)
+    certificate = _certify_full_rank(m, *order)
     if certificate is not None:
         rank = min(rows, cols)
         basis = None
         if with_basis:
-            basis = _row_space_complement(m) if rows < cols else np.zeros((cols, 0))
+            basis = _row_space_complement(m, *order) if rows < cols else np.zeros((cols, 0))
         evidence = {"sigma_min_lower": certificate[0], "tau_ub": certificate[1]}
         return RankDecision(rank, cols - rank, CERTIFIED_PATH, evidence, basis)
 
@@ -349,8 +558,18 @@ def orthonormal_nullspace(m) -> np.ndarray:
 
 
 def _fix_column_signs(u: np.ndarray) -> np.ndarray:
-    peaks = u[np.abs(u).argmax(axis=0), np.arange(u.shape[1])]
-    return u * np.where(peaks < 0, -1.0, 1.0)
+    """Flip, in place, each column of u whose largest-magnitude entry (the
+    first one, on a tie) is negative.
+
+    Found from each column's maximum and minimum rather than from abs(u):
+    that temporary, as large as u, stayed resident after the first
+    layer's basis and raised privacy's peak RSS by 4 MB.
+    """
+    cols = np.arange(u.shape[1])
+    hi, lo = u.argmax(axis=0), u.argmin(axis=0)
+    top, bottom = u[hi, cols], -u[lo, cols]
+    u *= np.where((bottom > top) | ((bottom == top) & (lo < hi)), -1.0, 1.0)
+    return u
 
 
 def _lowest_eigvec_shift_invert(g) -> np.ndarray:
@@ -406,7 +625,7 @@ def smallest_eigenpair_gram(m) -> tuple[np.ndarray, float]:
     else:
         import scipy.linalg
         try:
-            _, vecs = scipy.linalg.eigh(_gram(m.T), subset_by_index=[0, 0],
+            _, vecs = scipy.linalg.eigh(_dense_gram(m.T), subset_by_index=[0, 0],
                                         overwrite_a=True, check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise FactorizationError(

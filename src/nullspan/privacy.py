@@ -36,9 +36,16 @@ outside it that every iteration multiplies by 1 + 2 * step / n while
 the penalty term, which lies inside span(U), never pulls it back, so y
 is re-projected, y <- (y U) U.T, whenever the product of those growth
 factors since the last projection reaches 2 (a schedule that depends
-only on the step sizes and n). At the end c = y U and the
-image is x + U c, which lies in x + span(U), so the network output
-matches to floating-point accuracy.
+only on the step sizes and n). At the end the image is x + (y U) U.T,
+which lies in x + span(U), so the network output matches to
+floating-point accuracy.
+
+Every random draw is a Gaussian z in pixel space projected by P: the
+ascent starts from init_coeff_scale * z P, and a reconstruction is
+x_hat - P z. That is the distribution of U c with c ~ N(0, I_d), but it
+depends on span(U) only: any orthonormal basis of the same subspace (a
+rotated one, or one from another factorization) gives the same results
+up to rounding.
 """
 
 from __future__ import annotations
@@ -73,8 +80,8 @@ class PrivacyConfig:
     max_iters/step_size drive the growth phase; settle_iters and
     settle_step_size run afterwards with the same penalty weight so the
     final iterate sits inside the pixel box. init_coeff_scale scales the
-    seeded Gaussian initialization of c (0 starts exactly at x); the seed
-    of each image is an argument of maximize_dissimilarity.
+    seeded Gaussian initial offset (0 starts exactly at x); the seed of
+    each image is an argument of maximize_dissimilarity.
     """
 
     max_iters: int = 2000
@@ -109,11 +116,11 @@ class PrivacyConfig:
 class PrivacyResult:
     """Scrambled images plus diagnostics, one leading row per image.
 
-    image is x + U @ coefficients (unclamped, BCHW), where coefficients is
-    y U for the final pixel offset y of the ascent; mse is the mean
-    squared pixel difference to the original; max_bound_violation is the
-    largest distance any pixel sits outside [0, 1]; output_deviation is
-    the max-abs difference of scrambled_logits and clean_logits.
+    image is x + (y U) U.T (unclamped, BCHW) for the final pixel offset y
+    of the ascent; mse is the mean squared pixel difference to the
+    original; max_bound_violation is the largest distance any pixel sits
+    outside [0, 1]; output_deviation is the max-abs difference of
+    scrambled_logits and clean_logits.
     objective_history is every objective before every iteration, (iterations, B),
     and penalty_history the penalty sum |x_hat_i| over out-of-box pixels at
     the same iterates, so the MSE of iteration t is
@@ -121,7 +128,6 @@ class PrivacyResult:
     """
 
     image: np.ndarray
-    coefficients: np.ndarray
     mse: np.ndarray
     max_bound_violation: np.ndarray
     clean_logits: np.ndarray
@@ -169,7 +175,8 @@ def maximize_dissimilarity(images: np.ndarray, u: np.ndarray, net: NetworkSpec,
 
     u must be that layer's (n, d) harmless basis; every image must match
     the network input shape with values in [0, 1]. Image i starts from
-    the coefficients cfg.init_coeff_scale * default_rng(seeds[i]).standard_normal(d).
+    the pixel offset cfg.init_coeff_scale * (z_i @ U U.T), with
+    z_i = default_rng(seeds[i]).standard_normal(n).
     """
     x = np.asarray(images, dtype=np.float64)
     if x.ndim != 4 or x.shape[1:] != net.input_shape:
@@ -189,9 +196,8 @@ def maximize_dissimilarity(images: np.ndarray, u: np.ndarray, net: NetworkSpec,
 
     p = u @ u.T
     x_flat = x.reshape(b, n)
-    c = cfg.init_coeff_scale * np.stack(
-        [np.random.default_rng(seed).standard_normal(u.shape[1]) for seed in seeds])
-    y = c @ u.T
+    z = np.stack([np.random.default_rng(seed).standard_normal(n) for seed in seeds])
+    y = cfg.init_coeff_scale * (z @ p)
 
     history, penalties = [], []
     growth = 1.0
@@ -212,15 +218,13 @@ def maximize_dissimilarity(images: np.ndarray, u: np.ndarray, net: NetworkSpec,
             y = (y @ u) @ u.T
             growth = 1.0
 
-    c = y @ u
-    delta = c @ u.T
+    delta = (y @ u) @ u.T
     x_hat = x_flat + delta
     scrambled = x_hat.reshape(x.shape)
     clean_logits = forward(net, x).logits
     scrambled_logits = forward(net, scrambled).logits
     return PrivacyResult(
         image=scrambled,
-        coefficients=c,
         mse=np.einsum("ij,ij->i", delta, delta) / n,
         max_bound_violation=np.maximum(0.0, np.maximum(-x_hat.min(axis=1),
                                                        x_hat.max(axis=1) - 1.0)),
@@ -234,7 +238,8 @@ def maximize_dissimilarity(images: np.ndarray, u: np.ndarray, net: NetworkSpec,
 
 def sample_reconstructions(x_hat: np.ndarray, u: np.ndarray, k: int,
                            seed: int) -> np.ndarray:
-    """k candidate originals x_hat - U @ c_j with seeded Gaussian c_j, as (k, C, H, W).
+    """k candidate originals x_hat - (z_j U) U.T, as (k, C, H, W), with z_j
+    the rows of default_rng(seed).standard_normal((k, n)).
 
     Every candidate has the same network output as x_hat (their
     differences lie in the harmless subspace), which is exactly why the
@@ -246,5 +251,5 @@ def sample_reconstructions(x_hat: np.ndarray, u: np.ndarray, k: int,
         raise EmptySubspaceError("harmless subspace is {0}; nothing to sample")
     if u.shape[0] != x_hat.size:
         raise ValueError(f"basis ambient dim {u.shape[0]} != image size {x_hat.size}")
-    coeffs = np.random.default_rng(seed).standard_normal((k, u.shape[1]))
-    return (x_hat.ravel() - coeffs @ u.T).reshape((k, *x_hat.shape))
+    z = np.random.default_rng(seed).standard_normal((k, u.shape[0]))
+    return (x_hat.ravel() - (z @ u) @ u.T).reshape((k, *x_hat.shape))

@@ -1,10 +1,14 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nullspan.layers import ConvLayerSpec, build_conv_equivalent
+from nullspan import linalg
+from nullspan.layers import ConvLayerSpec, build_conv_equivalent, build_equivalent
 from nullspan.linalg import (
     CERTIFIED_PATH,
     SVD_PATH,
@@ -19,6 +23,7 @@ from nullspan.linalg import (
     svd,
 )
 from nullspan.subspace import least_harmful
+from nullspan.verification import seeded_network
 
 
 class TestSvd:
@@ -190,6 +195,38 @@ def test_certified_nullity_equals_svd_nullity(rows, cols, seed, deficiency, deca
         assert ev["sigma_r"] is None or ev["sigma_r"] > ev["tolerance"]
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    rows=st.integers(min_value=1, max_value=30),
+    cols=st.integers(min_value=1, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    density=st.sampled_from([0.0, 0.05, 0.2]),
+    blocks=st.sampled_from([(96, 32), (5, 2), (3, 3), (1, 1)]),
+)
+def test_band_route_matches_svd(rows, cols, seed, density, blocks):
+    # Sparse matrices in shuffled order, most of full rank through one
+    # pivot per row in a random column; zero rows and columns appear at low
+    # density. Band order, the band certificate and the staircase QR must
+    # agree with the SVD's nullity and give an orthonormal nullspace basis.
+    # Small QR blocks put many block boundaries into small matrices.
+    rng = np.random.default_rng(seed)
+    m = sp.random(rows, cols, density=density, random_state=rng, format="csr",
+                  data_rvs=rng.standard_normal)
+    pivots = min(rows, cols) - int(rng.integers(0, 2))
+    m = (m + sp.csr_matrix((np.full(pivots, 3.0),
+                            (rng.permutation(rows)[:pivots], rng.permutation(cols)[:pivots])),
+                           shape=(rows, cols))).tocsr()
+    with mock.patch.object(linalg, "_QR_BLOCK", blocks[0]), \
+            mock.patch.object(linalg, "_GEQRT_COLS", blocks[1]):
+        decision = decide_rank(m, with_basis=True)
+    assert decision.nullity == svd_nullity(m)
+    u = decision.basis
+    assert u.shape == (cols, decision.nullity)
+    if u.shape[1]:
+        assert np.max(np.abs(u.T @ u - np.eye(u.shape[1]))) <= 1e-13
+        assert np.max(np.abs(m @ u)) <= 1e-13 * max(1.0, singular_values(m)[0])
+
+
 class TestRankCertificate:
     def test_well_conditioned_shapes_certify(self):
         rng = np.random.default_rng(8)
@@ -296,21 +333,106 @@ class TestQrBasis:
         peaks = q[np.abs(q).argmax(axis=0), np.arange(q.shape[1])]
         return q * np.where(peaks < 0, -1.0, 1.0)
 
-    @pytest.mark.parametrize("kind", ["dense", "conv"])
-    def test_basis_bits_match_blocked_qr(self, kind):
-        # Both shapes have more than 128 rows, where geqrf runs blocked at
-        # its optimal workspace and unblocked at a minimal one; the two round
-        # differently, so this pins the workspace query.
-        if kind == "dense":
-            m = np.random.default_rng(29).standard_normal((200, 300))
-        else:
-            kernels = np.random.default_rng(31).standard_normal((8, 3, 3, 3))
-            m = build_conv_equivalent(ConvLayerSpec(3, 16, 16, 8, 3, 3, stride=2,
-                                                    zero_padding=1, kernels=kernels))
-            assert m.shape == (512, 768)
+    def test_dense_input_matches_lapack_qr(self):
+        # A dense matrix keeps its order and has a full staircase, so the
+        # staircase QR is a plain blocked Householder QR: the same reflectors
+        # as LAPACK's geqrf, blocked differently.
+        m = np.random.default_rng(29).standard_normal((200, 300))
         decision = decide_rank(m, with_basis=True)
         assert decision.path == CERTIFIED_PATH
-        assert decision.basis.tobytes() == self.raw_qr_basis(m).tobytes()
+        assert np.max(np.abs(decision.basis - self.raw_qr_basis(m))) <= 1e-13
+
+    @pytest.fixture(scope="class")
+    def conv(self):
+        kernels = np.random.default_rng(31).standard_normal((8, 3, 3, 3))
+        m = build_conv_equivalent(ConvLayerSpec(3, 16, 16, 8, 3, 3, stride=2,
+                                                zero_padding=1, kernels=kernels))
+        assert m.shape == (512, 768)
+        return m
+
+    def test_conv_basis_spans_the_svd_nullspace(self, conv):
+        decision = decide_rank(conv, with_basis=True)
+        assert decision.path == CERTIFIED_PATH
+        u, v = decision.basis, svd_nullspace(conv)
+        assert u.shape == v.shape == (768, 256)
+        assert np.linalg.norm(u - v @ (v.T @ u), 2) <= 1e-12
+        assert np.max(np.abs(u.T @ u - np.eye(256))) <= 1e-14
+        assert np.max(np.abs(conv @ u)) <= 1e-15 * singular_values(conv)[0]
+
+    def test_conv_basis_repeats_byte_for_byte(self, conv):
+        a = decide_rank(conv, with_basis=True).basis
+        b = decide_rank(conv.copy(), with_basis=True).basis
+        assert a.tobytes() == b.tobytes()
+
+    def test_staircase_block_boundaries(self):
+        # Row j of this layer touches columns j to j + 3, so each 96-column
+        # block of the QR ends three rows below its last column and the
+        # third column after it starts exactly on that row: the trailing
+        # update must reach it. A dense copy runs the full-staircase QR on
+        # the same matrix, and both must span the SVD nullspace.
+        rng = np.random.default_rng(43)
+        k, n = 250, 300
+        rows = np.repeat(np.arange(k), 4)
+        cols = rows + np.tile(np.arange(4), k)
+        values = rng.standard_normal(4 * k) + np.tile([3.0, 0.0, 0.0, 0.0], k)
+        m = sp.csr_matrix((values, (rows, cols)), shape=(k, n))
+        v = svd_nullspace(m)
+        for a in (m, m.toarray()):
+            decision = decide_rank(a, with_basis=True)
+            assert decision.path == CERTIFIED_PATH
+            u = decision.basis
+            assert np.linalg.norm(u - v @ (v.T @ u), 2) <= 1e-12
+            assert np.max(np.abs(m @ u)) <= 1e-14 * singular_values(m)[0]
+
+    def test_sparse_input_filled_past_the_sparse_gram_takes_the_dense_route(self):
+        m = np.random.default_rng(47).standard_normal((40, 70))
+        assert (decide_rank(sp.csr_matrix(m), with_basis=True).basis.tobytes()
+                == decide_rank(m, with_basis=True).basis.tobytes())
+
+    def test_uncovered_inputs_are_basis_vectors(self):
+        # Stride 3 past a 2-wide kernel never reads input rows and columns 2,
+        # 5 and 8: all-zero columns of A, which band order puts last and the
+        # QR leaves untouched, so each is a unit vector of the basis.
+        kernels = np.random.default_rng(37).standard_normal((6, 2, 2, 2))
+        spec = ConvLayerSpec(2, 9, 9, 6, 2, 2, stride=3, zero_padding=0, kernels=kernels)
+        m = build_conv_equivalent(spec)
+        uncovered = np.flatnonzero(np.asarray(abs(m).sum(axis=0)).ravel() == 0)
+        assert uncovered.size == 2 * (81 - 36)
+        decision = decide_rank(m, with_basis=True)
+        assert decision.path == CERTIFIED_PATH and decision.nullity == 162 - 54
+        u, v = decision.basis, svd_nullspace(m)
+        assert np.linalg.norm(u - v @ (v.T @ u), 2) <= 1e-12
+        assert np.max(np.abs(m @ u)) <= 1e-15 * singular_values(m)[0]
+        assert np.max(np.abs(u.T @ u - np.eye(u.shape[1]))) <= 1e-14
+        for c in uncovered:
+            assert np.count_nonzero(u[c] == 1.0) == 1
+            assert np.count_nonzero(u[c]) == 1
+
+    def test_zero_rows_decline_to_the_svd(self, conv):
+        # A kernel of zeros gives all-zero rows, which band order puts last;
+        # the matrix is then rank-deficient and the SVD decides.
+        m = conv.tolil()
+        m[128:192] = 0.0
+        m = m.tocsr()
+        m.eliminate_zeros()
+        decision = decide_rank(m, with_basis=True)
+        assert decision.path == SVD_PATH
+        assert decision.nullity == svd_nullity(m) == 768 - 448
+        assert np.max(np.abs(m @ decision.basis)) <= 1e-14 * singular_values(m)[0]
+
+    def test_first_layer_basis_memory(self):
+        # The first layer of the default network, 2560 x 3072 at 4.3% fill.
+        # Densifying A.T for LAPACK's QR took a traced peak of 86.6 MiB
+        # (certificate and basis); band storage takes 48.8 MiB.
+        a = build_equivalent(seeded_network(1234, None).layers[0])
+        tracemalloc.start()
+        try:
+            decision = decide_rank(a, with_basis=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert decision.path == CERTIFIED_PATH and decision.basis.shape == (3072, 512)
+        assert peak < 86.6 * 2**20
 
     def test_tall_and_square_bases_are_empty(self):
         rng = np.random.default_rng(23)

@@ -13,8 +13,9 @@ from nullspan.privacy import (
     maximize_dissimilarity,
     sample_reconstructions,
 )
+from nullspan.linalg import decide_rank
 from nullspan.subspace import EmptySubspaceError, harmless_basis, orthogonal_decompose
-from nullspan.verification import privacy_battery
+from nullspan.verification import privacy_battery, seeded_network
 
 
 @pytest.fixture(scope="module")
@@ -153,11 +154,12 @@ class TestMaximizeDissimilarity:
             scramble(image, small_basis, small_net, cfg, 5)
 
     def test_divergent_image_in_batch_is_named(self, small_net, small_basis, image):
-        # With no penalty, the first objective of image i is ||c_i||^2 / n
-        # (U is orthonormal), and c_i = scale * z_i. Pick the scale so that
-        # the sum of squares overflows for the largest ||z_i|| alone.
+        # With no penalty, the first objective of image i is ||y_i||^2 / n,
+        # and y_i = scale * z_i P. Pick the scale so that the sum of squares
+        # overflows for the largest ||z_i P|| alone.
         seeds = [11, 12, 13]
-        sq = [float(np.sum(np.random.default_rng(s).standard_normal(small_basis.shape[1]) ** 2))
+        p = small_basis @ small_basis.T
+        sq = [float(np.sum((np.random.default_rng(s).standard_normal(p.shape[0]) @ p) ** 2))
               for s in seeds]
         order = np.argsort(sq)
         assert sq[order[-1]] > 1.05 * sq[order[-2]]
@@ -331,10 +333,11 @@ class TestSparsePenaltyGradient:
 
 
 def coefficient_ascent(x_flat, u, cfg, seeds):
-    """Reference: the ascent on the coefficients c with dense products against U."""
+    """Reference: the ascent on the coefficients c with dense products against U,
+    from the coefficients of the pixel-space start scale * z P."""
     n, w = x_flat.shape[1], cfg.penalty_weight
     c = cfg.init_coeff_scale * np.stack(
-        [np.random.default_rng(seed).standard_normal(u.shape[1]) for seed in seeds])
+        [np.random.default_rng(seed).standard_normal(n) for seed in seeds]) @ u
     history, penalties = [], []
     for step in [cfg.step_size] * cfg.max_iters + [cfg.settle_step_size] * cfg.settle_iters:
         uc = c @ u.T
@@ -382,10 +385,45 @@ class TestPixelSpaceAscent:
         assert np.linalg.norm(leak) <= 1e-12 * np.linalg.norm(delta)
 
 
+class TestSpanOnly:
+    def test_results_depend_on_the_span_only(self):
+        # The default 3x32x32 network, where the ascent is stable (on
+        # small_net it is chaotic, see test_batch_matches_single_image_runs).
+        # Three orthonormal bases of the first layer's nullspace: the band
+        # route's, the dense route's (spans 1e-14 apart) and a rotated,
+        # permuted copy of the first (the same span up to rounding).
+        net = seeded_network(1234, None)
+        a = build_equivalent(net.layers[0])
+        band = decide_rank(a, with_basis=True).basis
+        dense = decide_rank(a.toarray(), with_basis=True).basis
+        rng = np.random.default_rng(5)
+        d = band.shape[1]
+        rotated = (band @ np.linalg.qr(rng.standard_normal((d, d)))[0])[:, rng.permutation(d)]
+        xs = np.stack([synthetic_image(10 + i, (3, 32, 32)) for i in range(2)])
+        ref = maximize_dissimilarity(xs, band, net, PrivacyConfig(), [3, 4])
+        ref_recons = sample_reconstructions(ref.image[0], band, 3, seed=9)
+        for u in (dense, rotated):
+            res = maximize_dissimilarity(xs, u, net, PrivacyConfig(), [3, 4])
+            np.testing.assert_allclose(res.mse, ref.mse, rtol=1e-12, atol=0)
+            for field in ("objective_history", "penalty_history"):
+                got, want = getattr(res, field), getattr(ref, field)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            # The ascent carries a 1e-14 difference of the projectors into
+            # pixels of up to 1.5e-12, so images compare in norm.
+            assert np.linalg.norm(res.image - ref.image) <= 1e-12 * np.linalg.norm(ref.image)
+            for field in ("max_bound_violation", "output_deviation"):
+                np.testing.assert_allclose(getattr(res, field), getattr(ref, field),
+                                           rtol=1e-12, atol=1e-12)
+            recons = sample_reconstructions(ref.image[0], u, 3, seed=9)
+            assert np.linalg.norm(recons - ref_recons) <= 1e-12 * np.linalg.norm(ref_recons)
+
+
 class TestSampleReconstructions:
     def test_known_coefficients_invert_exactly(self, small_net, small_basis, image):
+        # whoever knows the offset's coefficients in U recovers the original
         res = scramble(image, small_basis, small_net, PrivacyConfig(), 7)
-        recovered = (res.image[0].ravel() - small_basis @ res.coefficients[0])
+        coefficients = small_basis.T @ (res.image[0] - image).ravel()
+        recovered = res.image[0].ravel() - small_basis @ coefficients
         assert np.max(np.abs(recovered - image.ravel())) <= 1e-10
 
     def test_outputs_identical_and_distinct(self, small_net, small_basis, image):
@@ -403,7 +441,7 @@ class TestSampleReconstructions:
         recons = sample_reconstructions(image, small_basis, 4, seed=9)
         rng = np.random.default_rng(9)
         for r in recons:
-            ref = image.ravel() - small_basis @ rng.standard_normal(small_basis.shape[1])
+            ref = image.ravel() - small_basis @ (rng.standard_normal(image.size) @ small_basis)
             np.testing.assert_allclose(r.ravel(), ref, rtol=0, atol=1e-14)
 
     def test_empty_subspace(self, image):
