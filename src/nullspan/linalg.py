@@ -190,8 +190,9 @@ class RankDecision:
     clears. path is SVD_PATH when the certificate declined; the evidence
     is then {"sigma_r", "sigma_r1", "tolerance"}: the smallest singular
     value counted as nonzero (None at rank 0), the next one (0.0 past the
-    last) and rank_tolerance. basis is the orthonormal nullspace basis
-    (cols x nullity) when it was asked for, else None.
+    last) and rank_tolerance. basis is an orthonormal basis of the
+    nullspace (cols x nullity) when it was asked for, else None; only its
+    span is specified, not the sign or order of its columns.
     """
 
     rank: int
@@ -344,7 +345,7 @@ def _certify_full_rank(m, row_rank: np.ndarray,
     if p == 0 or 2.0 * p * q * np.sqrt(p) * _EPS > 1.0:
         return None
     beta = sigma_max_bound(m)
-    tau_ub = rank_tolerance_bound(m)
+    tau_ub = beta * q * _EPS
     margin = 2.0 + 2.0 * p * np.sqrt(p)
     rank = row_rank if rows <= cols else col_rank
     ab = _banded_gram(m if rows <= cols else m.T, rank)
@@ -494,9 +495,7 @@ def _row_space_complement(m, row_rank: np.ndarray, col_rank: np.ndarray) -> np.n
         if reached > 0:
             reflect(q[j0:r1, :reached], reflectors(j0, j1, r1), t)
     # gather along the contiguous axis of the Fortran-order q
-    u = q.T.take(col_rank, axis=1).T
-    del work, store, q
-    return _fix_column_signs(u)
+    return q.T.take(col_rank, axis=1).T
 
 
 def decide_rank(m, with_basis: bool = False) -> RankDecision:
@@ -515,8 +514,9 @@ def decide_rank(m, with_basis: bool = False) -> RankDecision:
     staircase, skipping only exact zeros. Otherwise the singular
     values decide: the rank counts those above rank_tolerance, and the
     basis is the right singular vectors past the rank, re-orthonormalized
-    by QR. Either way each basis column's largest-magnitude component is
-    positive, making the basis reproducible.
+    by QR. Either way the basis is one orthonormal basis of N(m), with no
+    sign or order convention for its columns: callers must depend on its
+    span only. Both routes are deterministic, so it repeats bit for bit.
     """
     m = _checked(m)
     rows, cols = m.shape
@@ -535,11 +535,7 @@ def decide_rank(m, with_basis: bool = False) -> RankDecision:
         res = svd(m)
         sv = res.singular_values
         rank = numerical_rank(sv, rows, cols)
-        basis = res.right_vectors[:, rank:]
-        if basis.shape[1] == 0:
-            basis = np.zeros((cols, 0))
-        else:
-            basis = _fix_column_signs(np.linalg.qr(basis)[0])
+        basis = np.linalg.qr(res.right_vectors[:, rank:])[0]
     else:
         sv = singular_values(m)
         rank = numerical_rank(sv, rows, cols)
@@ -555,21 +551,6 @@ def orthonormal_nullspace(m) -> np.ndarray:
     A full-column-rank matrix yields a (cols, 0) array.
     """
     return decide_rank(m, with_basis=True).basis
-
-
-def _fix_column_signs(u: np.ndarray) -> np.ndarray:
-    """Flip, in place, each column of u whose largest-magnitude entry (the
-    first one, on a tie) is negative.
-
-    Found from each column's maximum and minimum rather than from abs(u):
-    that temporary, as large as u, stayed resident after the first
-    layer's basis and raised privacy's peak RSS by 4 MB.
-    """
-    cols = np.arange(u.shape[1])
-    hi, lo = u.argmax(axis=0), u.argmin(axis=0)
-    top, bottom = u[hi, cols], -u[lo, cols]
-    u *= np.where((bottom > top) | ((bottom == top) & (lo < hi)), -1.0, 1.0)
-    return u
 
 
 def _lowest_eigvec_shift_invert(g) -> np.ndarray:

@@ -106,7 +106,8 @@ def orthogonal_decompose(u: np.ndarray, delta: np.ndarray) -> Decomposition:
 def sample_harmless(u: np.ndarray, seed: int, target_norm: float,
                     norm_kind: str = "l2") -> np.ndarray:
     """Seeded random direction inside the harmless subspace, rescaled so
-    its l2 or linf norm equals target_norm."""
+    its l2 or linf norm equals target_norm: u @ (u.T @ z) for the n normals
+    z of default_rng(seed), distributed as u @ N(0, I_d) but set by span(u) only."""
     if u.shape[1] == 0:
         raise EmptySubspaceError("harmless subspace is {0}; nothing to sample")
     if target_norm <= 0:
@@ -114,7 +115,7 @@ def sample_harmless(u: np.ndarray, seed: int, target_norm: float,
     if norm_kind not in ("l2", "linf"):
         raise ValueError(f"norm_kind must be 'l2' or 'linf', got {norm_kind!r}")
     rng = np.random.default_rng(seed)
-    delta = u @ rng.standard_normal(u.shape[1])
+    delta = u @ (u.T @ rng.standard_normal(u.shape[0]))
     cur = np.linalg.norm(delta) if norm_kind == "l2" else np.max(np.abs(delta))
     return delta * (target_norm / cur)
 

@@ -281,8 +281,10 @@ def lowering_residuals(geometries, root_seed: int) -> CheckResult:
     )
 
 
-def basis_integrity(a, u: np.ndarray) -> list[CheckResult]:
-    """Orthonormality of the (n, d) basis u and annihilation by the layer matrix a.
+def basis_integrity(a, u: np.ndarray, nullity: int) -> list[CheckResult]:
+    """Orthonormality of the (n, d) basis u, annihilation by the layer
+    matrix a, and d equal to a's nullity. Together they make span(u) =
+    N(a): any orthonormal basis of N(a) passes, a proper subspace fails.
 
     Fails loudly on a tampered basis; used by the verify command when a
     basis file is supplied instead of being recomputed.
@@ -297,6 +299,8 @@ def basis_integrity(a, u: np.ndarray) -> list[CheckResult]:
         CheckResult("basis-annihilation", residual <= 1e-10 * max(sigma_bound, 1e-300),
                     residual, 1e-10 * sigma_bound,
                     detail="max |A u| against 1e-10 * sigma_max bound"),
+        CheckResult("basis-dimension", d == nullity, float(abs(d - nullity)), 0.0,
+                    detail=f"d={d} against the layer's nullity {nullity}"),
     ]
 
 
@@ -418,7 +422,9 @@ def least_harmful_minimality(root_seed: int) -> list[CheckResult]:
 def decomposition_laws(root_seed: int, trials: int = 1000) -> list[CheckResult]:
     """Decomposition and family-equivalence laws on a seeded
     fully-connected layer with a 16-dimensional harmless subspace, plus
-    the injectivity law on a zero-nullity layer."""
+    the injectivity law on a zero-nullity layer. Harmless perturbations
+    are pixel-space normals projected onto span(u), so every measured
+    value depends on the subspace, not on the basis u that spans it."""
     rng = make_rng(root_seed, 6, 0)
     n_in, n_out = 40, 24
     spec = FcLayerSpec(in_features=n_in, out_features=n_out,
@@ -429,17 +435,20 @@ def decomposition_laws(root_seed: int, trials: int = 1000) -> list[CheckResult]:
     d = u.shape[1]
     checks = []
 
+    def project(z):
+        return u @ (u.T @ z)
+
     deltas = rng.standard_normal((n_in, trials))
     a_deltas = a @ deltas
     out_norms = np.linalg.norm(a_deltas, axis=0)
 
-    harmless_parts = u @ rng.standard_normal((d, trials))
+    harmless_parts = project(rng.standard_normal((n_in, trials)))
     resid = np.linalg.norm(a @ (deltas - harmless_parts) - a_deltas, axis=0)
     measured = float(np.max(resid / out_norms))
     checks.append(CheckResult("law-arbitrary-split", measured <= 1e-9, measured, 1e-9,
                               detail=f"{trials} trials"))
 
-    par = u @ (u.T @ deltas)
+    par = project(deltas)
     orth = deltas - par
     resid = np.linalg.norm(a @ orth - a_deltas, axis=0)
     measured = float(np.max(resid / out_norms))
@@ -466,7 +475,7 @@ def decomposition_laws(root_seed: int, trials: int = 1000) -> list[CheckResult]:
                               measured <= 1e-10 * sigma_max, measured, 1e-10 * sigma_max,
                               detail="max |A u| over basis columns"))
 
-    h = u @ rng.standard_normal((d, trials))
+    h = project(rng.standard_normal((n_in, trials)))
     ratio = np.linalg.norm(orth, axis=0) / np.linalg.norm(orth + h, axis=0)
     measured = float(np.max(ratio))
     checks.append(CheckResult("law-minimal-norm", measured <= 1.0 + 1e-9,
@@ -480,13 +489,13 @@ def decomposition_laws(root_seed: int, trials: int = 1000) -> list[CheckResult]:
         kind = t % 3
         delta = trng.standard_normal(n_in)
         if kind == 0:
-            delta_hat = delta + u @ trng.standard_normal(d)
+            delta_hat = delta + project(trng.standard_normal(n_in))
             expected = IDENTICAL_OUTPUT
         elif kind == 1:
             o = orthogonal_decompose(u, trng.standard_normal(n_in)).orthogonal
             alpha = float(trng.uniform(1.5, 3.0)) * float(trng.choice([-1.0, 1.0]))
-            delta = alpha * o + u @ trng.standard_normal(d)
-            delta_hat = o + u @ trng.standard_normal(d)
+            delta = alpha * o + project(trng.standard_normal(n_in))
+            delta_hat = o + project(trng.standard_normal(n_in))
             expected = PROPORTIONAL
         else:
             delta_hat = trng.standard_normal(n_in)
@@ -590,7 +599,9 @@ def full_battery(root_seed: int, net_spec: NetworkSpec | None = None,
 
     When the (n, d) `basis` is given it is used (after integrity checks) as
     the first layer's harmless basis instead of being recomputed,
-    which lets a stored basis file be validated against the network.
+    which lets a stored basis file be validated against the network. One
+    decide_rank call gives the nullity those checks hold d to and, when
+    no basis is given, the basis.
     """
     report = VerificationReport()
 
@@ -603,11 +614,12 @@ def full_battery(root_seed: int, net_spec: NetworkSpec | None = None,
 
     net = seeded_network(root_seed, net_spec)
     a1 = build_equivalent(net.layers[0])
+    decision = decide_rank(a1, with_basis=basis is None)
     if basis is None:
-        basis = harmless_basis(a1)
-    report.checks.extend(basis_integrity(a1, basis))
+        basis = decision.basis
+    report.checks.extend(basis_integrity(a1, basis, decision.nullity))
 
-    if all(c.passed for c in report.checks[-2:]) and basis.shape[1] > 0:
+    if all(c.passed for c in report.checks[-3:]) and basis.shape[1] > 0:
         report.rmse, rmse_checks = rmse_table(net, basis, root_seed)
         report.checks.extend(rmse_checks)
 

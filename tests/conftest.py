@@ -8,6 +8,14 @@ from nullspan.verification import seeded_network
 ROOT_SEED = 1234
 
 
+def rotated_basis(u, seed):
+    """Another orthonormal basis of span(u): u times a seeded random
+    rotation, with its columns permuted."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((u.shape[1], u.shape[1])))
+    return (u @ q)[:, rng.permutation(u.shape[1])]
+
+
 @pytest.fixture(scope="session")
 def root_seed():
     return ROOT_SEED

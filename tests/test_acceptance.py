@@ -13,9 +13,10 @@ import pytest
 
 from nullspan import verification
 from nullspan.imaging import ssim, synthetic_image
-from nullspan.layers import ConvLayerSpec
-from nullspan.linalg import CERTIFIED_PATH, RankDecision
+from nullspan.layers import ConvLayerSpec, build_equivalent
+from nullspan.linalg import CERTIFIED_PATH, RankDecision, rank_tolerance_bound
 from nullspan.seeding import make_rng
+from nullspan.subspace import classify_pair, harmless_basis
 from nullspan.verification import (
     RMSE_SCALES,
     build_contour,
@@ -30,7 +31,7 @@ from nullspan.verification import (
     seeded_geometries,
 )
 
-from conftest import ROOT_SEED
+from conftest import ROOT_SEED, rotated_basis
 
 GOLDEN_SSIM = -0.2792917758216363
 
@@ -120,6 +121,18 @@ def test_every_conv_draw_is_certified(seed, monkeypatch):
     assert attempts == [(i, 0) for i in range(0, 50, 2)]
 
 
+def test_certificate_evidence_is_the_tolerance_bound(geometries):
+    # tau_ub is rank_tolerance_bound of the lowered matrix bit for bit, and
+    # sigma_min_lower its margin multiple, on every sweep geometry.
+    assert all(decision.path == CERTIFIED_PATH for _, decision in geometries)
+    for spec, decision in geometries:
+        a = build_equivalent(spec)
+        tau_ub = rank_tolerance_bound(a)
+        p = min(a.shape)
+        assert decision.evidence == {"sigma_min_lower": (2.0 + 2.0 * p * np.sqrt(p)) * tau_ub,
+                                     "tau_ub": tau_ub}
+
+
 def test_criterion_2_lowering_oracle(geometries):
     check = lowering_residuals(geometries, ROOT_SEED)
     report(2, "lowering equivalence <= 1e-12", [check])
@@ -140,6 +153,36 @@ def test_criterion_4_least_harmful(root_seed):
 def test_criterion_5_decomposition_laws(root_seed):
     checks = decomposition_laws(root_seed, trials=1000)
     report(5, "decomposition and family laws, 1000 trials each", checks)
+
+
+def test_decomposition_laws_depend_on_the_span_only(root_seed, monkeypatch):
+    # Harmless perturbations are drawn in pixel space and projected, so a
+    # rotated, column-permuted basis of the same subspace gives the same
+    # perturbation pairs to classify, the same law-minimal-norm and the
+    # same verdicts. (law-minimal-norm alone cannot tell: ||U c|| = ||c||
+    # for any orthonormal U, so it never depended on the basis.)
+    def run():
+        pairs = []
+
+        def recording_classify_pair(u, delta, delta_hat):
+            pairs.append(np.concatenate([delta, delta_hat]))
+            return classify_pair(u, delta, delta_hat)
+
+        with monkeypatch.context() as m:
+            m.setattr(verification, "classify_pair", recording_classify_pair)
+            return decomposition_laws(root_seed, trials=200), np.array(pairs)
+
+    reference, reference_pairs = run()
+    monkeypatch.setattr(verification, "harmless_basis",
+                        lambda a: rotated_basis(harmless_basis(a), 3))
+    rotated, rotated_pairs = run()
+    assert [(c.name, c.passed, c.detail) for c in rotated] == \
+        [(c.name, c.passed, c.detail) for c in reference]
+    ref, rot = (next(c.measured for c in checks if c.name == "law-minimal-norm")
+                for checks in (reference, rotated))
+    assert abs(rot - ref) <= 1e-12 * ref
+    gaps = np.linalg.norm(rotated_pairs - reference_pairs, axis=1)
+    assert np.all(gaps <= 1e-12 * np.linalg.norm(reference_pairs, axis=1))
 
 
 def test_criterion_6_contour(first_layer_a, first_layer_basis):

@@ -232,6 +232,30 @@ class TestVerify:
         assert "FAIL" in err.out
         assert "FAILED" in err.err
 
+    def test_basis_of_a_proper_subspace_fails(self, tmp_path, net_json, capsys):
+        # Half the columns of the computed basis are orthonormal and
+        # annihilated, but span only part of the harmless subspace.
+        from nullspan.network import load_network_spec
+        from nullspan.verification import seeded_network
+
+        net = seeded_network(21, load_network_spec(net_json))
+        basis = harmless_basis(build_equivalent(net.layers[0]))
+        half = basis.shape[1] // 2
+        path = tmp_path / "half.nspb"
+        save_basis(basis[:, :half].copy(), path)
+        out = tmp_path / "out"
+        rc = main(["verify", "--net", net_json, "--seed", "21", "--out", str(out),
+                   "--skip-sweep", "--trials", "10", "--format", "json",
+                   "--basis", str(path)])
+        assert rc == 1
+        doc = json.loads((out / "verify_report.json").read_text())
+        failed = [c for c in doc["checks"] if not c["passed"]]
+        assert [c["name"] for c in failed] == ["basis-dimension"]
+        assert failed[0]["detail"] == f"d={half} against the layer's nullity {basis.shape[1]}"
+        # the batteries that use the basis do not run on it
+        assert doc["rmse"] == []
+        assert not any(c["name"].startswith(("rmse-", "contour-")) for c in doc["checks"])
+
     def test_stored_good_basis_passes(self, tmp_path, net_json):
         from nullspan.network import load_network_spec
         from nullspan.verification import seeded_network

@@ -1,16 +1,22 @@
-"""The determinism contract across BLAS thread counts.
+"""The determinism contract across BLAS thread counts and across bases.
 
 Reports are byte-identical for one provenance (machine, BLAS library and
 BLAS thread count). Under another BLAS thread count the check names,
 verdicts, details and integers stay identical and floats move only by
-rounding, within the per-field bounds below.
+rounding, within the per-field bounds below. The same bounds hold
+between the computed first-layer basis and any other orthonormal basis
+of its span given to verify --basis.
 
 Measured between OPENBLAS_NUM_THREADS=1 and =2 at seed 1234 (OpenBLAS
-0.3.31, 2-core x86-64): privacy_report.json and verify_report.json are
-byte-identical. Before the least-harmful direction of the sparse second
-conv came from SuperLU and ARPACK instead of a dense eigh, its six RMSE
-rows and the rmse-least-harmful-* checks differed by up to 8.1e-15
-relative. The four runs take about 17 s.
+0.3.31, 2-core x86-64): the staircase QR's GEMMs add in a thread-dependent
+order, so the first layer's basis differs in its last bits. Only rounding
+residuals of verify_report.json move, with and without the sweep, and in
+privacy_report.json the ascent fields (MSE 1.6e-13 relative) and the
+output deviations. Before the least-harmful direction of the sparse
+second conv came from SuperLU and ARPACK instead of a dense eigh, its six
+RMSE rows and the rmse-least-harmful-* checks differed by up to 8.1e-15
+relative. The six runs take about 15 s on 2 cores, 6.7 s of them the two
+full verify runs.
 """
 
 import json
@@ -21,10 +27,16 @@ from pathlib import Path
 
 import pytest
 
+from nullspan.cli import main
+from nullspan.subspace import save_basis
+
+from conftest import rotated_basis
+
 REPO = Path(__file__).resolve().parents[1]
 
 RUNS = {
     "verify": (["verify", "--skip-sweep", "--trials", "10"], "verify_report.json"),
+    "verify-full": (["verify"], "verify_report.json"),
     "privacy": (["privacy", "--images", "2", "--recon", "2"], "privacy_report.json"),
 }
 
@@ -33,8 +45,8 @@ RUNS = {
 # computed that direction).
 RELATIVE = 1e-12
 # Fields the 2,300-iteration privacy ascent produces, where rounding
-# compounds; measured: 0 (an earlier coefficient-space ascent moved the
-# MSE by 3.3e-10 and the bound violation by 4.3e-5 relative).
+# compounds; measured: 1.6e-13 (an earlier coefficient-space ascent moved
+# the MSE by 3.3e-10 and the bound violation by 4.3e-5 relative).
 ASCENT_RELATIVE = {"mse": 1e-9, "ssim": 1e-9, "ssim_gaussian_matched": 1e-9,
                    "privacy-mse-floor": 1e-9, "privacy-reconstruction-distinct": 1e-9,
                    "max_bound_violation": 1e-3, "privacy-bound-violation": 1e-3}
@@ -100,3 +112,17 @@ def test_reports_agree_across_blas_thread_counts(command, tmp_path):
     two = run(command, 2, tmp_path / "two")
     assert one["passed"]
     assert_same(one, two, command)
+
+
+def test_verify_depends_on_the_span_of_the_basis_only(first_layer_basis, tmp_path):
+    # verify --basis with a rotated, column-permuted copy of the computed
+    # basis draws the same harmless perturbations up to rounding, so its
+    # report agrees with the computed basis's within the bounds above.
+    save_basis(rotated_basis(first_layer_basis, 3), tmp_path / "rotated.nspb")
+    args = ["verify", "--skip-sweep", "--trials", "10", "--seed", "1234", "--format", "json"]
+    assert main([*args, "--out", str(tmp_path / "computed")]) == 0
+    assert main([*args, "--basis", str(tmp_path / "rotated.nspb"),
+                 "--out", str(tmp_path / "rotated")]) == 0
+    computed, rotated = (json.loads((tmp_path / name / "verify_report.json").read_text())
+                         for name in ("computed", "rotated"))
+    assert_same(computed, rotated, "verify")

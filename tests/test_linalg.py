@@ -18,6 +18,7 @@ from nullspan.linalg import (
     orthonormal_nullspace,
     rank_tolerance,
     rank_tolerance_bound,
+    sigma_max_bound,
     singular_values,
     smallest_eigenpair_gram,
     svd,
@@ -122,14 +123,6 @@ class TestNullspace:
         m = sp.csr_matrix(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
         u = orthonormal_nullspace(m)
         assert u.shape == (3, 1)
-
-    def test_sign_convention(self):
-        # largest-magnitude component of each column is positive
-        rng = np.random.default_rng(13)
-        u = orthonormal_nullspace(rng.standard_normal((3, 9)))
-        for j in range(u.shape[1]):
-            col = u[:, j]
-            assert col[np.argmax(np.abs(col))] > 0
 
     def test_deterministic(self):
         m = np.random.default_rng(2).standard_normal((4, 7))
@@ -279,6 +272,18 @@ class TestRankCertificate:
         with pytest.raises(ValueError, match="NaN or Inf"):
             smallest_eigenpair_gram(m)
 
+    def test_certificate_evaluates_sigma_max_bound_once(self, monkeypatch):
+        calls = []
+
+        def counted(m):
+            calls.append(m.shape)
+            return sigma_max_bound(m)
+
+        monkeypatch.setattr(linalg, "sigma_max_bound", counted)
+        decision = decide_rank(np.random.default_rng(3).standard_normal((20, 30)))
+        assert decision.path == CERTIFIED_PATH
+        assert calls == [(20, 30)]
+
     def test_dense_input_is_not_overwritten(self):
         m = np.random.default_rng(4).standard_normal((20, 30))
         before = m.copy()
@@ -300,8 +305,6 @@ class TestQrBasis:
         assert u.shape == (200, 80)
         assert np.max(np.abs(u.T @ u - np.eye(80))) <= 1e-12
         assert np.max(np.abs(wide @ u)) <= 1e-10 * singular_values(wide)[0]
-        for j in range(u.shape[1]):
-            assert u[np.argmax(np.abs(u[:, j])), j] > 0
 
     def test_same_subspace_as_svd_basis(self, wide):
         u = decide_rank(wide, with_basis=True).basis
@@ -318,8 +321,7 @@ class TestQrBasis:
     @staticmethod
     def raw_qr_basis(m):
         """Reference: the trailing columns of Q from scipy.linalg.qr's raw mode
-        (geqrf at its optimal lwork) applied by ormqr, signs fixed as decide_rank
-        fixes them."""
+        (geqrf at its optimal lwork) applied by ormqr."""
         import scipy.linalg
         a_t = m.toarray().T if sp.issparse(m) else np.array(m, dtype=np.float64).T
         (h, tau), _ = scipy.linalg.qr(a_t, mode="raw")
@@ -330,8 +332,7 @@ class TestQrBasis:
         lwork = int(ormqr("L", "N", h, tau, c, -1)[1][0])
         q, _, info = ormqr("L", "N", h, tau, c, lwork)
         assert info == 0
-        peaks = q[np.abs(q).argmax(axis=0), np.arange(q.shape[1])]
-        return q * np.where(peaks < 0, -1.0, 1.0)
+        return q
 
     def test_dense_input_matches_lapack_qr(self):
         # A dense matrix keeps its order and has a full staircase, so the

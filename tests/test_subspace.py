@@ -25,6 +25,8 @@ from nullspan.subspace import (
     save_basis,
 )
 
+from conftest import rotated_basis
+
 
 @pytest.fixture(scope="module")
 def fc_a():
@@ -132,6 +134,15 @@ class TestSampleHarmless:
         for scale in [2.0 ** k for k in range(9)]:
             residual = np.max(np.abs(first_layer_a @ (scale * delta)))
             assert residual <= 1e-10 * first_layer_sigma_max
+
+    @pytest.mark.parametrize("norm_kind", ["l2", "linf"])
+    def test_depends_on_the_span_only(self, first_layer_basis, norm_kind):
+        # The draw is projected onto span(U) in pixel space, so a rotated,
+        # column-permuted basis of the same subspace gives the same vector.
+        delta = sample_harmless(first_layer_basis, 10, 8 / 255, norm_kind)
+        delta_other = sample_harmless(rotated_basis(first_layer_basis, 7), 10, 8 / 255,
+                                      norm_kind)
+        assert np.linalg.norm(delta_other - delta) <= 1e-12 * np.linalg.norm(delta)
 
     def test_empty_subspace(self):
         eq = build_fc_equivalent(FcLayerSpec(3, 3, weight=np.eye(3)))
