@@ -42,7 +42,7 @@ print(f"first layer {a.shape[1]} -> {a.shape[0]}: harmless dimension {u.shape[1]
 
 x = synthetic_image(5, (3, 16, 16))
 clean = forward(net, x[None])
-print(f"clean prediction: class {int(np.argmax(clean.logits))}")
+print(f"clean prediction: class {int(np.argmax(clean))}")
 
 delta = sample_harmless(u, seed=9, target_norm=8 / 255, norm_kind="linf")
 delta = delta.reshape(3, 16, 16)
@@ -50,9 +50,9 @@ delta = delta.reshape(3, 16, 16)
 print("\nmax |logit change| for the harmless direction at growing scales:")
 for scale in (1, 4, 16, 64, 256):
     pert = forward(net, (x + scale * delta)[None])
-    dev = np.max(np.abs(pert.logits - clean.logits))
+    dev = np.max(np.abs(pert - clean))
     print(f"  scale {scale:>4}: {dev:.3e}   "
-          f"class {int(np.argmax(pert.logits))}")
+          f"class {int(np.argmax(pert))}")
 
 # the same experiment as an RMSE table, harmless vs Gaussian noise of
 # the same starting magnitude

@@ -35,7 +35,6 @@ from .linalg import (
     svd,
 )
 from .network import (
-    FeatureTrace,
     NetworkSpec,
     forward,
     forward_from_layer,

@@ -156,7 +156,7 @@ def _sweep_rows(args, root_seed: int):
     for idx, p in enumerate(params):
         try:
             spec = build(make_rng(root_seed, stream, idx), **p)
-            rows.append(verification.nullity_row(*verification.with_rank(spec)))
+            rows.append(verification.nullity_row(spec, verification.with_rank(spec)[2]))
         except ValueError as exc:
             label = ", ".join(f"{name}={value}" for name, value in p.items())
             print(f"skipping invalid geometry ({label}): {exc}", file=sys.stderr)

@@ -1,9 +1,9 @@
-"""Minimal deterministic feed-forward inference with per-layer taps.
+"""Minimal deterministic feed-forward inference.
 
 Supported layers: the five kinds of layers.py (conv, fc, relu, average
-pooling and flatten). No training, no batch norm, no skip connections. Forward
-passes record every intermediate activation so perturbations can be
-injected at any depth and their downstream effect measured.
+pooling and flatten). No training, no batch norm, no skip connections.
+forward returns the logits; forward_from_layer and rmse_report inject a
+perturbation at any depth and measure its downstream effect.
 
 Layer indexing convention: `net.layers[i]` consumes activation z_i and
 produces z_{i+1}, with z_0 the network input. forward_from_layer(net, l,
@@ -40,7 +40,6 @@ from .layers import (
 
 __all__ = [
     "NetworkSpec",
-    "FeatureTrace",
     "init_network",
     "forward",
     "forward_from_layer",
@@ -115,18 +114,6 @@ class NetworkSpec:
                 if isinstance(l, (ConvLayerSpec, FcLayerSpec))]
 
 
-@dataclass(frozen=True)
-class FeatureTrace:
-    """Per-layer activations z_0 .. z_L; logits is z_L as (B, n_out)."""
-
-    activations: tuple
-
-    @property
-    def logits(self) -> np.ndarray:
-        z = self.activations[-1]
-        return z.reshape(len(z), -1)
-
-
 def init_network(spec: NetworkSpec, seed: int) -> NetworkSpec:
     """The spec with parameters drawn for every linear layer: each weight
     and bias entry is a seeded standard normal scaled by 1/sqrt(fan_in).
@@ -172,15 +159,13 @@ def apply_layer(layer, z: np.ndarray) -> np.ndarray:
     raise TypeError(f"unknown layer type {type(layer).__name__}")
 
 
-def forward(net: NetworkSpec, x: np.ndarray) -> FeatureTrace:
-    """Run the network on a (B, *input_shape) batch, recording every activation."""
+def forward(net: NetworkSpec, x: np.ndarray) -> np.ndarray:
+    """The (B, n_out) logits of the network on a (B, *input_shape) batch."""
     z = np.asarray(x, dtype=np.float64)
     _check_batched(z, net.input_shape)
-    acts = [z]
     for layer in net.layers:
         z = apply_layer(layer, z)
-        acts.append(z)
-    return FeatureTrace(activations=tuple(acts))
+    return z.reshape(len(z), -1)
 
 
 def forward_from_layer(net: NetworkSpec, layer_index: int, z: np.ndarray) -> np.ndarray:
@@ -201,14 +186,18 @@ def rmse_report(net: NetworkSpec, inputs: np.ndarray, delta: np.ndarray, scales,
 
     inputs is a (B, *input_shape) batch and delta one sample's activation.
     RMSE = mean over the B inputs of ||perturbed_logits - clean_logits||_2
-    / sqrt(n_out). Clean (scale 0) and perturbed features run as one batch:
-    a BLAS product may round a row differently at another batch size.
+    / sqrt(n_out). Only the layers before inject_layer run on the inputs.
+    Clean (scale 0) and perturbed features run the rest as one batch: a
+    BLAS product may round a row differently at another batch size.
     """
     delta = np.asarray(delta, dtype=np.float64)
     want = net.activation_shapes()[inject_layer]
     if delta.shape != want:
         raise ValueError(f"delta shape {delta.shape} != {want} at layer {inject_layer}")
-    feats = forward(net, inputs).activations[inject_layer]
+    feats = np.asarray(inputs, dtype=np.float64)
+    _check_batched(feats, net.input_shape)
+    for layer in net.layers[:inject_layer]:
+        feats = apply_layer(layer, feats)
     scales = np.asarray(scales, dtype=np.float64)
     shifted = feats + np.append(0.0, scales).reshape(-1, *[1] * feats.ndim) * delta
     logits = forward_from_layer(net, inject_layer, shifted.reshape(-1, *want))

@@ -2,7 +2,9 @@
 
 Given the harmless basis U of a network's first layer, the image
 x_hat = x + U @ c has exactly the same network output as x for every
-coefficient vector c. Visual privacy comes from choosing c to maximize
+coefficient vector c. So the scramble is chosen from x and U alone: the
+optimizer never runs the network, and the caller checks the output
+invariance afterwards. Visual privacy comes from choosing c to maximize
 the mean squared pixel difference (1/n) * ||U c||^2 while two soft
 penalties keep pixels near [0, 1]: each out-of-bounds pixel contributes
 |x_hat_i| to the penalty, weighted by penalty_weight in the objective.
@@ -57,7 +59,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .network import NetworkSpec, forward
 from .subspace import EmptySubspaceError
 
 __all__ = [
@@ -119,8 +120,7 @@ class PrivacyResult:
     image is x + (y U) U.T (unclamped, BCHW) for the final pixel offset y
     of the ascent; mse is the mean squared pixel difference to the
     original; max_bound_violation is the largest distance any pixel sits
-    outside [0, 1]; output_deviation is the max-abs difference of
-    scrambled_logits and clean_logits.
+    outside [0, 1].
     objective_history is every objective before every iteration, (iterations, B),
     and penalty_history the penalty sum |x_hat_i| over out-of-box pixels at
     the same iterates, so the MSE of iteration t is
@@ -130,9 +130,6 @@ class PrivacyResult:
     image: np.ndarray
     mse: np.ndarray
     max_bound_violation: np.ndarray
-    clean_logits: np.ndarray
-    scrambled_logits: np.ndarray
-    output_deviation: np.ndarray
     objective_history: np.ndarray
     penalty_history: np.ndarray
 
@@ -168,25 +165,25 @@ def _objective_and_gradient(y, p, x_flat, n, penalty_weight):
     return objective, penalty, gradient
 
 
-def maximize_dissimilarity(images: np.ndarray, u: np.ndarray, net: NetworkSpec,
-                           cfg: PrivacyConfig, seeds: list[int]) -> PrivacyResult:
-    """Scramble a stack of images (B, C, H, W) inside the harmless subspace
-    of net's first layer, all in one ascent loop.
+def maximize_dissimilarity(images: np.ndarray, u: np.ndarray, cfg: PrivacyConfig,
+                           seeds: list[int]) -> PrivacyResult:
+    """Scramble a stack of images (B, C, H, W) inside span(u), all in one
+    ascent loop.
 
-    u must be that layer's (n, d) harmless basis; every image must match
-    the network input shape with values in [0, 1]. Image i starts from
-    the pixel offset cfg.init_coeff_scale * (z_i @ U U.T), with
+    u is the (n, d) harmless basis of the first layer of the network
+    whose output must not move; the network itself is not needed. Every
+    image has n = C * H * W pixels with values in [0, 1]. Image i starts
+    from the pixel offset cfg.init_coeff_scale * (z_i @ U U.T), with
     z_i = default_rng(seeds[i]).standard_normal(n).
     """
     x = np.asarray(images, dtype=np.float64)
-    if x.ndim != 4 or x.shape[1:] != net.input_shape:
-        raise ValueError(f"image shape {x.shape} != (B, *{net.input_shape})")
+    n = u.shape[0]
+    if x.ndim != 4 or math.prod(x.shape[1:]) != n:
+        raise ValueError(f"image shape {x.shape} != (B, C, H, W) with C * H * W = {n}, "
+                         "the basis ambient dim")
     b = x.shape[0]
     if b < 1 or len(seeds) != b:
         raise ValueError(f"need one seed for each of >= 1 images, got {len(seeds)} for {b}")
-    n = x[0].size
-    if u.shape[0] != n:
-        raise ValueError(f"basis ambient dim {u.shape[0]} != image size {n}")
     if u.shape[1] == 0:
         raise EmptySubspaceError("harmless subspace is {0}; cannot scramble")
     if not np.all(np.isfinite(x)):
@@ -220,17 +217,11 @@ def maximize_dissimilarity(images: np.ndarray, u: np.ndarray, net: NetworkSpec,
 
     delta = (y @ u) @ u.T
     x_hat = x_flat + delta
-    scrambled = x_hat.reshape(x.shape)
-    clean_logits = forward(net, x).logits
-    scrambled_logits = forward(net, scrambled).logits
     return PrivacyResult(
-        image=scrambled,
+        image=x_hat.reshape(x.shape),
         mse=np.einsum("ij,ij->i", delta, delta) / n,
         max_bound_violation=np.maximum(0.0, np.maximum(-x_hat.min(axis=1),
                                                        x_hat.max(axis=1) - 1.0)),
-        clean_logits=clean_logits,
-        scrambled_logits=scrambled_logits,
-        output_deviation=np.abs(scrambled_logits - clean_logits).max(axis=1),
         objective_history=np.array(history),
         penalty_history=np.array(penalties),
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .imaging import ssim, synthetic_image
 from .layers import (
@@ -156,12 +157,13 @@ def covering_selector_kernels(c_in: int, c_out: int, kernel: int,
 
 
 def with_rank(spec):
-    """A sweep geometry: the spec and the rank decision of its lowered matrix."""
-    return spec, decide_rank(build_equivalent(spec))
+    """A sweep geometry: the spec, its lowered matrix A and A's rank decision."""
+    a = build_equivalent(spec)
+    return spec, a, decide_rank(a)
 
 
 def cited_geometries(root_seed: int):
-    """The three anchor (spec, RankDecision) geometries: the 512-dim
+    """The three anchor (spec, A, RankDecision) geometries: the 512-dim
     first-layer conv, the square 784 fully-connected layer, and the
     stride-2 conv whose output dimension matches its input (instantiated
     with well-conditioned seeded kernels; see covering_selector_kernels)."""
@@ -180,10 +182,10 @@ def cited_geometries(root_seed: int):
 
 def seeded_geometries(root_seed: int, count: int = 50):
     """Random desk-scale layer geometries with seeded weights, as
-    (spec, RankDecision) pairs.
+    (spec, A, RankDecision) triples.
 
     Convolutions are resampled until decide_rank certifies the drawn
-    kernels' full rank; that decision is the pair's, and a certified full
+    kernels' full rank; that decision is the triple's, and a certified full
     rank proves the nullity max(0, n - m). The certificate declines on
     ill-conditioned draws and on shapes that drop rank for every kernel,
     such as conv 3x9x9 -> 5x7x7 k3 s1 p0 (rank 240 of 243 over GF(p) for
@@ -213,9 +215,9 @@ def seeded_geometries(root_seed: int, count: int = 50):
                     rng, in_channels=c_in, in_height=h_in, in_width=w_in,
                     out_channels=c_out, kernel_h=kh, kernel_w=kw,
                     stride=stride, zero_padding=pad)
-                spec, decision = with_rank(spec)
-                if decision.path == CERTIFIED_PATH:
-                    out.append((spec, decision))
+                geometry = with_rank(spec)
+                if geometry[2].path == CERTIFIED_PATH:
+                    out.append(geometry)
                     break
             else:
                 raise RuntimeError("no conv geometry drawn in 100 attempts had a certified rank")
@@ -247,13 +249,13 @@ def _describe(spec) -> str:
 def dimension_agreement(geometries) -> tuple[list[dict], CheckResult]:
     """Numerical nullity versus the geometric prediction, per geometry.
 
-    geometries are (spec, RankDecision) pairs. Returns the per-geometry
+    geometries are (spec, A, RankDecision) triples. Returns the per-geometry
     rows (for the dim-sweep CSV) and one summary check requiring exact
     integer agreement everywhere.
     """
     rows = [{"description": _describe(spec),
              **dict(zip(DIM_SWEEP_HEADER, nullity_row(spec, decision)))}
-            for spec, decision in geometries]
+            for spec, _, decision in geometries]
     disagreements = sum(not r["agree"] for r in rows)
     check = CheckResult(
         name="dimension-agreement",
@@ -267,10 +269,11 @@ def dimension_agreement(geometries) -> tuple[list[dict], CheckResult]:
 
 def lowering_residuals(geometries, root_seed: int) -> CheckResult:
     """Max deviation between direct layer evaluation and the lowered
-    matrix over 100 seeded inputs, across all (spec, RankDecision) geometries."""
+    matrix A over 100 seeded inputs, across all (spec, A, RankDecision)
+    geometries: the A each rank decision was made on."""
     worst = 0.0
-    for i, (spec, _) in enumerate(geometries):
-        worst = max(worst, verify_equivalence(build_equivalent(spec), spec, samples=100,
+    for i, (spec, a, _) in enumerate(geometries):
+        worst = max(worst, verify_equivalence(a, spec, samples=100,
                                               seed=subseed(root_seed, 3, i)))
     return CheckResult(
         name="lowering-residual",
@@ -378,9 +381,9 @@ def rmse_table(net, u: np.ndarray, root_seed: int) -> tuple[dict, list[CheckResu
                         detail="ratio to matched-norm Gaussian at same injection point"),
         ])
 
-    clean = forward(net, images).logits.argmax(axis=1)
+    clean = forward(net, images).argmax(axis=1)
     shifted = images + np.reshape(RMSE_SCALES, (-1,) + (1,) * images.ndim) * harmless
-    pert = forward(net, shifted.reshape(-1, *in_shape)).logits.argmax(axis=1)
+    pert = forward(net, shifted.reshape(-1, *in_shape)).argmax(axis=1)
     total = pert.size
     top1 = int(np.sum(pert.reshape(len(RMSE_SCALES), -1) == clean))
     checks.append(CheckResult("argmax-invariance", top1 == total,
@@ -400,8 +403,7 @@ def least_harmful_minimality(root_seed: int) -> list[CheckResult]:
         n = int(rng.integers(15, 41))
         m = n + int(rng.integers(1, 31))
         a = rng.standard_normal((m, n))
-        lh = least_harmful(build_equivalent(FcLayerSpec(in_features=n, out_features=m,
-                                                        weight=a.T)))
+        lh = least_harmful(sp.csr_matrix(a))
         av = a @ lh.direction
         rel = abs(float(av @ av) - lh.residual) / max(lh.residual, 1e-300)
         worst_rel = max(worst_rel, rel)
@@ -611,6 +613,8 @@ def full_battery(root_seed: int, net_spec: NetworkSpec | None = None,
         report.dim_rows = rows
         report.checks.append(check)
         report.checks.append(lowering_residuals(geometries, root_seed))
+        # release the sweep's lowerings before the first layer is factored
+        del geometries
 
     net = seeded_network(root_seed, net_spec)
     a1 = build_equivalent(net.layers[0])
@@ -650,7 +654,9 @@ def privacy_battery(net, u: np.ndarray, root_seed: int,
     """Scramble seeded images inside span(u), u the (n, d) harmless basis
     of net's first layer, and verify the output-invariance contract.
 
-    All images are scrambled in one batched ascent. Per image: argmax
+    All images are scrambled in one batched ascent, which never runs the
+    network; the clean and the scrambled batch then run through it as
+    two forward calls of B images each. Per image: argmax
     agreement, output deviation <= 1e-9, bound violation <= 0.01, mse >=
     0.05, and n_recon >= 2 sampled reconstructions that all share
     the scrambled image's output while being pairwise distinct. SSIM
@@ -666,9 +672,12 @@ def privacy_battery(net, u: np.ndarray, root_seed: int,
         raise ValueError("the privacy battery needs at least 2 reconstructions per image "
                          f"to compare, got {n_recon}")
     originals = np.asarray(images, dtype=np.float64)
-    res = maximize_dissimilarity(originals, u, net, PrivacyConfig(),
+    clean_logits = forward(net, originals)
+    res = maximize_dissimilarity(originals, u, PrivacyConfig(),
                                  [subseed(root_seed, 9, i, 1) for i in range(len(originals))])
-    agree = res.scrambled_logits.argmax(axis=1) == res.clean_logits.argmax(axis=1)
+    scrambled_logits = forward(net, res.image)
+    output_deviation = np.abs(scrambled_logits - clean_logits).max(axis=1)
+    agree = scrambled_logits.argmax(axis=1) == clean_logits.argmax(axis=1)
     argmax_bad = len(agree) - int(agree.sum())
     pairs = np.triu_indices(n_recon, 1)
     rows = []
@@ -690,16 +699,16 @@ def privacy_battery(net, u: np.ndarray, root_seed: int,
             "mse": float(res.mse[i]),
             "ssim": score,
             "ssim_gaussian_matched": gauss_score,
-            "output_deviation": float(res.output_deviation[i]),
+            "output_deviation": float(output_deviation[i]),
             "max_bound_violation": float(res.max_bound_violation[i]),
             "argmax_agree": bool(agree[i]),
         })
 
     reconstructions = np.stack(recon_sets)
-    recon_logits = forward(net, reconstructions.reshape(-1, *net.input_shape)).logits
+    recon_logits = forward(net, reconstructions.reshape(-1, *net.input_shape))
     recon_dev = float(np.abs(recon_logits.reshape(len(originals), n_recon, -1)
-                             - res.scrambled_logits[:, None]).max())
-    worst_dev = float(res.output_deviation.max())
+                             - scrambled_logits[:, None]).max())
+    worst_dev = float(output_deviation.max())
     worst_viol = float(res.max_bound_violation.max())
     min_mse = float(res.mse.min())
     checks = [

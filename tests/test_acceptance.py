@@ -13,8 +13,9 @@ import pytest
 
 from nullspan import verification
 from nullspan.imaging import ssim, synthetic_image
-from nullspan.layers import ConvLayerSpec, build_equivalent
+from nullspan.layers import ConvLayerSpec, FcLayerSpec, Flatten, Relu, build_equivalent
 from nullspan.linalg import CERTIFIED_PATH, RankDecision, rank_tolerance_bound
+from nullspan.network import NetworkSpec
 from nullspan.seeding import make_rng
 from nullspan.subspace import classify_pair, harmless_basis
 from nullspan.verification import (
@@ -101,7 +102,7 @@ def test_criterion_1_at_a_seed_that_drew_an_ill_conditioned_conv():
 
 @pytest.mark.parametrize("seed", [ROOT_SEED, 7])
 def test_every_conv_draw_is_certified(seed, monkeypatch):
-    conv = [(s, d) for s, d in seeded_geometries(seed) if isinstance(s, ConvLayerSpec)]
+    conv = [(s, d) for s, _, d in seeded_geometries(seed) if isinstance(s, ConvLayerSpec)]
     assert len(conv) == 25
     assert all(d.path == CERTIFIED_PATH for _, d in conv)
 
@@ -124,9 +125,9 @@ def test_every_conv_draw_is_certified(seed, monkeypatch):
 def test_certificate_evidence_is_the_tolerance_bound(geometries):
     # tau_ub is rank_tolerance_bound of the lowered matrix bit for bit, and
     # sigma_min_lower its margin multiple, on every sweep geometry.
-    assert all(decision.path == CERTIFIED_PATH for _, decision in geometries)
-    for spec, decision in geometries:
-        a = build_equivalent(spec)
+    assert all(decision.path == CERTIFIED_PATH for _, _, decision in geometries)
+    for spec, a, decision in geometries:
+        assert (a != build_equivalent(spec)).nnz == 0
         tau_ub = rank_tolerance_bound(a)
         p = min(a.shape)
         assert decision.evidence == {"sigma_min_lower": (2.0 + 2.0 * p * np.sqrt(p)) * tau_ub,
@@ -136,6 +137,25 @@ def test_certificate_evidence_is_the_tolerance_bound(geometries):
 def test_criterion_2_lowering_oracle(geometries):
     check = lowering_residuals(geometries, ROOT_SEED)
     report(2, "lowering equivalence <= 1e-12", [check])
+
+
+def test_full_battery_lowers_each_geometry_once(monkeypatch):
+    # The sweep checks the very matrix its rank decision was made on, so no
+    # layer spec is lowered twice in a whole battery.
+    lowered = []
+
+    def recording_build_equivalent(spec):
+        lowered.append(spec)  # keeps every spec alive, so ids stay distinct
+        return build_equivalent(spec)
+
+    monkeypatch.setattr(verification, "build_equivalent", recording_build_equivalent)
+    net = NetworkSpec(input_shape=(3, 8, 8),
+                      layers=(ConvLayerSpec(3, 8, 8, 2, 3, 3, stride=1, zero_padding=1),
+                              Relu(), Flatten(), FcLayerSpec(128, 6)))
+    report = verification.full_battery(ROOT_SEED, net_spec=net, geometry_count=4, trials=10)
+    assert len(report.dim_rows) == 7
+    ids = [id(spec) for spec in lowered]
+    assert len(ids) >= 7 and len(set(ids)) == len(ids)
 
 
 def test_criterion_3_harmless_invariance(default_net, first_layer_basis):

@@ -1,16 +1,24 @@
 """Metamorphic laws of the lowering and the harmless subspace.
 
-Two symmetries of a conv layer give exact expected answers:
+Symmetries of a conv layer give exact expected answers:
 
 - permuting the input channels (and the kernels' input axis with them)
   permutes the columns of the lowered matrix A;
-- transposing H and W, with the kernels, permutes its rows and columns.
+- transposing H and W, with the kernels, permutes its rows and columns;
+- flipping the width axis, with the kernels, reverses the columns of
+  each input row and of each output row. This needs the sampling grid to
+  be symmetric, (W + 2 pad - kernel_w) divisible by the stride: at stride
+  2, W and kernel_w of equal parity, so an odd W for an odd kernel;
+- permuting the rows or the columns of A itself.
 
 Either way the nullity is unchanged and the harmless subspace is the
 permuted one. The span is compared by the sine of the largest principal
 angle, ||(I - U U.T) U'||_2, after mapping U' back to the original pixel
 order. A basis has no sign or order convention, so only spans are compared.
-How long a permuted matrix takes is a benchmark matter, not tested here.
+Scaling the kernels by 2 scales every quantity the rank certificate
+computes by a power of 2 without changing a rounding, so a certified draw
+stays certified and its evidence doubles bit for bit. How long a permuted matrix takes is a benchmark matter, not
+tested here.
 """
 
 from dataclasses import replace
@@ -53,6 +61,19 @@ def transpose_hw(spec):
     return transposed, rows, cols
 
 
+def flip_width(spec):
+    """The layer on images mirrored left to right, with mirrored kernels, and
+    the row and column orders of its lowering: A' = A[rows][:, cols]."""
+    flipped = replace(spec, kernels=spec.kernels[..., ::-1])
+    cols = pixel_index(spec.in_channels, spec.in_height, spec.in_width)[..., ::-1].ravel()
+    rows = pixel_index(spec.out_channels, spec.out_height, spec.out_width)[..., ::-1].ravel()
+    return flipped, rows, cols
+
+
+def flip_is_symmetry(spec):
+    return (spec.in_width + 2 * spec.zero_padding - spec.kernel_w) % spec.stride == 0
+
+
 def span_sine(u, v):
     """Sine of the largest principal angle between span(u) and span(v),
     both orthonormal with the same number of columns."""
@@ -78,9 +99,8 @@ def assert_law(spec, law, decision=None, compare_path=True, span_bound=SPAN_SINE
     a = build_equivalent(spec)
     if decision is None:
         decision = decide_rank(a, with_basis=True)
-    other, rows, cols = law(spec)
-    a2 = build_equivalent(other)
-    # the lowering of the transformed layer is the permuted lowering, entry for entry
+    a2, rows, cols = law(spec, a)
+    # the transformed matrix is the permuted lowering, entry for entry
     assert (a2 != a[rows][:, cols]).nnz == 0
     decision2 = decide_rank(a2, with_basis=True)
     assert decision2.nullity == decision.nullity
@@ -91,10 +111,50 @@ def assert_law(spec, law, decision=None, compare_path=True, span_bound=SPAN_SINE
     assert span_sine(decision.basis, back) <= span_bound
 
 
-def channel_law(seed):
-    def law(spec):
-        return permute_channels(spec, np.random.default_rng(seed).permutation(spec.in_channels))
+def layer_law(transform):
+    """A law on the layer: the transformed layer, lowered on its own."""
+    def law(spec, a):
+        other, rows, cols = transform(spec)
+        return build_equivalent(other), rows, cols
     return law
+
+
+def channel_law(seed):
+    return layer_law(lambda spec: permute_channels(
+        spec, np.random.default_rng(seed).permutation(spec.in_channels)))
+
+
+def row_law(seed):
+    """A law on the matrix: A with its rows permuted."""
+    def law(spec, a):
+        rows = np.random.default_rng(seed).permutation(a.shape[0])
+        cols = np.arange(a.shape[1])
+        return a[rows], rows, cols
+    return law
+
+
+def column_law(seed):
+    """A law on the matrix: A with its columns permuted."""
+    def law(spec, a):
+        rows = np.arange(a.shape[0])
+        cols = np.random.default_rng(seed).permutation(a.shape[1])
+        return a[:, cols], rows, cols
+    return law
+
+
+def laws(spec, seed):
+    out = [channel_law(seed), layer_law(transpose_hw), row_law(seed), column_law(seed)]
+    if flip_is_symmetry(spec):
+        out.append(layer_law(flip_width))
+    return out
+
+
+def assert_doubled_evidence(spec, decision):
+    """Kernels times 2: the same decision, with its evidence doubled exactly."""
+    doubled = decide_rank(build_equivalent(replace(spec, kernels=2.0 * spec.kernels)))
+    assert (doubled.rank, doubled.nullity, doubled.path) == \
+        (decision.rank, decision.nullity, decision.path)
+    assert doubled.evidence == {k: 2.0 * v for k, v in decision.evidence.items()}
 
 
 @settings(max_examples=40, deadline=None)
@@ -120,8 +180,10 @@ def test_symmetries_keep_the_nullity_and_the_span(c_in, h_in, w_in, kernel_h, ke
     a = build_equivalent(spec)
     decision = decide_rank(a, with_basis=True)
     bound = conditioned_span_sine(a, decision.rank)
-    for law in (channel_law(seed), transpose_hw):
+    for law in laws(spec, seed):
         assert_law(spec, law, decision, compare_path=False, span_bound=bound)
+    if decision.path == CERTIFIED_PATH:
+        assert_doubled_evidence(spec, decision)
 
 
 def test_well_conditioned_draws_keep_the_path():
@@ -131,15 +193,26 @@ def test_well_conditioned_draws_keep_the_path():
     for c_out in (4, 12, 16):
         spec = ConvLayerSpec(3, 9, 7, c_out, 3, 3, stride=2, zero_padding=1,
                              kernels=covering_selector_kernels(3, c_out, 3, 0.04, rng))
-        assert decide_rank(build_equivalent(spec)).path == CERTIFIED_PATH
-        for law in (channel_law(c_out), transpose_hw):
+        decision = decide_rank(build_equivalent(spec))
+        assert decision.path == CERTIFIED_PATH
+        assert flip_is_symmetry(spec)
+        for law in laws(spec, c_out):
             assert_law(spec, law)
+        assert_doubled_evidence(spec, decision)
 
 
 def test_default_first_layer(default_net, first_layer_a, first_layer_basis):
     spec = default_net.layers[0]
     decision = decide_rank(first_layer_a)
     assert decision.path == CERTIFIED_PATH
+    assert_doubled_evidence(spec, decision)
     decision = replace(decision, basis=first_layer_basis)
-    for law in (channel_law(5), transpose_hw):
+    for law in laws(spec, 5):
         assert_law(spec, law, decision)
+    # 32 + 2 * 3 - 7 is odd, so at stride 2 the width flip is no symmetry
+    # of this layer: its sampling grid would shift by one pixel. The same
+    # kernels on a 31x31 input flip.
+    assert not flip_is_symmetry(spec)
+    odd = replace(spec, in_height=31, in_width=31)
+    assert flip_is_symmetry(odd)
+    assert_law(odd, layer_law(flip_width))

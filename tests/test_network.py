@@ -30,7 +30,7 @@ from nullspan.network import (
     save_network_spec,
 )
 from nullspan.subspace import harmless_basis, least_harmful, sample_harmless
-from nullspan import tensorio
+from nullspan import network, tensorio
 
 # Layers of verification.default_network_spec(): the second conv has no
 # harmless subspace; the first fc layer (1024 -> 64) has a 960-dim one.
@@ -60,6 +60,14 @@ def golden_spec():
             FcLayerSpec(27, 5),
         ),
     )
+
+
+def activation(net, x, idx):
+    """z_idx of a single input x, as a batch of one: layers 0 .. idx-1 applied."""
+    z = x[None]
+    for layer in net.layers[:idx]:
+        z = apply_layer(layer, z)
+    return z
 
 
 def naive_forward(net, x):
@@ -136,8 +144,8 @@ class TestForward:
     def test_golden_logits(self):
         net = init_network(golden_spec(), 42)
         x = synthetic_image(7, (2, 6, 6))
-        trace = forward(net, x[None])
-        np.testing.assert_allclose(trace.logits[0], GOLDEN_LOGITS, rtol=0, atol=1e-12)
+        logits = forward(net, x[None])
+        np.testing.assert_allclose(logits[0], GOLDEN_LOGITS, rtol=0, atol=1e-12)
 
     def test_matches_naive_reimplementation(self):
         # Each row of a mixed batch (synthetic images, zeros, a signed
@@ -147,7 +155,7 @@ class TestForward:
                        np.random.default_rng(3).standard_normal((2, 6, 6)),
                        synthetic_image(8, (2, 6, 6))])
         for batch in (xs[:1], xs):
-            logits = forward(net, batch).logits
+            logits = forward(net, batch)
             assert logits.shape == (len(batch), 5)
             for row, x in zip(logits, batch):
                 np.testing.assert_allclose(row, naive_forward(net, x), rtol=0, atol=1e-12)
@@ -164,7 +172,7 @@ class TestForward:
         conv, flatten, fc = init_network(spec, 3).layers
         net = NetworkSpec(input_shape=(1, 4, 4),
                           layers=(replace(conv, bias=None), flatten, replace(fc, bias=None)))
-        logits = forward(net, np.zeros((1, 1, 4, 4))).logits
+        logits = forward(net, np.zeros((1, 1, 4, 4)))
         np.testing.assert_array_equal(logits, np.zeros((1, 3)))
 
     def test_relu_clamps(self):
@@ -177,11 +185,19 @@ class TestForward:
         np.testing.assert_allclose(out[0, 0], [[2.5, 4.5], [10.5, 12.5]])
 
     def test_trace_shapes(self):
+        # Layer by layer, apply_layer produces the shapes activation_shapes
+        # declares, and forward returns the last one flattened.
         net = init_network(golden_spec(), 42)
-        trace = forward(net, np.stack([synthetic_image(1, (2, 6, 6))] * 4))
-        shapes = [a.shape for a in trace.activations]
+        xs = np.stack([synthetic_image(1, (2, 6, 6))] * 4)
+        z = xs
+        shapes = [z.shape]
+        for layer in net.layers:
+            z = apply_layer(layer, z)
+            shapes.append(z.shape)
         assert shapes == [(4, 2, 6, 6), (4, 3, 6, 6), (4, 3, 6, 6), (4, 3, 3, 3),
                           (4, 27), (4, 5)]
+        assert shapes == [(4, *s) for s in net.activation_shapes()]
+        np.testing.assert_array_equal(forward(net, xs), z)
 
     def test_shape_mismatch(self):
         net = init_network(golden_spec(), 42)
@@ -207,7 +223,7 @@ class TestForwardFromLayer:
         net = init_network(golden_spec(), 42)
         x = synthetic_image(8, (2, 6, 6))
         np.testing.assert_array_equal(forward_from_layer(net, 0, x[None]),
-                                      forward(net, x[None]).logits)
+                                      forward(net, x[None]))
 
     def test_interior_harmless_injection(self, default_net):
         idx = INTERIOR_HARMLESS_LAYER
@@ -215,24 +231,24 @@ class TestForwardFromLayer:
         basis = harmless_basis(build_equivalent(fc1))
         assert basis.shape[1] == 1024 - 64
         x = synthetic_image(9, (3, 32, 32))
-        trace = forward(net=default_net, x=x[None])
-        z = trace.activations[idx]
+        clean = forward(net=default_net, x=x[None])
+        z = activation(default_net, x, idx)
         delta = sample_harmless(basis, seed=11, target_norm=5.0)
         logits = forward_from_layer(default_net, idx, z + delta.reshape(z.shape))
-        assert np.max(np.abs(logits - trace.logits)) <= 1e-10
+        assert np.max(np.abs(logits - clean)) <= 1e-10
 
     def test_least_harmful_injection_beats_random(self, default_net):
         idx = ZERO_NULLITY_LAYER
         eq = build_equivalent(default_net.layers[idx])
         lh = least_harmful(eq)
         x = synthetic_image(10, (3, 32, 32))
-        trace = forward(default_net, x[None])
-        z = trace.activations[idx]
+        clean = forward(default_net, x[None])
+        z = activation(default_net, x, idx)
         shape = z.shape
 
         def deviation(direction):
             logits = forward_from_layer(default_net, idx, z + direction.reshape(shape))
-            return float(np.linalg.norm(logits - trace.logits))
+            return float(np.linalg.norm(logits - clean))
 
         lh_dev = deviation(lh.direction)
         rng = np.random.default_rng(12)
@@ -244,12 +260,12 @@ class TestForwardFromLayer:
     def test_generic_perturbation_changes_logits(self, default_net):
         idx = ZERO_NULLITY_LAYER
         x = synthetic_image(13, (3, 32, 32))
-        trace = forward(default_net, x[None])
-        z = trace.activations[idx]
+        clean = forward(default_net, x[None])
+        z = activation(default_net, x, idx)
         rng = np.random.default_rng(14)
         delta = rng.standard_normal(z.shape)
         logits = forward_from_layer(default_net, idx, z + delta)
-        assert np.max(np.abs(logits - trace.logits)) > 1e-6
+        assert np.max(np.abs(logits - clean)) > 1e-6
 
     def test_bad_index(self, default_net):
         with pytest.raises(IndexError):
@@ -266,10 +282,10 @@ class TestEndToEndInvariance:
                                 norm_kind="linf").reshape(3, 32, 32)
         x = synthetic_image(16, (3, 32, 32))
         clean = forward(default_net, x[None])
-        clean_class = int(np.argmax(clean.logits))
+        clean_class = int(np.argmax(clean))
         for scale in [2.0 ** k for k in range(9)]:
-            logits = forward(default_net, (x + scale * delta)[None]).logits
-            assert np.max(np.abs(logits - clean.logits)) <= 1e-9
+            logits = forward(default_net, (x + scale * delta)[None])
+            assert np.max(np.abs(logits - clean)) <= 1e-9
             assert int(np.argmax(logits)) == clean_class
 
 
@@ -287,6 +303,24 @@ class TestRmseReport:
         inputs = [synthetic_image(200, (3, 32, 32))]
         rmse = rmse_report(default_net, inputs, np.zeros((3, 32, 32)), (1.0, 4.0), 0)
         assert np.all(rmse == 0.0)
+
+    def test_injection_applies_each_layer_once(self, monkeypatch):
+        # At injection 0 the features are the inputs themselves, so each
+        # layer runs once per call, on the clean and perturbed batch together.
+        net = init_network(golden_spec(), 42)
+        applied = []
+
+        def counting_apply_layer(layer, z):
+            applied.append(layer)
+            return apply_layer(layer, z)
+
+        monkeypatch.setattr(network, "apply_layer", counting_apply_layer)
+        inputs = [synthetic_image(400 + i, (2, 6, 6)) for i in range(3)]
+        for idx in (0, 2, len(net.layers)):
+            applied.clear()
+            delta = np.full(net.activation_shapes()[idx], 1e-3)
+            rmse_report(net, inputs, delta, (1.0, 2.0), idx)
+            assert [id(l) for l in applied] == [id(l) for l in net.layers]
 
     def test_gaussian_grows(self, default_net):
         rng = np.random.default_rng(18)
