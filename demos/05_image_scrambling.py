@@ -71,7 +71,7 @@ write_ppm(out_dir / "perturbation.ppm", (pert - pert.min()) / (pert.max() - pert
 
 # ambiguity: subtracting any other harmless vector yields an equally
 # valid "original" with the identical network output
-recons = sample_reconstructions(x_hat, u, k=4, seed=5)
+recons = sample_reconstructions(result.image, u, k=4, seeds=[5])[0]
 print("\nrecovery ambiguity, 4 candidate originals:")
 for i, candidate in enumerate(recons):
     dev = np.max(np.abs(forward(net, candidate[None])[0] - scrambled))

@@ -27,7 +27,6 @@ from .layers import (
 from .linalg import (
     FactorizationError,
     RankDecision,
-    SvdResult,
     decide_rank,
     numerical_rank,
     orthonormal_nullspace,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,6 @@ import numpy as np
 from . import verification
 from .layers import (
     ConvLayerSpec,
-    FcLayerSpec,
     build_equivalent,
     load_layer_json,
     predict_nullspace_dim,
@@ -134,23 +134,15 @@ def _sweep_rows(args, root_seed: int):
     reported on stderr and gives an error row; the sweep continues."""
     if args.kind == "conv":
         c, h, w = args.in_shape
-        k = args.kernel
         in_dim, stream = c * h * w, 20
+        build = partial(verification.seeded_conv, in_channels=c, in_height=h, in_width=w,
+                        kernel_h=args.kernel, kernel_w=args.kernel, zero_padding=args.pad)
         params = [{"stride": s, "out_channels": n}
                   for s in args.strides for n in args.out_channels]
-
-        def build(rng, stride, out_channels):
-            return ConvLayerSpec(in_channels=c, in_height=h, in_width=w,
-                                 out_channels=out_channels, kernel_h=k, kernel_w=k,
-                                 stride=stride, zero_padding=args.pad,
-                                 kernels=rng.standard_normal((out_channels, c, k, k)))
     else:
         in_dim, stream = args.in_features, 21
+        build = partial(verification.seeded_fc, in_features=in_dim)
         params = [{"out_features": n} for n in args.out_features]
-
-        def build(rng, out_features):
-            return FcLayerSpec(in_features=in_dim, out_features=out_features,
-                               weight=rng.standard_normal((in_dim, out_features)))
 
     rows = []
     for idx, p in enumerate(params):

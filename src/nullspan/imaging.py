@@ -31,19 +31,8 @@ SSIM_C1 = 0.01 ** 2
 SSIM_C2 = 0.03 ** 2
 
 
-def _window_mean(plane: np.ndarray) -> np.ndarray:
-    return sliding_window_view(plane, (SSIM_WINDOW, SSIM_WINDOW)).mean(axis=(-1, -2))
-
-
-def _channel_ssim_map(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    mu_a = _window_mean(a)
-    mu_b = _window_mean(b)
-    var_a = _window_mean(a * a) - mu_a * mu_a
-    var_b = _window_mean(b * b) - mu_b * mu_b
-    cov = _window_mean(a * b) - mu_a * mu_b
-    num = (2.0 * mu_a * mu_b + SSIM_C1) * (2.0 * cov + SSIM_C2)
-    den = (mu_a * mu_a + mu_b * mu_b + SSIM_C1) * (var_a + var_b + SSIM_C2)
-    return num / den
+def _window_mean(x: np.ndarray) -> np.ndarray:
+    return sliding_window_view(x, (SSIM_WINDOW, SSIM_WINDOW), axis=(-2, -1)).mean(axis=(-1, -2))
 
 
 def ssim(a: np.ndarray, b: np.ndarray) -> float:
@@ -57,15 +46,18 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if a.ndim == 2:
-        a = a[None]
-        b = b[None]
-    if a.ndim != 3:
+    if a.ndim not in (2, 3):
         raise ValueError(f"expected (H, W) or (C, H, W), got shape {a.shape}")
-    if a.shape[1] < SSIM_WINDOW or a.shape[2] < SSIM_WINDOW:
+    if min(a.shape[-2:]) < SSIM_WINDOW:
         raise ValueError(f"image smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} window: {a.shape}")
-    maps = [_channel_ssim_map(a[c], b[c]) for c in range(a.shape[0])]
-    return float(np.mean(maps))
+    mu_a = _window_mean(a)
+    mu_b = _window_mean(b)
+    var_a = _window_mean(a * a) - mu_a * mu_a
+    var_b = _window_mean(b * b) - mu_b * mu_b
+    cov = _window_mean(a * b) - mu_a * mu_b
+    num = (2.0 * mu_a * mu_b + SSIM_C1) * (2.0 * cov + SSIM_C2)
+    den = (mu_a * mu_a + mu_b * mu_b + SSIM_C1) * (var_a + var_b + SSIM_C2)
+    return float(np.mean(num / den))
 
 
 # --- PPM (P6, 8-bit) ----------------------------------------------------

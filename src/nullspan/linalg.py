@@ -47,7 +47,6 @@ __all__ = [
     "SVD_PATH",
     "FactorizationError",
     "RankDecision",
-    "SvdResult",
     "svd",
     "singular_values",
     "sigma_max_bound",
@@ -63,7 +62,7 @@ _EPS = float(np.finfo(np.float64).eps)
 _UNIT_ROUNDOFF = _EPS / 2
 _SMALLEST_SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
 # Above this share of nonzeros a sparse Gram product costs far more than
-# a dense BLAS one (784x784 fully connected: 1.4 s against 0.01 s).
+# a dense BLAS one.
 _DENSE_GRAM_FILL = 0.25
 
 #: RankDecision.path values.
@@ -102,29 +101,17 @@ def _checked(m):
     return m
 
 
-@dataclass(frozen=True)
-class SvdResult:
-    """Full SVD M = L @ diag(s) @ R.T (leading min(m, n) columns of L, R).
-
-    left_vectors is m x m, right_vectors is n x n; columns of each are
-    orthonormal. singular_values is non-increasing and non-negative.
-    """
-
-    left_vectors: np.ndarray
-    singular_values: np.ndarray
-    right_vectors: np.ndarray
-
-
-def svd(m) -> SvdResult:
-    """Full singular value decomposition of a dense or sparse matrix."""
+def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Full SVD (u, s, vt) of a dense or sparse matrix, as numpy returns it:
+    u is m x m and vt is n x n, both orthogonal, and s is non-increasing
+    and non-negative."""
     a = as_dense(m)
     try:
-        u, s, vt = np.linalg.svd(a, full_matrices=True)
+        return np.linalg.svd(a, full_matrices=True)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(
             f"SVD did not converge for a {a.shape[0]}x{a.shape[1]} matrix"
         ) from exc
-    return SvdResult(left_vectors=u, singular_values=s, right_vectors=vt.T)
 
 
 def singular_values(m) -> np.ndarray:
@@ -359,7 +346,7 @@ def _certify_full_rank(m, row_rank: np.ndarray,
                    + (margin * tau_ub) ** 2)
     if not np.isfinite(shift):
         return None
-    import scipy.linalg  # on first use: importing it adds ~0.15 s to CLI start-up
+    import scipy.linalg  # on first use: importing it slows CLI start-up
     ab[0] -= shift
     try:
         r = scipy.linalg.cholesky_banded(ab, overwrite_ab=True, lower=True,
@@ -374,9 +361,9 @@ def _certify_full_rank(m, row_rank: np.ndarray,
 
 
 # Columns per block of the staircase QR, and per geqrt call within a block.
-# Past 32 columns OpenBLAS threads geqrt's inner products, and on 2 cores a
-# 64-column geqrt ran 5x slower after a large GEMM than before it; a block
-# of three geqrt panels gives the trailing update a GEMM of depth 96.
+# Past 32 columns OpenBLAS threads geqrt's inner products, which made a
+# wider geqrt slower after a large GEMM than before it; a block of three
+# geqrt panels gives the trailing update a GEMM of depth 96.
 _QR_BLOCK, _GEQRT_COLS = 96, 32
 # Largest product buffer of a trailing update, in float64 entries (4 MiB);
 # wider updates are applied a slice of columns at a time.
@@ -404,8 +391,7 @@ def _row_space_complement(m, row_rank: np.ndarray, col_rank: np.ndarray) -> np.n
     B is held in the layout of LAPACK's band storage when that is shorter
     than n rows: column j keeps rows [j - ku, j + kl] at stride kl + ku, so
     every block the loop touches is a strided view that the GEMMs read and
-    update in place (for the first 2560 x 3072 conv layer of the default
-    network, 30 MB against 63 MB).
+    update in place.
     """
     import scipy.linalg
     k, n = m.shape
@@ -432,10 +418,10 @@ def _row_space_complement(m, row_rank: np.ndarray, col_rank: np.ndarray) -> np.n
     lda = min(kl + ku + 1, n)
     # B[i, j] sits at store[j * stride + i + origin]
     stride, origin = (lda - 1, ku) if lda < n else (n, 0)
-    # One allocation holds B and Q[:, k:]. Freed on its own, B's 30 MB (below
-    # glibc's 32 MiB cap) raised the mmap threshold past the size of Q and
-    # the basis, which then came from the heap and stayed resident: peak
-    # RSS of privacy ended 4 MB above the dense QR's.
+    # One allocation holds B and Q[:, k:]. Freed on its own, a B below
+    # glibc's 32 MiB mmap cap raises the mmap threshold past the size of Q
+    # and the basis, which then come from the heap and stay resident,
+    # raising peak RSS.
     work = np.zeros(k * lda + n * (n - k))
     store, q = work[:k * lda], work[k * lda:].reshape((n, n - k), order="F")
     if sparse:
@@ -509,8 +495,8 @@ def decide_rank(m, with_basis: bool = False) -> RankDecision:
     The certificate factors that band with a band Cholesky; the
     inequality it rests on bounds the rounding of any Cholesky of the
     symmetrically permuted Gram matrix, and its shift and evidence are
-    computed as before, so the evidence and the decision are those of a
-    dense Cholesky up to a pivot at rounding level. The QR follows the
+    computed in m's own order, so the evidence and the decision are those
+    of a dense Cholesky up to a pivot at rounding level. The QR follows the
     staircase, skipping only exact zeros. Otherwise the singular
     values decide: the rank counts those above rank_tolerance, and the
     basis is the right singular vectors past the rank, re-orthonormalized
@@ -532,10 +518,9 @@ def decide_rank(m, with_basis: bool = False) -> RankDecision:
 
     basis = None
     if with_basis:
-        res = svd(m)
-        sv = res.singular_values
+        _, sv, vt = svd(m)
         rank = numerical_rank(sv, rows, cols)
-        basis = np.linalg.qr(res.right_vectors[:, rank:])[0]
+        basis = np.linalg.qr(vt[rank:].T)[0]
     else:
         sv = singular_values(m)
         rank = numerical_rank(sv, rows, cols)
@@ -572,7 +557,7 @@ def _lowest_eigvec_shift_invert(g) -> np.ndarray:
     trace = float(g.diagonal().sum())
     if n == 1 or trace == 0.0:
         return np.eye(n, 1)[:, 0]
-    import scipy.sparse.linalg as spla  # on first use: ~0.09 s of CLI start-up
+    import scipy.sparse.linalg as spla  # on first use: importing it slows CLI start-up
     shift = n * _UNIT_ROUNDOFF * trace + _SMALLEST_SUBNORMAL
     try:
         lu = spla.splu((g + shift * sp.identity(n)).tocsc(), permc_spec="MMD_AT_PLUS_A")

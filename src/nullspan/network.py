@@ -7,8 +7,8 @@ perturbation at any depth and measure its downstream effect.
 
 Layer indexing convention: `net.layers[i]` consumes activation z_i and
 produces z_{i+1}, with z_0 the network input. forward_from_layer(net, l,
-z) treats z as z_l and applies layers l, l+1, ... to the end, so
-forward_from_layer(net, 0, x) reproduces the full forward pass.
+z) treats z as z_l and applies layers l, l+1, ... to the end;
+forward(net, x) is forward_from_layer(net, 0, x).
 
 Batch convention: every activation carries a leading batch axis, so z_0
 is (B, *input_shape) and z_i is (B, *activation_shapes()[i]); logits are
@@ -161,11 +161,7 @@ def apply_layer(layer, z: np.ndarray) -> np.ndarray:
 
 def forward(net: NetworkSpec, x: np.ndarray) -> np.ndarray:
     """The (B, n_out) logits of the network on a (B, *input_shape) batch."""
-    z = np.asarray(x, dtype=np.float64)
-    _check_batched(z, net.input_shape)
-    for layer in net.layers:
-        z = apply_layer(layer, z)
-    return z.reshape(len(z), -1)
+    return forward_from_layer(net, 0, x)
 
 
 def forward_from_layer(net: NetworkSpec, layer_index: int, z: np.ndarray) -> np.ndarray:
@@ -173,7 +169,8 @@ def forward_from_layer(net: NetworkSpec, layer_index: int, z: np.ndarray) -> np.
     if not 0 <= layer_index <= len(net.layers):
         raise IndexError(f"layer index {layer_index} out of range 0..{len(net.layers)}")
     z = np.asarray(z, dtype=np.float64)
-    _check_batched(z, net.activation_shapes()[layer_index], "feature")
+    _check_batched(z, net.activation_shapes()[layer_index],
+                   "input" if layer_index == 0 else "feature")
     for layer in net.layers[layer_index:]:
         z = apply_layer(layer, z)
     return z.reshape(len(z), -1)

@@ -165,6 +165,17 @@ def _objective_and_gradient(y, p, x_flat, n, penalty_weight):
     return objective, penalty, gradient
 
 
+def _check_stack(x: np.ndarray, n: int, seeds: list[int]) -> int:
+    """The number B of images in x, after checking that x is a (B, C, H, W)
+    stack with C * H * W = n and that there is one seed per image."""
+    if x.ndim != 4 or math.prod(x.shape[1:]) != n:
+        raise ValueError(f"image shape {x.shape} != (B, C, H, W) with C * H * W = {n}, "
+                         "the basis ambient dim")
+    if len(x) < 1 or len(seeds) != len(x):
+        raise ValueError(f"need one seed for each of >= 1 images, got {len(seeds)} for {len(x)}")
+    return len(x)
+
+
 def maximize_dissimilarity(images: np.ndarray, u: np.ndarray, cfg: PrivacyConfig,
                            seeds: list[int]) -> PrivacyResult:
     """Scramble a stack of images (B, C, H, W) inside span(u), all in one
@@ -178,12 +189,7 @@ def maximize_dissimilarity(images: np.ndarray, u: np.ndarray, cfg: PrivacyConfig
     """
     x = np.asarray(images, dtype=np.float64)
     n = u.shape[0]
-    if x.ndim != 4 or math.prod(x.shape[1:]) != n:
-        raise ValueError(f"image shape {x.shape} != (B, C, H, W) with C * H * W = {n}, "
-                         "the basis ambient dim")
-    b = x.shape[0]
-    if b < 1 or len(seeds) != b:
-        raise ValueError(f"need one seed for each of >= 1 images, got {len(seeds)} for {b}")
+    b = _check_stack(x, n, seeds)
     if u.shape[1] == 0:
         raise EmptySubspaceError("harmless subspace is {0}; cannot scramble")
     if not np.all(np.isfinite(x)):
@@ -228,19 +234,22 @@ def maximize_dissimilarity(images: np.ndarray, u: np.ndarray, cfg: PrivacyConfig
 
 
 def sample_reconstructions(x_hat: np.ndarray, u: np.ndarray, k: int,
-                           seed: int) -> np.ndarray:
-    """k candidate originals x_hat - (z_j U) U.T, as (k, C, H, W), with z_j
-    the rows of default_rng(seed).standard_normal((k, n)).
+                           seeds: list[int]) -> np.ndarray:
+    """k candidate originals x_hat[i] - (z_ij U) U.T of each image of a
+    (B, C, H, W) stack, as (B, k, C, H, W), with z_ij the rows of
+    default_rng(seeds[i]).standard_normal((k, n)). All B * k candidates
+    come from one product with U and one with U.T.
 
-    Every candidate has the same network output as x_hat (their
+    Every candidate has the same network output as its x_hat[i] (their
     differences lie in the harmless subspace), which is exactly why the
     true original cannot be singled out from outputs alone once the
     subspace has dimension >= 2.
     """
     x_hat = np.asarray(x_hat, dtype=np.float64)
+    n = u.shape[0]
+    b = _check_stack(x_hat, n, seeds)
     if u.shape[1] == 0:
         raise EmptySubspaceError("harmless subspace is {0}; nothing to sample")
-    if u.shape[0] != x_hat.size:
-        raise ValueError(f"basis ambient dim {u.shape[0]} != image size {x_hat.size}")
-    z = np.random.default_rng(seed).standard_normal((k, u.shape[0]))
-    return (x_hat.ravel() - (z @ u) @ u.T).reshape((k, *x_hat.shape))
+    z = np.concatenate([np.random.default_rng(seed).standard_normal((k, n)) for seed in seeds])
+    offsets = ((z @ u) @ u.T).reshape(b, k, n)
+    return (x_hat.reshape(b, 1, n) - offsets).reshape((b, k, *x_hat.shape[1:]))

@@ -38,6 +38,7 @@ from .subspace import (
     DIFFERENT_OUTPUT,
     IDENTICAL_OUTPUT,
     PROPORTIONAL,
+    EmptySubspaceError,
     LeastHarmful,
     classify_pair,
     harmless_basis,
@@ -55,6 +56,8 @@ __all__ = [
     "seeded_network",
     "cited_geometries",
     "seeded_geometries",
+    "seeded_conv",
+    "seeded_fc",
     "with_rank",
     "nullity_row",
     "dimension_agreement",
@@ -123,11 +126,19 @@ def seeded_network(root_seed: int, spec: NetworkSpec | None) -> NetworkSpec:
     return init_network(spec or default_network_spec(), subseed(root_seed, 8))
 
 
-def _conv_with_kernels(rng, **kw) -> ConvLayerSpec:
+def seeded_conv(rng, **kw) -> ConvLayerSpec:
+    """The conv geometry kw with standard normal kernels drawn from rng,
+    after the geometry is validated."""
     spec = ConvLayerSpec(**kw)
     kernels = rng.standard_normal(
         (spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w))
     return ConvLayerSpec(**{**kw, "kernels": kernels})
+
+
+def seeded_fc(rng, in_features: int, out_features: int) -> FcLayerSpec:
+    """A fully-connected layer with a standard normal weight drawn from rng."""
+    return FcLayerSpec(in_features=in_features, out_features=out_features,
+                       weight=rng.standard_normal((in_features, out_features)))
 
 
 def covering_selector_kernels(c_in: int, c_out: int, kernel: int,
@@ -168,11 +179,10 @@ def cited_geometries(root_seed: int):
     stride-2 conv whose output dimension matches its input (instantiated
     with well-conditioned seeded kernels; see covering_selector_kernels)."""
     return [with_rank(spec) for spec in (
-        _conv_with_kernels(make_rng(root_seed, 1, 0), in_channels=3, in_height=32,
-                           in_width=32, out_channels=10, kernel_h=7, kernel_w=7,
-                           stride=2, zero_padding=3),
-        FcLayerSpec(in_features=784, out_features=784,
-                    weight=make_rng(root_seed, 1, 1).standard_normal((784, 784))),
+        seeded_conv(make_rng(root_seed, 1, 0), in_channels=3, in_height=32,
+                    in_width=32, out_channels=10, kernel_h=7, kernel_w=7,
+                    stride=2, zero_padding=3),
+        seeded_fc(make_rng(root_seed, 1, 1), 784, 784),
         ConvLayerSpec(in_channels=3, in_height=32, in_width=32, out_channels=12,
                       kernel_h=3, kernel_w=3, stride=2, zero_padding=1,
                       kernels=covering_selector_kernels(
@@ -211,7 +221,7 @@ def seeded_geometries(root_seed: int, count: int = 50):
                 c_out_cap = min(c_in * kh * kw,
                                 max(1, (c_in * h_in * w_in) // plane_out + 2))
                 c_out = int(rng.integers(1, c_out_cap + 1))
-                spec = _conv_with_kernels(
+                spec = seeded_conv(
                     rng, in_channels=c_in, in_height=h_in, in_width=w_in,
                     out_channels=c_out, kernel_h=kh, kernel_w=kw,
                     stride=stride, zero_padding=pad)
@@ -225,8 +235,7 @@ def seeded_geometries(root_seed: int, count: int = 50):
             rng = make_rng(root_seed, 2, i)
             n_in = int(rng.integers(8, 120))
             n_out = int(rng.integers(4, 160))
-            out.append(with_rank(FcLayerSpec(in_features=n_in, out_features=n_out,
-                                             weight=rng.standard_normal((n_in, n_out)))))
+            out.append(with_rank(seeded_fc(rng, n_in, n_out)))
     return out
 
 
@@ -381,11 +390,11 @@ def rmse_table(net, u: np.ndarray, root_seed: int) -> tuple[dict, list[CheckResu
                         detail="ratio to matched-norm Gaussian at same injection point"),
         ])
 
-    clean = forward(net, images).argmax(axis=1)
-    shifted = images + np.reshape(RMSE_SCALES, (-1,) + (1,) * images.ndim) * harmless
-    pert = forward(net, shifted.reshape(-1, *in_shape)).argmax(axis=1)
-    total = pert.size
-    top1 = int(np.sum(pert.reshape(len(RMSE_SCALES), -1) == clean))
+    # row 0 holds the clean images (scale 0)
+    shifted = images + np.append(0.0, RMSE_SCALES).reshape(-1, *[1] * images.ndim) * harmless
+    labels = forward(net, shifted.reshape(-1, *in_shape)).argmax(axis=1).reshape(len(shifted), -1)
+    total = labels[1:].size
+    top1 = int(np.sum(labels[1:] == labels[0]))
     checks.append(CheckResult("argmax-invariance", top1 == total,
                               float(total - top1), 0.0,
                               detail=f"{top1}/{total} class predictions unchanged"))
@@ -539,7 +548,7 @@ def build_contour(a, u: np.ndarray, root_seed: int, axis: np.ndarray) -> np.ndar
     vectors are the columns of one sparse product."""
     n, d = u.shape
     if d == 0:
-        raise ValueError("contour needs a layer with a nontrivial harmless subspace")
+        raise EmptySubspaceError("contour needs a layer with a nontrivial harmless subspace")
     axis = np.asarray(axis, dtype=np.float64)
     dec = orthogonal_decompose(u, make_rng(root_seed, 7).standard_normal(n))
     combined = (dec.orthogonal[:, None, None] * axis[:, None]
@@ -679,18 +688,17 @@ def privacy_battery(net, u: np.ndarray, root_seed: int,
     output_deviation = np.abs(scrambled_logits - clean_logits).max(axis=1)
     agree = scrambled_logits.argmax(axis=1) == clean_logits.argmax(axis=1)
     argmax_bad = len(agree) - int(agree.sum())
+    reconstructions = sample_reconstructions(
+        res.image, u, n_recon, [subseed(root_seed, 9, i, 3) for i in range(len(originals))])
     pairs = np.triu_indices(n_recon, 1)
     rows = []
-    recon_sets = []
     recon_min_dist = np.inf
-    for i, (x, x_hat) in enumerate(zip(originals, res.image)):
+    for i, (x, x_hat, recons) in enumerate(zip(originals, res.image, reconstructions)):
         score = ssim(x, x_hat)
         noise = make_rng(root_seed, 9, i, 2).standard_normal(x.shape)
         noise *= np.linalg.norm(x_hat - x) / np.linalg.norm(noise)
         gauss_score = ssim(x, x + noise)
 
-        recons = sample_reconstructions(x_hat, u, n_recon, subseed(root_seed, 9, i, 3))
-        recon_sets.append(recons)
         gaps = (recons[pairs[0]] - recons[pairs[1]]).reshape(len(pairs[0]), -1)
         recon_min_dist = min(recon_min_dist, float(np.linalg.norm(gaps, axis=1).min()))
 
@@ -704,7 +712,6 @@ def privacy_battery(net, u: np.ndarray, root_seed: int,
             "argmax_agree": bool(agree[i]),
         })
 
-    reconstructions = np.stack(recon_sets)
     recon_logits = forward(net, reconstructions.reshape(-1, *net.input_shape))
     recon_dev = float(np.abs(recon_logits.reshape(len(originals), n_recon, -1)
                              - scrambled_logits[:, None]).max())

@@ -17,7 +17,7 @@ from nullspan.layers import ConvLayerSpec, FcLayerSpec, Flatten, Relu, build_equ
 from nullspan.linalg import CERTIFIED_PATH, RankDecision, rank_tolerance_bound
 from nullspan.network import NetworkSpec
 from nullspan.seeding import make_rng
-from nullspan.subspace import classify_pair, harmless_basis
+from nullspan.subspace import EmptySubspaceError, classify_pair, harmless_basis
 from nullspan.verification import (
     RMSE_SCALES,
     build_contour,
@@ -210,6 +210,12 @@ def test_criterion_6_contour(first_layer_a, first_layer_basis):
     values = build_contour(first_layer_a, first_layer_basis, ROOT_SEED, axis)
     assert values.shape == (21, 21)
     report(6, "contour row constancy and linearity", contour_checks(axis, values))
+
+
+def test_contour_of_an_empty_subspace_raises_empty_subspace_error():
+    a = build_equivalent(FcLayerSpec(3, 3, weight=np.eye(3)))
+    with pytest.raises(EmptySubspaceError, match="nontrivial harmless subspace"):
+        build_contour(a, np.zeros((3, 0)), ROOT_SEED, np.linspace(0.0, 2.0, 3))
 
 
 def test_criterion_7_privacy(default_net, first_layer_basis):

@@ -29,41 +29,38 @@ from nullspan.verification import seeded_network
 
 class TestSvd:
     def test_identity(self):
-        res = svd(np.eye(3))
-        np.testing.assert_allclose(res.singular_values, [1.0, 1.0, 1.0], rtol=0, atol=0)
+        _, s, _ = svd(np.eye(3))
+        np.testing.assert_allclose(s, [1.0, 1.0, 1.0], rtol=0, atol=0)
 
     def test_diagonal_with_zero(self):
-        res = svd(np.diag([3.0, 0.0]))
-        np.testing.assert_allclose(res.singular_values, [3.0, 0.0], rtol=0, atol=0)
+        _, s, _ = svd(np.diag([3.0, 0.0]))
+        np.testing.assert_allclose(s, [3.0, 0.0], rtol=0, atol=0)
 
     def test_seeded_reconstruction(self):
         rng = np.random.default_rng(42)
         m = rng.standard_normal((5, 8))
-        res = svd(m)
-        k = res.singular_values.size
-        recon = (res.left_vectors[:, :k] * res.singular_values) @ res.right_vectors[:, :k].T
+        u, s, vt = svd(m)
+        k = s.size
+        recon = (u[:, :k] * s) @ vt[:k]
         err = np.max(np.abs(m - recon))
-        assert err <= 1e-10 * max(1.0, res.singular_values[0])
+        assert err <= 1e-10 * max(1.0, s[0])
 
     def test_orthonormal_blocks(self):
         rng = np.random.default_rng(3)
-        res = svd(rng.standard_normal((6, 4)))
-        for q in (res.left_vectors, res.right_vectors):
+        u, _, vt = svd(rng.standard_normal((6, 4)))
+        for q in (u, vt.T):
             gram = q.T @ q
             assert np.max(np.abs(gram - np.eye(q.shape[1]))) <= 1e-12
 
     def test_sorted_nonincreasing_nonnegative(self):
-        res = svd(np.random.default_rng(0).standard_normal((7, 5)))
-        sv = res.singular_values
+        _, sv, _ = svd(np.random.default_rng(0).standard_normal((7, 5)))
         assert np.all(sv >= 0)
         assert np.all(np.diff(sv) <= 0)
 
     def test_deterministic(self):
         m = np.random.default_rng(9).standard_normal((6, 6))
-        a, b = svd(m.copy()), svd(m.copy())
-        assert a.singular_values.tobytes() == b.singular_values.tobytes()
-        assert a.left_vectors.tobytes() == b.left_vectors.tobytes()
-        assert a.right_vectors.tobytes() == b.right_vectors.tobytes()
+        for a, b in zip(svd(m.copy()), svd(m.copy())):
+            assert a.tobytes() == b.tobytes()
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="NaN or Inf"):
@@ -152,9 +149,8 @@ def svd_nullity(m):
 
 def svd_nullspace(m):
     """Reference basis: right singular vectors past the SVD rank."""
-    res = svd(m)
-    rank = numerical_rank(res.singular_values, *m.shape)
-    return res.right_vectors[:, rank:]
+    _, s, vt = svd(m)
+    return vt[numerical_rank(s, *m.shape):].T
 
 
 @settings(max_examples=60, deadline=None)
@@ -251,11 +247,9 @@ class TestRankCertificate:
         assert with_basis.path == SVD_PATH
         assert with_basis.basis.shape == (eq.shape[1], with_basis.nullity)
         # Declined calls run the plain SVD basis: right singular vectors past
-        # the rank, re-orthonormalized, largest component of each made positive.
+        # the rank, re-orthonormalized by QR. The same LAPACK calls on the same
+        # matrix, so the bytes match with no sign rule.
         q, _ = np.linalg.qr(svd_nullspace(eq))
-        for j in range(q.shape[1]):
-            if q[np.argmax(np.abs(q[:, j])), j] < 0:
-                q[:, j] = -q[:, j]
         assert with_basis.basis.tobytes() == q.tobytes()
 
     def test_zero_matrix_declines_with_rank_zero(self):

@@ -428,7 +428,7 @@ class TestSpanOnly:
         xs = np.stack([synthetic_image(10 + i, (3, 32, 32)) for i in range(2)])
         ref = maximize_dissimilarity(xs, band, PrivacyConfig(), [3, 4])
         ref_dev = output_deviation(net, xs, ref.image)
-        ref_recons = sample_reconstructions(ref.image[0], band, 3, seed=9)
+        ref_recons = sample_reconstructions(ref.image[:1], band, 3, seeds=[9])
         for u in (dense, rotated):
             res = maximize_dissimilarity(xs, u, PrivacyConfig(), [3, 4])
             np.testing.assert_allclose(res.mse, ref.mse, rtol=1e-12, atol=0)
@@ -442,7 +442,7 @@ class TestSpanOnly:
                                        rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(output_deviation(net, xs, res.image), ref_dev,
                                        rtol=1e-12, atol=1e-12)
-            recons = sample_reconstructions(ref.image[0], u, 3, seed=9)
+            recons = sample_reconstructions(ref.image[:1], u, 3, seeds=[9])
             assert np.linalg.norm(recons - ref_recons) <= 1e-12 * np.linalg.norm(ref_recons)
 
 
@@ -456,7 +456,7 @@ class TestSampleReconstructions:
 
     def test_outputs_identical_and_distinct(self, small_net, small_basis, image):
         res = scramble(image, small_basis, PrivacyConfig(), 8)
-        recons = sample_reconstructions(res.image[0], small_basis, 16, seed=9)
+        recons = sample_reconstructions(res.image, small_basis, 16, seeds=[9])[0]
         assert recons.shape == (16, 3, 8, 8)
         ref = forward(small_net, res.image[:1])
         for r in recons:
@@ -466,20 +466,28 @@ class TestSampleReconstructions:
                 assert np.linalg.norm(recons[i] - recons[j]) > 0.0
 
     def test_batched_draw_matches_one_draw_per_candidate(self, small_basis, image):
-        recons = sample_reconstructions(image, small_basis, 4, seed=9)
+        recons = sample_reconstructions(image[None], small_basis, 4, seeds=[9])
+        assert recons.shape == (1, 4, 3, 8, 8)
         rng = np.random.default_rng(9)
-        for r in recons:
+        for r in recons[0]:
             ref = image.ravel() - small_basis @ (rng.standard_normal(image.size) @ small_basis)
             np.testing.assert_allclose(r.ravel(), ref, rtol=0, atol=1e-14)
+        # a stack of images, one seed each, is bit for bit one call per image
+        stack = np.stack([image, 1.0 - image, image[:, ::-1]])
+        seeds = [9, 10, 11]
+        recons = sample_reconstructions(stack, small_basis, 4, seeds)
+        assert recons.shape == (3, 4, 3, 8, 8)
+        for x, seed, got in zip(stack, seeds, recons):
+            assert np.array_equal(got, sample_reconstructions(x[None], small_basis, 4, [seed])[0])
 
     def test_empty_subspace(self, image):
         empty = np.zeros((192, 0))
         with pytest.raises(EmptySubspaceError):
-            sample_reconstructions(image, empty, 4, seed=0)
+            sample_reconstructions(image[None], empty, 4, seeds=[0])
 
     def test_ambient_mismatch(self, small_basis):
         with pytest.raises(ValueError, match="ambient"):
-            sample_reconstructions(np.zeros((3, 4, 4)), small_basis, 2, seed=0)
+            sample_reconstructions(np.zeros((1, 3, 4, 4)), small_basis, 2, seeds=[0])
 
 
 class TestPrivacyBattery:
