@@ -21,7 +21,7 @@ import numpy as np
 
 from . import verification
 from .layers import (
-    ConvLayerSpec,
+    _kind,
     build_equivalent,
     load_layer_json,
     predict_nullspace_dim,
@@ -105,7 +105,7 @@ def cmd_lower(args) -> int:
                [[int(coo.row[i]), int(coo.col[i]), float(coo.data[i])] for i in order])
 
     stats = {
-        "layer_kind": "conv" if isinstance(spec, ConvLayerSpec) else "fc",
+        "layer_kind": _kind(spec),
         "rows": a.shape[0],
         "cols": a.shape[1],
         "nnz": a.nnz,

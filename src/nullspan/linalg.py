@@ -19,17 +19,17 @@ Both the certificate and the QR work in band order (_band_order): rows
 sorted by their first nonzero column, columns by the first sorted row
 that touches them. A layer lowering is local, so in that order its Gram
 matrix is a band (half-width 686 for the 2560 x 3072 first conv layer
-of the default network, 4.3% filled) and A.T is a staircase. The Gram
-matrix of a sparse input is formed sparse and factored by LAPACK's band
-Cholesky (pbtrf), and the QR follows the staircase (George & Heath,
-Linear Algebra Appl. 34, 1980, on row orders for sparse QR); neither
-touches more than the band or the staircase holds. A dense input (or a
-sparse one filled above _DENSE_GRAM_FILL) keeps its order, with a full
-band and a full staircase, and goes through the same two routines. The
-SVD fallback densifies its input. smallest_eigenpair_gram factors the
-Gram matrix of a sparse input sparse (SuperLU) and runs shift-invert
-Lanczos (ARPACK) on it; a dense input, or one filled above
-_DENSE_GRAM_FILL, goes through a dense eigh.
+of the default network, 4.3% filled) and A.T is a staircase; a fully
+filled matrix sorts to its own order, with a full band and a full
+staircase. Every input is taken as a CSR matrix, and its fill alone
+picks the Gram product: sparse below _DENSE_GRAM_FILL, one dense BLAS
+product above it. LAPACK's band Cholesky (pbtrf) factors the band, and
+the QR follows the staircase (George & Heath, Linear Algebra Appl. 34,
+1980, on row orders for sparse QR); neither touches more than the band
+or the staircase holds. The SVD fallback densifies its input.
+smallest_eigenpair_gram factors a Gram matrix formed sparse (SuperLU)
+and runs shift-invert Lanczos (ARPACK) on it, and one formed dense
+through a dense eigh.
 
 All functions are pure and deterministic: repeated calls on identical
 input return bit-identical results.
@@ -74,55 +74,39 @@ class FactorizationError(RuntimeError):
     """A factorization did not converge within LAPACK's iteration cap."""
 
 
-def as_dense(m) -> np.ndarray:
-    """Coerce a dense array or scipy sparse matrix to a float64 2-d array.
+def _checked(m) -> sp.csr_matrix:
+    """m as a float64 CSR matrix; a CSR input shares its arrays.
 
     Raises ValueError on non-2d input or non-finite entries.
     """
-    if sp.issparse(m):
-        m = m.toarray()
-    a = np.ascontiguousarray(m, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix contains NaN or Inf entries")
-    return a
-
-
-def _checked(m):
-    """as_dense's checks without densifying a sparse matrix (returned as CSR)."""
-    if not sp.issparse(m):
-        return as_dense(m)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got ndim={m.ndim}")
-    m = m.tocsr().astype(np.float64, copy=False)
+    if np.ndim(m) != 2:
+        raise ValueError(f"expected a 2-d matrix, got ndim={np.ndim(m)}")
+    m = sp.csr_matrix(m, dtype=np.float64)
     if not np.all(np.isfinite(m.data)):
         raise ValueError("matrix contains NaN or Inf entries")
     return m
+
+
+def _lapack_svd(m, **kw):
+    a = _checked(m).toarray()
+    try:
+        return np.linalg.svd(a, **kw)
+    except np.linalg.LinAlgError as exc:
+        raise FactorizationError(
+            f"SVD did not converge for a {a.shape[0]}x{a.shape[1]} matrix"
+        ) from exc
 
 
 def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full SVD (u, s, vt) of a dense or sparse matrix, as numpy returns it:
     u is m x m and vt is n x n, both orthogonal, and s is non-increasing
     and non-negative."""
-    a = as_dense(m)
-    try:
-        return np.linalg.svd(a, full_matrices=True)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError(
-            f"SVD did not converge for a {a.shape[0]}x{a.shape[1]} matrix"
-        ) from exc
+    return _lapack_svd(m, full_matrices=True)
 
 
 def singular_values(m) -> np.ndarray:
     """Singular values only (much faster than a full SVD for rank queries)."""
-    a = as_dense(m)
-    try:
-        return np.linalg.svd(a, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError(
-            f"SVD did not converge for a {a.shape[0]}x{a.shape[1]} matrix"
-        ) from exc
+    return _lapack_svd(m, compute_uv=False)
 
 
 def sigma_max_bound(matrix) -> float:
@@ -196,13 +180,13 @@ def _gamma(k: int) -> float:
 
 
 def _sparse_gram(s) -> bool:
-    """Whether s is sparse and sparse enough to form its Gram product sparse."""
-    return sp.issparse(s) and s.nnz < _DENSE_GRAM_FILL * s.shape[0] * s.shape[1]
+    """Whether sparse s is sparse enough to form its Gram product sparse."""
+    return s.nnz < _DENSE_GRAM_FILL * s.shape[0] * s.shape[1]
 
 
 def _dense_gram(s) -> np.ndarray:
-    """s @ s.T as one dense BLAS product."""
-    d = s.toarray() if sp.issparse(s) else s
+    """s @ s.T of sparse s as one dense BLAS product."""
+    d = s.toarray()
     return d @ d.T
 
 
@@ -241,35 +225,32 @@ def _band_order(m) -> tuple[np.ndarray, np.ndarray]:
     all-zero rows and columns last. For a CHW conv lowering the rows come
     out in (output row, output column, channel) order, so m m.T is a band
     and the nonzeros of m.T keep close to its diagonal (a staircase). A
-    matrix that takes the dense Gram product keeps the identity order.
-    O(nnz).
+    fully filled matrix keeps the identity order. O(nnz) for CSR m.
     """
     rows, cols = m.shape
-    if not _sparse_gram(m):
-        return np.arange(rows), np.arange(cols)
     row_rank = _ranks(_segment_extreme(np.minimum, m.indices, m.indptr, cols))
-    csc = m.tocsc()
-    col_rank = _ranks(_segment_extreme(np.minimum, row_rank[csc.indices], csc.indptr, rows))
-    return row_rank, col_rank
+    first_row = np.full(cols, rows, dtype=np.int64)
+    np.minimum.at(first_row, m.indices, row_rank[_entry_rows(m)])
+    return row_rank, _ranks(first_row)
 
 
 def _banded_gram(s, rank: np.ndarray) -> np.ndarray:
     """g = s @ s.T in LAPACK's lower band storage, ab[i - j, j] = g[i, j]
     for i >= j, with row and column i of g placed at rank[i].
 
-    A sparse s below the dense-Gram fill keeps the product sparse, and the
-    band reaches the farthest nonzero of g from its diagonal in that order.
-    Any other s (whose rank is the identity) takes the dense product with a
-    full band: g is symmetric, so shifting row j of its buffer left by j
-    turns the buffer itself into band storage.
+    The rows of s are put in that order first; s's fill then picks the
+    product. Below the dense-Gram fill it stays sparse, and the band
+    reaches the farthest nonzero of g from its diagonal. Above it, one
+    dense product fills the band: g is symmetric, so shifting row j of its
+    buffer left by j turns the buffer itself into band storage.
     """
     p = s.shape[0]
+    s = s[np.argsort(rank)]
     if not _sparse_gram(s):
         flat = _dense_gram(s).reshape(-1)
         for j in range(1, p):
             flat[j * p:(j + 1) * p - j] = flat[j * p + j:(j + 1) * p]
         return flat.reshape((p, p), order="F")
-    s = s[np.argsort(rank)]
     g = (s @ s.T).tocsr()
     del s
     i = _entry_rows(g)
@@ -386,7 +367,8 @@ def _row_space_complement(m, row_rank: np.ndarray, col_rank: np.ndarray) -> np.n
     where geqrt puts them, below the diagonal of B. Q[:, k:] is then
     [0; I] with the blocks applied in reverse, each to the columns of
     [0; I] it reaches, and its rows are put back in m's column order. A
-    dense m has a full staircase, so the same loop is a plain blocked QR.
+    fully filled m has a full staircase, so the same loop is a plain
+    blocked QR.
 
     B is held in the layout of LAPACK's band storage when that is shorter
     than n rows: column j keeps rows [j - ku, j + kl] at stride kl + ku, so
@@ -395,15 +377,11 @@ def _row_space_complement(m, row_rank: np.ndarray, col_rank: np.ndarray) -> np.n
     """
     import scipy.linalg
     k, n = m.shape
-    sparse = _sparse_gram(m)
     # first[j] / last[j]: first and last nonzero row of B's column j.
-    if sparse:
-        b_row, b_col = col_rank[m.indices], row_rank[_entry_rows(m)]
-        first, last = np.empty(k, dtype=np.int64), np.empty(k, dtype=np.int64)
-        first[row_rank] = _segment_extreme(np.minimum, b_row, m.indptr, n)
-        last[row_rank] = _segment_extreme(np.maximum, b_row, m.indptr, -1)
-    else:
-        first, last = np.zeros(k, dtype=np.int64), np.full(k, n - 1)
+    b_row, b_col = col_rank[m.indices], row_rank[_entry_rows(m)]
+    first, last = np.empty(k, dtype=np.int64), np.empty(k, dtype=np.int64)
+    first[row_rank] = _segment_extreme(np.minimum, b_row, m.indptr, n)
+    last[row_rank] = _segment_extreme(np.maximum, b_row, m.indptr, -1)
     # bottom[j]: last row reached by a column up to j (at least row j);
     # top[j]: first row reached by a column from j on.
     bottom = np.maximum.accumulate(np.maximum(last, np.arange(k)))
@@ -424,13 +402,8 @@ def _row_space_complement(m, row_rank: np.ndarray, col_rank: np.ndarray) -> np.n
     # raising peak RSS.
     work = np.zeros(k * lda + n * (n - k))
     store, q = work[:k * lda], work[k * lda:].reshape((n, n - k), order="F")
-    if sparse:
-        store[b_col * stride + b_row + origin] = m.data
-        del b_row, b_col
-    elif sp.issparse(m):
-        m.toarray(out=store.reshape(k, n))
-    else:
-        store.reshape(k, n)[...] = m
+    store[b_col * stride + b_row + origin] = m.data
+    del b_row, b_col
 
     def block(r0, r1, c0, c1):
         return np.lib.stride_tricks.as_strided(
@@ -574,13 +547,14 @@ def _lowest_eigvec_shift_invert(g) -> np.ndarray:
 def smallest_eigenpair_gram(m) -> tuple[np.ndarray, float]:
     """Unit eigenvector of M.T @ M with the smallest eigenvalue.
 
-    Only the lowest eigenpair is solved for. A sparse M below the dense-Gram
-    fill keeps its Gram matrix sparse and goes through shift-invert Lanczos
-    (_lowest_eigvec_shift_invert); any other M through a dense eigh. Returns
-    (v, lam) with lam = ||M v||^2, the Rayleigh quotient of the selected
-    eigenvector (consistent with v by construction, and equal to the
-    smallest Gram eigenvalue up to factorization error). Sign convention:
-    the first nonzero component of v is positive. Eigenvalue ties resolve
+    Only the lowest eigenpair is solved for. M's fill picks the route: below
+    the dense-Gram fill its Gram matrix stays sparse and goes through
+    shift-invert Lanczos (_lowest_eigvec_shift_invert), above it through a
+    dense eigh. Returns (v, lam) with lam = ||M v||^2, M taken as CSR, the
+    Rayleigh quotient of the selected eigenvector (consistent with v by
+    construction, and equal to the smallest Gram eigenvalue up to
+    factorization error). Sign convention: the first nonzero component of
+    v is positive. Eigenvalue ties resolve
     through the fixed start vector (all ones) on the sparse route, and to
     the lowest index in eigh's ascending order on the dense one.
     """

@@ -9,10 +9,10 @@ over full_battery; the acceptance tests call the same functions.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .imaging import ssim, synthetic_image
 from .layers import (
@@ -77,20 +77,33 @@ DIM_SWEEP_HEADER = ("in_dim", "out_dim", "predicted", "numerical", "agree")
 BASE_LINF = 8.0 / 255.0
 
 
+_BOUNDS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt}
+
+
 @dataclass(frozen=True)
 class CheckResult:
     """One named invariant: measured value against its tolerance.
 
-    For upper-bound checks, passed means measured <= tolerance; checks
-    that assert a lower bound or an exact count say so in detail and set
-    passed accordingly.
+    bound is the comparison that passes, measured bound tolerance: "<="
+    (the default, an upper bound; an exact count measures its misses
+    against 0), "<", ">=" or ">" (lower bounds, which detail names).
+    passed is computed from these, so a check cannot report one bound and
+    test another. Raises ValueError on any other bound.
     """
 
     name: str
-    passed: bool
     measured: float
     tolerance: float
     detail: str = ""
+    bound: str = "<="
+
+    def __post_init__(self):
+        if self.bound not in _BOUNDS:
+            raise ValueError(f"bound must be one of {sorted(_BOUNDS)}, got {self.bound!r}")
+
+    @property
+    def passed(self) -> bool:
+        return bool(_BOUNDS[self.bound](self.measured, self.tolerance))
 
 
 def default_network_spec() -> NetworkSpec:
@@ -266,14 +279,9 @@ def dimension_agreement(geometries) -> tuple[list[dict], CheckResult]:
              **dict(zip(DIM_SWEEP_HEADER, nullity_row(spec, decision)))}
             for spec, _, decision in geometries]
     disagreements = sum(not r["agree"] for r in rows)
-    check = CheckResult(
-        name="dimension-agreement",
-        passed=disagreements == 0,
-        measured=float(disagreements),
-        tolerance=0.0,
-        detail=f"{len(rows) - disagreements}/{len(rows)} geometries agree exactly",
-    )
-    return rows, check
+    return rows, CheckResult(
+        "dimension-agreement", float(disagreements), 0.0,
+        detail=f"{len(rows) - disagreements}/{len(rows)} geometries agree exactly")
 
 
 def lowering_residuals(geometries, root_seed: int) -> CheckResult:
@@ -284,13 +292,8 @@ def lowering_residuals(geometries, root_seed: int) -> CheckResult:
     for i, (spec, a, _) in enumerate(geometries):
         worst = max(worst, verify_equivalence(a, spec, samples=100,
                                               seed=subseed(root_seed, 3, i)))
-    return CheckResult(
-        name="lowering-residual",
-        passed=worst <= 1e-12,
-        measured=worst,
-        tolerance=1e-12,
-        detail=f"{len(geometries)} geometries x 100 inputs",
-    )
+    return CheckResult("lowering-residual", worst, 1e-12,
+                       detail=f"{len(geometries)} geometries x 100 inputs")
 
 
 def basis_integrity(a, u: np.ndarray, nullity: int) -> list[CheckResult]:
@@ -306,12 +309,10 @@ def basis_integrity(a, u: np.ndarray, nullity: int) -> list[CheckResult]:
     sigma_bound = sigma_max_bound(a)
     residual = 0.0 if d == 0 else float(np.max(np.abs(a @ u)))
     return [
-        CheckResult("basis-orthonormality", ortho <= 1e-12, ortho, 1e-12,
-                    detail=f"d={d}"),
-        CheckResult("basis-annihilation", residual <= 1e-10 * max(sigma_bound, 1e-300),
-                    residual, 1e-10 * sigma_bound,
+        CheckResult("basis-orthonormality", ortho, 1e-12, detail=f"d={d}"),
+        CheckResult("basis-annihilation", residual, 1e-10 * sigma_bound,
                     detail="max |A u| against 1e-10 * sigma_max bound"),
-        CheckResult("basis-dimension", d == nullity, float(abs(d - nullity)), 0.0,
+        CheckResult("basis-dimension", float(abs(d - nullity)), 0.0,
                     detail=f"d={d} against the layer's nullity {nullity}"),
     ]
 
@@ -364,30 +365,24 @@ def rmse_table(net, u: np.ndarray, root_seed: int) -> tuple[dict, list[CheckResu
         rmse["least-harmful"] = rmse_report(net, images, lh_delta, RMSE_SCALES, zcl)
         rmse["gaussian-feature"] = rmse_report(net, images, gaussian_feat, RMSE_SCALES, zcl)
 
-    harmless_vals = rmse["harmless"].tolist()
-    gauss_vals = rmse["gaussian"].tolist()
-
     checks = [
-        CheckResult("rmse-harmless", max(harmless_vals) <= 1e-10,
-                    max(harmless_vals), 1e-10,
+        CheckResult("rmse-harmless", float(rmse["harmless"].max()), 1e-10,
                     detail=f"max over scales {RMSE_SCALES}"),
+        # the first RMSE and each step up from it: all positive
         CheckResult("rmse-gaussian-positive-growing",
-                    min(gauss_vals) > 0 and all(b > a for a, b in zip(gauss_vals, gauss_vals[1:])),
-                    min(np.diff(gauss_vals)) if len(gauss_vals) > 1 else gauss_vals[0],
-                    0.0, detail="lower bound: every value positive, strictly increasing"),
+                    float(np.diff(rmse["gaussian"], prepend=0.0).min()), 0.0,
+                    detail="lower bound: every value positive, strictly increasing",
+                    bound=">"),
     ]
     if probe is not None:
-        lh_vals = rmse["least-harmful"].tolist()
-        gf_vals = rmse["gaussian-feature"].tolist()
+        lh = rmse["least-harmful"]
         checks.extend([
-            CheckResult("rmse-least-harmful-growing",
-                        all(b > a for a, b in zip(lh_vals, lh_vals[1:])),
-                        min(np.diff(lh_vals)), 0.0,
-                        detail="lower bound: strictly increasing with scale"),
+            CheckResult("rmse-least-harmful-growing", float(np.diff(lh).min()), 0.0,
+                        detail="lower bound: strictly increasing with scale", bound=">"),
             CheckResult("rmse-least-harmful-below-gaussian",
-                        all(l < g for l, g in zip(lh_vals, gf_vals)),
-                        max(l / g for l, g in zip(lh_vals, gf_vals)), 1.0,
-                        detail="ratio to matched-norm Gaussian at same injection point"),
+                        float((lh / rmse["gaussian-feature"]).max()), 1.0,
+                        detail="ratio to matched-norm Gaussian at same injection point",
+                        bound="<"),
         ])
 
     # row 0 holds the clean images (scale 0)
@@ -395,8 +390,7 @@ def rmse_table(net, u: np.ndarray, root_seed: int) -> tuple[dict, list[CheckResu
     labels = forward(net, shifted.reshape(-1, *in_shape)).argmax(axis=1).reshape(len(shifted), -1)
     total = labels[1:].size
     top1 = int(np.sum(labels[1:] == labels[0]))
-    checks.append(CheckResult("argmax-invariance", top1 == total,
-                              float(total - top1), 0.0,
+    checks.append(CheckResult("argmax-invariance", float(total - top1), 0.0,
                               detail=f"{top1}/{total} class predictions unchanged"))
     return rmse, checks
 
@@ -412,7 +406,7 @@ def least_harmful_minimality(root_seed: int) -> list[CheckResult]:
         n = int(rng.integers(15, 41))
         m = n + int(rng.integers(1, 31))
         a = rng.standard_normal((m, n))
-        lh = least_harmful(sp.csr_matrix(a))
+        lh = least_harmful(a)
         av = a @ lh.direction
         rel = abs(float(av @ av) - lh.residual) / max(lh.residual, 1e-300)
         worst_rel = max(worst_rel, rel)
@@ -421,12 +415,10 @@ def least_harmful_minimality(root_seed: int) -> list[CheckResult]:
         energies = np.sum((a @ deltas) ** 2, axis=0)
         worst_margin = min(worst_margin, float(energies.min() - lh.residual))
     return [
-        CheckResult("least-harmful-residual", worst_rel <= 1e-10, worst_rel, 1e-10,
-                    detail="10 seeded matrices"),
-        CheckResult("least-harmful-minimality", worst_margin >= -1e-10,
-                    worst_margin, -1e-10,
+        CheckResult("least-harmful-residual", worst_rel, 1e-10, detail="10 seeded matrices"),
+        CheckResult("least-harmful-minimality", worst_margin, -1e-10,
                     detail="lower bound: min sampled energy minus residual, "
-                           "10000 unit directions per matrix"),
+                           "10000 unit directions per matrix", bound=">="),
     ]
 
 
@@ -437,10 +429,8 @@ def decomposition_laws(root_seed: int, trials: int = 1000) -> list[CheckResult]:
     are pixel-space normals projected onto span(u), so every measured
     value depends on the subspace, not on the basis u that spans it."""
     rng = make_rng(root_seed, 6, 0)
-    n_in, n_out = 40, 24
-    spec = FcLayerSpec(in_features=n_in, out_features=n_out,
-                       weight=rng.standard_normal((n_in, n_out)))
-    lowered = build_equivalent(spec)
+    n_in = 40
+    lowered = build_equivalent(seeded_fc(rng, n_in, 24))
     u = harmless_basis(lowered)
     a = lowered.toarray()
     d = u.shape[1]
@@ -456,20 +446,17 @@ def decomposition_laws(root_seed: int, trials: int = 1000) -> list[CheckResult]:
     harmless_parts = project(rng.standard_normal((n_in, trials)))
     resid = np.linalg.norm(a @ (deltas - harmless_parts) - a_deltas, axis=0)
     measured = float(np.max(resid / out_norms))
-    checks.append(CheckResult("law-arbitrary-split", measured <= 1e-9, measured, 1e-9,
-                              detail=f"{trials} trials"))
+    checks.append(CheckResult("law-arbitrary-split", measured, 1e-9, detail=f"{trials} trials"))
 
     par = project(deltas)
     orth = deltas - par
     resid = np.linalg.norm(a @ orth - a_deltas, axis=0)
     measured = float(np.max(resid / out_norms))
-    checks.append(CheckResult("law-orthogonal-output", measured <= 1e-9, measured, 1e-9,
-                              detail=f"{trials} trials"))
+    checks.append(CheckResult("law-orthogonal-output", measured, 1e-9, detail=f"{trials} trials"))
 
     recon = np.linalg.norm(par + orth - deltas, axis=0) / np.linalg.norm(deltas, axis=0)
     measured = float(np.max(recon))
-    checks.append(CheckResult("law-reconstruction", measured <= 1e-12, measured, 1e-12,
-                              detail=f"{trials} trials"))
+    checks.append(CheckResult("law-reconstruction", measured, 1e-12, detail=f"{trials} trials"))
 
     q, _ = np.linalg.qr(rng.standard_normal((d, d)))
     perm = rng.permutation(d)
@@ -477,20 +464,18 @@ def decomposition_laws(root_seed: int, trials: int = 1000) -> list[CheckResult]:
     orth2 = deltas - u2 @ (u2.T @ deltas)
     measured = float(np.max(np.linalg.norm(orth - orth2, axis=0)
                             / np.linalg.norm(deltas, axis=0)))
-    checks.append(CheckResult("law-basis-independence", measured <= 1e-9, measured, 1e-9,
+    checks.append(CheckResult("law-basis-independence", measured, 1e-9,
                               detail="orthogonal component with a rotated, permuted basis"))
 
     sigma_max = float(singular_values(a)[0])
     measured = float(np.max(np.abs(a @ u)))
-    checks.append(CheckResult("law-harmless-zero-output",
-                              measured <= 1e-10 * sigma_max, measured, 1e-10 * sigma_max,
+    checks.append(CheckResult("law-harmless-zero-output", measured, 1e-10 * sigma_max,
                               detail="max |A u| over basis columns"))
 
     h = project(rng.standard_normal((n_in, trials)))
     ratio = np.linalg.norm(orth, axis=0) / np.linalg.norm(orth + h, axis=0)
     measured = float(np.max(ratio))
-    checks.append(CheckResult("law-minimal-norm", measured <= 1.0 + 1e-9,
-                              measured, 1.0 + 1e-9,
+    checks.append(CheckResult("law-minimal-norm", measured, 1.0 + 1e-9,
                               detail="||d_orth|| <= ||d_orth + harmless||"))
 
     agree = 0
@@ -518,21 +503,18 @@ def decomposition_laws(root_seed: int, trials: int = 1000) -> list[CheckResult]:
             ok = abs(verdict.alpha - direct.alpha) <= 1e-6 * max(1.0, abs(verdict.alpha))
         agree += int(ok)
         total += 1
-    checks.append(CheckResult("law-pair-classification", agree == total,
-                              float(total - agree), 0.0,
+    checks.append(CheckResult("law-pair-classification", float(total - agree), 0.0,
                               detail=f"{agree}/{total} verdicts match direct output comparison"))
 
     rng0 = make_rng(root_seed, 6, 2)
-    spec0 = FcLayerSpec(in_features=20, out_features=28,
-                        weight=rng0.standard_normal((20, 28)))
-    a0 = build_equivalent(spec0).toarray()
+    a0 = build_equivalent(seeded_fc(rng0, 20, 28)).toarray()
     d1 = rng0.standard_normal((20, trials))
     d2 = rng0.standard_normal((20, trials))
     measured = float(np.min(np.max(np.abs(a0 @ d1 - a0 @ d2), axis=0)))
-    checks.append(CheckResult("law-zero-nullity-injective", measured > 1e-6,
-                              measured, 1e-6,
+    checks.append(CheckResult("law-zero-nullity-injective", measured, 1e-6,
                               detail=f"lower bound: {trials} seeded pairs on a "
-                                     f"zero-nullity layer give distinct outputs"))
+                                     f"zero-nullity layer give distinct outputs",
+                              bound=">"))
     return checks
 
 
@@ -567,7 +549,7 @@ def contour_checks(axis: np.ndarray, values: np.ndarray) -> list[CheckResult]:
     for row in values:
         scale = max(float(row.mean()), 1e-3 * vmax)
         worst = max(worst, float(row.max() - row.min()) / scale)
-    checks.append(CheckResult("contour-row-constancy", worst <= 1e-9, worst, 1e-9,
+    checks.append(CheckResult("contour-row-constancy", worst, 1e-9,
                               detail="(max - min) / row scale, every fixed-a row"))
 
     worst = 0.0
@@ -580,13 +562,12 @@ def contour_checks(axis: np.ndarray, values: np.ndarray) -> list[CheckResult]:
             pairs += 1
             num = np.abs(values[k] - 2.0 * values[i])
             worst = max(worst, float(np.max(num / values[i])))
-    checks.append(CheckResult("contour-column-linearity", worst <= 1e-9, worst, 1e-9,
+    checks.append(CheckResult("contour-column-linearity", worst, 1e-9,
                               detail=f"|v(2a, b) - 2 v(a, b)| / v(a, b) over {pairs} doubling pairs"))
 
     zero_rows = np.flatnonzero(axis == 0.0)
     measured = float(max((values[i].max() for i in zero_rows), default=0.0))
-    checks.append(CheckResult("contour-zero-row", measured <= 1e-9 * max(vmax, 1.0),
-                              measured, 1e-9 * max(vmax, 1.0),
+    checks.append(CheckResult("contour-zero-row", measured, 1e-9 * max(vmax, 1.0),
                               detail="a = 0 row against the grid scale"))
     return checks
 
@@ -719,17 +700,17 @@ def privacy_battery(net, u: np.ndarray, root_seed: int,
     worst_viol = float(res.max_bound_violation.max())
     min_mse = float(res.mse.min())
     checks = [
-        CheckResult("privacy-argmax-agreement", argmax_bad == 0, float(argmax_bad), 0.0,
+        CheckResult("privacy-argmax-agreement", float(argmax_bad), 0.0,
                     detail=f"{len(images) - argmax_bad}/{len(images)} images keep their class"),
-        CheckResult("privacy-output-deviation", worst_dev <= 1e-9, worst_dev, 1e-9),
-        CheckResult("privacy-bound-violation", worst_viol <= 0.01, worst_viol, 0.01),
-        CheckResult("privacy-mse-floor", min_mse >= 0.05, min_mse, 0.05,
-                    detail="lower bound: scrambling must move pixels"),
-        CheckResult("privacy-reconstruction-invariance", recon_dev <= 1e-9, recon_dev, 1e-9,
+        CheckResult("privacy-output-deviation", worst_dev, 1e-9),
+        CheckResult("privacy-bound-violation", worst_viol, 0.01),
+        CheckResult("privacy-mse-floor", min_mse, 0.05,
+                    detail="lower bound: scrambling must move pixels", bound=">="),
+        CheckResult("privacy-reconstruction-invariance", recon_dev, 1e-9,
                     detail=f"{n_recon} reconstructions per image share the scrambled output"),
-        CheckResult("privacy-reconstruction-distinct", recon_min_dist > 0.0,
-                    recon_min_dist, 0.0,
-                    detail="lower bound: pairwise l2 distance between reconstructions"),
+        CheckResult("privacy-reconstruction-distinct", recon_min_dist, 0.0,
+                    detail="lower bound: pairwise l2 distance between reconstructions",
+                    bound=">"),
     ]
     return PrivacyBatteryResult(rows=rows, result=res, reconstructions=reconstructions,
                                 originals=originals, checks=checks)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from nullspan.layers import build_equivalent
 from nullspan.subspace import harmless_basis
@@ -14,6 +15,24 @@ def rotated_basis(u, seed):
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((u.shape[1], u.shape[1])))
     return (u @ q)[:, rng.permutation(u.shape[1])]
+
+
+def raw_qr_basis(m):
+    """Orthonormal basis of N(m) for a wide m of full row rank, from
+    another factorization: the trailing columns of Q from scipy.linalg.qr's
+    raw mode on the dense m.T (geqrf at its optimal lwork), applied by
+    ormqr."""
+    import scipy.linalg
+    a_t = m.toarray().T if sp.issparse(m) else np.array(m, dtype=np.float64).T
+    (h, tau), _ = scipy.linalg.qr(a_t, mode="raw")
+    n, k = h.shape
+    c = np.zeros((n, n - k), order="F")
+    c[k:, :] = np.eye(n - k)
+    (ormqr,) = scipy.linalg.get_lapack_funcs(("ormqr",), (h,))
+    lwork = int(ormqr("L", "N", h, tau, c, -1)[1][0])
+    q, _, info = ormqr("L", "N", h, tau, c, lwork)
+    assert info == 0
+    return q
 
 
 @pytest.fixture(scope="session")

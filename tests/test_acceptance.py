@@ -20,6 +20,7 @@ from nullspan.seeding import make_rng
 from nullspan.subspace import EmptySubspaceError, classify_pair, harmless_basis
 from nullspan.verification import (
     RMSE_SCALES,
+    CheckResult,
     build_contour,
     cited_geometries,
     contour_checks,
@@ -45,6 +46,17 @@ def report(number, label, checks):
         print(f"  failed: {c.name} measured={c.measured!r} tolerance={c.tolerance!r} "
               f"{c.detail}", flush=True)
     assert not failed, f"criterion {number} violated: {[c.name for c in failed]}"
+
+
+def test_check_result_passes_by_its_stated_bound():
+    # passed is measured `bound` tolerance, so a check cannot test one bound
+    # and report another.
+    at = {b: CheckResult("c", 1.0, 1.0, bound=b).passed for b in ("<=", "<", ">=", ">")}
+    assert at == {"<=": True, "<": False, ">=": True, ">": False}
+    assert CheckResult("c", 0.5, 1.0).passed and not CheckResult("c", 2.0, 1.0).passed
+    assert not CheckResult("c", float("nan"), 1.0).passed
+    with pytest.raises(ValueError, match="bound"):
+        CheckResult("c", 0.0, 1.0, bound="=<")
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +174,11 @@ def test_criterion_3_harmless_invariance(default_net, first_layer_basis):
     rmse, checks = rmse_table(default_net, first_layer_basis, ROOT_SEED)
     assert rmse["harmless"].shape == (len(RMSE_SCALES),)
     assert np.all(rmse["harmless"] <= 1e-10)
+    # One measured value covers both halves: the first Gaussian RMSE is
+    # positive and every step up from it is.
+    growing = next(c for c in checks if c.name == "rmse-gaussian-positive-growing")
+    gaussian = rmse["gaussian"]
+    assert growing.measured == min(gaussian[0], np.diff(gaussian).min())
     report(3, "harmless/gaussian/least-harmful logit RMSE", checks)
 
 

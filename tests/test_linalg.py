@@ -26,6 +26,8 @@ from nullspan.linalg import (
 from nullspan.subspace import least_harmful
 from nullspan.verification import seeded_network
 
+from conftest import raw_qr_basis
+
 
 class TestSvd:
     def test_identity(self):
@@ -312,30 +314,14 @@ class TestQrBasis:
         b = decide_rank(wide.copy(), with_basis=True).basis
         assert a.tobytes() == b.tobytes()
 
-    @staticmethod
-    def raw_qr_basis(m):
-        """Reference: the trailing columns of Q from scipy.linalg.qr's raw mode
-        (geqrf at its optimal lwork) applied by ormqr."""
-        import scipy.linalg
-        a_t = m.toarray().T if sp.issparse(m) else np.array(m, dtype=np.float64).T
-        (h, tau), _ = scipy.linalg.qr(a_t, mode="raw")
-        n, k = h.shape
-        c = np.zeros((n, n - k), order="F")
-        c[k:, :] = np.eye(n - k)
-        (ormqr,) = scipy.linalg.get_lapack_funcs(("ormqr",), (h,))
-        lwork = int(ormqr("L", "N", h, tau, c, -1)[1][0])
-        q, _, info = ormqr("L", "N", h, tau, c, lwork)
-        assert info == 0
-        return q
-
     def test_dense_input_matches_lapack_qr(self):
-        # A dense matrix keeps its order and has a full staircase, so the
-        # staircase QR is a plain blocked Householder QR: the same reflectors
+        # A fully filled matrix keeps its order and has a full staircase, so
+        # the staircase QR is a plain blocked Householder QR: the same reflectors
         # as LAPACK's geqrf, blocked differently.
         m = np.random.default_rng(29).standard_normal((200, 300))
         decision = decide_rank(m, with_basis=True)
         assert decision.path == CERTIFIED_PATH
-        assert np.max(np.abs(decision.basis - self.raw_qr_basis(m))) <= 1e-13
+        assert np.max(np.abs(decision.basis - raw_qr_basis(m))) <= 1e-13
 
     @pytest.fixture(scope="class")
     def conv(self):
@@ -363,8 +349,8 @@ class TestQrBasis:
         # Row j of this layer touches columns j to j + 3, so each 96-column
         # block of the QR ends three rows below its last column and the
         # third column after it starts exactly on that row: the trailing
-        # update must reach it. A dense copy runs the full-staircase QR on
-        # the same matrix, and both must span the SVD nullspace.
+        # update must reach it. The basis must span the SVD nullspace, and a
+        # dense copy, routed by its fill like the CSR, gives the same bytes.
         rng = np.random.default_rng(43)
         k, n = 250, 300
         rows = np.repeat(np.arange(k), 4)
@@ -372,17 +358,24 @@ class TestQrBasis:
         values = rng.standard_normal(4 * k) + np.tile([3.0, 0.0, 0.0, 0.0], k)
         m = sp.csr_matrix((values, (rows, cols)), shape=(k, n))
         v = svd_nullspace(m)
-        for a in (m, m.toarray()):
-            decision = decide_rank(a, with_basis=True)
-            assert decision.path == CERTIFIED_PATH
-            u = decision.basis
-            assert np.linalg.norm(u - v @ (v.T @ u), 2) <= 1e-12
-            assert np.max(np.abs(m @ u)) <= 1e-14 * singular_values(m)[0]
+        decision = decide_rank(m, with_basis=True)
+        assert decision.path == CERTIFIED_PATH
+        u = decision.basis
+        assert np.linalg.norm(u - v @ (v.T @ u), 2) <= 1e-12
+        assert np.max(np.abs(m @ u)) <= 1e-14 * singular_values(m)[0]
+        assert decide_rank(m.toarray(), with_basis=True).basis.tobytes() == u.tobytes()
 
-    def test_sparse_input_filled_past_the_sparse_gram_takes_the_dense_route(self):
-        m = np.random.default_rng(47).standard_normal((40, 70))
-        assert (decide_rank(sp.csr_matrix(m), with_basis=True).basis.tobytes()
-                == decide_rank(m, with_basis=True).basis.tobytes())
+    def test_sparse_input_filled_past_the_sparse_gram_takes_the_dense_route(self, conv):
+        # The fill alone picks the route: a filled matrix and a conv
+        # lowering each give the same bits as an ndarray and as a CSR.
+        filled = np.random.default_rng(47).standard_normal((40, 70))
+        for m in (filled, conv.toarray()):
+            csr = sp.csr_matrix(m)
+            assert (decide_rank(csr, with_basis=True).basis.tobytes()
+                    == decide_rank(m, with_basis=True).basis.tobytes())
+            v, lam = smallest_eigenpair_gram(csr)
+            v_dense, lam_dense = smallest_eigenpair_gram(m)
+            assert v.tobytes() == v_dense.tobytes() and lam == lam_dense
 
     def test_uncovered_inputs_are_basis_vectors(self):
         # Stride 3 past a 2-wide kernel never reads input rows and columns 2,
@@ -438,7 +431,7 @@ class TestQrBasis:
 
 
 class TestSmallestEigenpairGram:
-    def test_subset_eigenvalue_matches_full_eigh(self):
+    def test_subset_eigenvalue_matches_full_eigh(self, monkeypatch):
         rng = np.random.default_rng(37)
         m = sp.random(300, 120, density=0.1, random_state=rng, format="csr",
                       data_rvs=rng.standard_normal)
@@ -446,6 +439,9 @@ class TestSmallestEigenpairGram:
         dense = m.toarray()
         lam_full = float(np.linalg.eigvalsh(dense.T @ dense)[0])
         assert abs(lam - lam_full) <= 1e-12 * lam_full
+        # The fill alone picks the route, so the same matrix takes the
+        # dense eigh only with the dense-Gram fill lowered to zero.
+        monkeypatch.setattr(linalg, "_DENSE_GRAM_FILL", 0.0)
         v_dense, lam_dense = smallest_eigenpair_gram(dense)
         assert abs(lam_dense - lam_full) <= 1e-12 * lam_full
         assert np.max(np.abs(v - v_dense)) <= 1e-10
@@ -496,7 +492,8 @@ class TestSmallestEigenpairGram:
         m = rng.standard_normal((3, 5))
         v, lam = smallest_eigenpair_gram(m)
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
-        assert lam <= 1e-24 and np.linalg.norm(m @ v) ** 2 == lam
+        # lam is measured with the CSR product every input is taken as
+        assert lam <= 1e-24 and np.linalg.norm(sp.csr_matrix(m) @ v) ** 2 == lam
 
 
 class TestSparseShiftInvert:

@@ -15,9 +15,10 @@ from nullspan.privacy import (
     maximize_dissimilarity,
     sample_reconstructions,
 )
-from nullspan.linalg import decide_rank
 from nullspan.subspace import EmptySubspaceError, harmless_basis, orthogonal_decompose
-from nullspan.verification import privacy_battery, seeded_network
+from nullspan.verification import privacy_battery
+
+from conftest import raw_qr_basis
 
 PRIVACY_PY = Path(__file__).resolve().parents[1] / "src" / "nullspan" / "privacy.py"
 
@@ -412,16 +413,17 @@ class TestPixelSpaceAscent:
 
 
 class TestSpanOnly:
-    def test_results_depend_on_the_span_only(self):
+    def test_results_depend_on_the_span_only(self, default_net, first_layer_a,
+                                             first_layer_basis):
         # The default 3x32x32 network, where the ascent is stable (on
         # small_net it is chaotic, see test_batch_matches_single_image_runs).
         # Three orthonormal bases of the first layer's nullspace: the band
-        # route's, the dense route's (spans 1e-14 apart) and a rotated,
+        # route's, LAPACK's geqrf/ormqr basis of the dense A.T (another
+        # factorization: other bytes, spans 1e-14 apart) and a rotated,
         # permuted copy of the first (the same span up to rounding).
-        net = seeded_network(1234, None)
-        a = build_equivalent(net.layers[0])
-        band = decide_rank(a, with_basis=True).basis
-        dense = decide_rank(a.toarray(), with_basis=True).basis
+        net, band = default_net, first_layer_basis
+        lapack = raw_qr_basis(first_layer_a)
+        assert lapack.tobytes() != band.tobytes()
         rng = np.random.default_rng(5)
         d = band.shape[1]
         rotated = (band @ np.linalg.qr(rng.standard_normal((d, d)))[0])[:, rng.permutation(d)]
@@ -429,7 +431,7 @@ class TestSpanOnly:
         ref = maximize_dissimilarity(xs, band, PrivacyConfig(), [3, 4])
         ref_dev = output_deviation(net, xs, ref.image)
         ref_recons = sample_reconstructions(ref.image[:1], band, 3, seeds=[9])
-        for u in (dense, rotated):
+        for u in (lapack, rotated):
             res = maximize_dissimilarity(xs, u, PrivacyConfig(), [3, 4])
             np.testing.assert_allclose(res.mse, ref.mse, rtol=1e-12, atol=0)
             for field in ("objective_history", "penalty_history"):
