@@ -314,6 +314,17 @@ def _read(reader):
     return read
 
 
+def _load_net_geometry(path):
+    """The network in a --net file, which gives geometry only: its weights
+    are drawn from --seed, so a parameter array in the file is refused."""
+    net = load_network_spec(path)
+    for i, layer in enumerate(net.layers):
+        for field in ("kernels", "weight", "bias"):
+            if getattr(layer, field, None) is not None:
+                raise ValueError(f"layer {i} sets {field!r}, but --seed draws the weights")
+    return net
+
+
 def _ints(text: str) -> list[int]:
     """argparse type: a comma list of integers; anything else is a usage error."""
     try:
@@ -379,8 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the full invariant battery")
     common(p)
-    p.add_argument("--net", type=_read(load_network_spec), default=None,
-                   help="network spec JSON path")
+    p.add_argument("--net", type=_read(_load_net_geometry), default=None,
+                   help="network geometry JSON path")
     p.add_argument("--basis", type=_read(load_basis), default=None,
                    help="validate this stored basis instead of recomputing")
     p.add_argument("--geometries", type=_at_least(0), default=50,
@@ -403,11 +414,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("privacy", help="generate output-invariant scrambled images")
     common(p)
-    p.add_argument("--net", type=_read(load_network_spec), default=None,
-                   help="network spec JSON path")
-    p.add_argument("--images", type=_at_least(1), default=20, help="synthetic image count")
-    p.add_argument("--image-files", type=_read(read_ppm), nargs="+", default=None,
-                   help="PPM images to scramble instead of synthetic ones")
+    p.add_argument("--net", type=_read(_load_net_geometry), default=None,
+                   help="network geometry JSON path")
+    images = p.add_mutually_exclusive_group()
+    # A string default: argparse takes an option equal to its default as not given,
+    # so "--images 20" with --image-files would pass (small ints are one object).
+    images.add_argument("--images", type=_at_least(1), default="20", help="synthetic image count")
+    images.add_argument("--image-files", type=_read(read_ppm), nargs="+", default=None,
+                        help="PPM images to scramble instead of synthetic ones")
     p.add_argument("--recon", type=_at_least(2), default=16,
                    help="sampled reconstructions per image")
     p.set_defaults(func=cmd_privacy, usage_error=p.error)

@@ -7,8 +7,8 @@ dynamic range of 1.0, biased (moment) window statistics, averaged over
 all window positions and channels.
 
 PPM export quantizes to 8 bits (round(clip(v, 0, 1) * 255)) and is for
-viewing only; the exact float values round-trip through the tensor
-container instead.
+viewing only; the exact float values round-trip through a tensor file
+(tensorio) instead.
 """
 
 from __future__ import annotations
@@ -118,8 +118,8 @@ def read_ppm(path) -> np.ndarray:
 
 
 def save_float_image(path, image: np.ndarray) -> None:
-    """Exactness-preserving storage via the float64 tensor container."""
-    tensorio.write_tensors(path, {"image": np.asarray(image, dtype=np.float64)})
+    """Exactness-preserving storage: a tensor file whose tensor is "image"."""
+    tensorio.write_tensor(path, "image", image)
 
 
 def synthetic_image(seed: int, shape: tuple[int, int, int] = (3, 32, 32)) -> np.ndarray:

@@ -20,7 +20,7 @@ no matrix entry.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -263,10 +263,11 @@ def _check_batched(x: np.ndarray, shape: tuple[int, ...], what: str = "input") -
         raise ValueError(f"{what} shape {x.shape} != (B, {', '.join(map(str, shape))})")
 
 
-def conv_forward(spec: ConvLayerSpec, x: np.ndarray, include_bias: bool = True) -> np.ndarray:
+def conv_forward(spec: ConvLayerSpec, x: np.ndarray) -> np.ndarray:
     """Direct evaluation (no lowering) of a (B, C_in, H_in, W_in) batch
-    to (B, C_out, H_out, W_out). Each kernel tap contracts one strided
-    slice of the padded input, so no window (im2col) copy is formed."""
+    to (B, C_out, H_out, W_out), plus spec.bias when it is set. Each kernel
+    tap contracts one strided slice of the padded input, so no window
+    (im2col) copy is formed."""
     _check_batched(x, spec.input_shape)
     if spec.kernels is None:
         raise ValueError("spec.kernels is None")
@@ -278,31 +279,33 @@ def conv_forward(spec: ConvLayerSpec, x: np.ndarray, include_bias: bool = True) 
         for dx in range(spec.kernel_w):
             tap = xp[:, :, dy::s, dx::s][:, :, :h_out, :w_out]
             out += np.tensordot(tap, spec.kernels[:, :, dy, dx], axes=([1], [1]))
-    if include_bias and spec.bias is not None:
+    if spec.bias is not None:
         out += spec.bias
     return out.transpose(0, 3, 1, 2)
 
 
-def fc_forward(spec: FcLayerSpec, z: np.ndarray, include_bias: bool = True) -> np.ndarray:
-    """Direct evaluation z @ weight (+ bias) of a (B, in_features) batch."""
+def fc_forward(spec: FcLayerSpec, z: np.ndarray) -> np.ndarray:
+    """Direct evaluation z @ weight of a (B, in_features) batch, plus
+    spec.bias when it is set."""
     z = np.asarray(z, dtype=np.float64)
     _check_batched(z, spec.input_shape)
     if spec.weight is None:
         raise ValueError("spec.weight is None")
     out = z @ spec.weight
-    if include_bias and spec.bias is not None:
+    if spec.bias is not None:
         out += spec.bias
     return out
 
 
 def verify_equivalence(a: sp.csr_matrix, spec, samples: int = 100, seed: int = 0) -> float:
     """Max abs deviation between direct evaluation of spec and the product
-    with its lowered matrix a over `samples` seeded standard-normal inputs
-    (bias suppressed), drawn as one (samples, *input_shape) batch.
+    with its lowered matrix a over `samples` seeded standard-normal inputs,
+    drawn as one (samples, *input_shape) batch. The lowering excludes the
+    bias, so the direct evaluation runs spec without it.
     """
     x = np.random.default_rng(seed).standard_normal((samples, *spec.input_shape))
     layer_forward = conv_forward if isinstance(spec, ConvLayerSpec) else fc_forward
-    direct = layer_forward(spec, x, include_bias=False).reshape(samples, -1)
+    direct = layer_forward(replace(spec, bias=None), x).reshape(samples, -1)
     via = (a @ x.reshape(samples, -1).T).T
     return float(np.max(np.abs(direct - via)))
 
@@ -380,10 +383,14 @@ def save_layer_json(spec, path) -> None:
 
 
 def load_layer_json(path):
-    """The conv or fc layer in a layer JSON file; any other content raises
-    a ValueError naming the cause."""
+    """The conv or fc layer in a layer JSON file, with its kernels or
+    weight (bias may be null); any other content raises a ValueError
+    naming the cause."""
     with open(path, "r", encoding="utf-8") as fh:
         layer = layer_from_json_dict(json.load(fh))
     if not isinstance(layer, (ConvLayerSpec, FcLayerSpec)):
         raise ValueError(f"a layer file must hold a conv or fc layer, got kind {_kind(layer)!r}")
+    param = "kernels" if isinstance(layer, ConvLayerSpec) else "weight"
+    if getattr(layer, param) is None:
+        raise ValueError(f"missing or null field {param!r}; a layer file needs its parameters")
     return layer

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import orthonormal_nullspace, rank_tolerance_bound, smallest_eigenpair_gram
-from .tensorio import read_tensors, write_tensors
+from .tensorio import read_tensor, write_tensor
 
 __all__ = [
     "EmptySubspaceError",
@@ -163,20 +163,18 @@ def classify_pair(u: np.ndarray, delta: np.ndarray,
 
 # --- serialization -------------------------------------------------------
 #
-# A basis file is a tensor container (see tensorio) holding exactly one
-# 2-d tensor named "basis" of shape (n, d) with finite entries.
+# A basis file is a tensor file (see tensorio) whose one tensor is named
+# "basis" and is 2-d, of shape (n, d), with finite entries.
 
 
 def save_basis(u: np.ndarray, path) -> None:
-    write_tensors(path, {"basis": u})
+    write_tensor(path, "basis", u)
 
 
 def load_basis(path) -> np.ndarray:
-    tensors = read_tensors(path)
-    u = tensors.get("basis")
-    if len(tensors) != 1 or u is None or u.ndim != 2:
-        shapes = {name: t.shape for name, t in tensors.items()}
-        raise ValueError(f"not a basis file: expected one 2-d 'basis' tensor, got {shapes}")
+    name, u = read_tensor(path)
+    if name != "basis" or u.ndim != 2:
+        raise ValueError(f"not a basis file: expected a 2-d 'basis' tensor, got {name!r} {u.shape}")
     if not np.all(np.isfinite(u)):
         raise ValueError("basis contains non-finite values")
     return u

@@ -414,6 +414,18 @@ TINY_IMAGE_NET = (b'{"input_shape": [3, 4, 4], "layers": [{"kind": "conv", "in_c
                   b'{"kind": "fc", "in_features": 8, "out_features": 4}]}')
 FLAT_INPUT_NET = (b'{"input_shape": [192], "layers": '
                   b'[{"kind": "fc", "in_features": 192, "out_features": 4}]}')
+GEOMETRY_NET = {"input_shape": [1, 2, 2], "layers": [
+    {"kind": "conv", "in_channels": 1, "in_height": 2, "in_width": 2, "out_channels": 1,
+     "kernel_h": 1, "kernel_w": 1}, {"kind": "flatten"},
+    {"kind": "fc", "in_features": 4, "out_features": 2}]}
+PPM_32 = b"P6\n32 32\n255\n" + bytes(3 * 32 * 32)
+
+
+def net_with(index: int, field: str, value) -> bytes:
+    """GEOMETRY_NET with a parameter array set on one layer."""
+    doc = json.loads(json.dumps(GEOMETRY_NET))
+    doc["layers"][index][field] = value
+    return json.dumps(doc).encode()
 
 
 class TestMalformedFiles:
@@ -445,6 +457,21 @@ class TestMalformedFiles:
          "verify needs a (C, H, W) input, but the network takes (192,)"),
         ("privacy", "--net", "flat.json", FLAT_INPUT_NET,
          "privacy needs a (3, H, W) input with H, W >= 8, but the network takes (192,)"),
+        ("lower", "--layer", "conv.json", json.dumps(GEOMETRY_NET["layers"][0]).encode(),
+         "missing or null field 'kernels'"),
+        ("contour", "--layer", "fc.json",
+         b'{"kind": "fc", "in_features": 4, "out_features": 2, "weight": null}',
+         "missing or null field 'weight'"),
+        ("verify", "--net", "kernels.json", net_with(0, "kernels", [[[[7.0]]]]),
+         "layer 0 sets 'kernels', but --seed draws the weights"),
+        ("privacy", "--net", "bias.json", net_with(0, "bias", [0.5]),
+         "layer 0 sets 'bias', but --seed draws the weights"),
+        ("verify", "--net", "weight.json", net_with(2, "weight", [[1.0, 0.0]] * 4),
+         "layer 2 sets 'weight', but --seed draws the weights"),
+        ("privacy --images 5", "--image-files", "img.ppm", PPM_32,
+         "not allowed with argument --images"),
+        ("privacy --images 20", "--image-files", "img.ppm", PPM_32,
+         "not allowed with argument --images"),
     ])
     def test_usage_error_names_the_cause(self, tmp_path, command, flag, name, content,
                                          cause, capsys, monkeypatch):
@@ -460,7 +487,7 @@ class TestMalformedFiles:
             path.write_bytes(content)
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
-            main([command, flag, str(path), "--seed", "1", "--out", str(out)])
+            main([*command.split(), flag, str(path), "--seed", "1", "--out", str(out)])
         err = capsys.readouterr().err
         assert exc.value.code == 2
         assert f"argument {flag}:" in err and cause in err

@@ -154,7 +154,8 @@ class TestFloatImage:
         img = synthetic_image(8, (3, 6, 6)) + 1e-17
         path = tmp_path / "img.f64"
         save_float_image(path, img)
-        back = tensorio.read_tensors(path)["image"]
+        name, back = tensorio.read_tensor(path)
+        assert name == "image"
         assert back.tobytes() == img.tobytes()
         assert back.shape == img.shape
 

@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -153,7 +154,7 @@ class TestVerifyEquivalence:
         worst = 0.0
         for _ in range(7):
             x = rng.standard_normal(spec.input_shape)
-            direct = conv_forward(spec, x[None], include_bias=False).ravel()
+            direct = conv_forward(replace(spec, bias=None), x[None]).ravel()
             worst = max(worst, float(np.max(np.abs(direct - first_layer_a @ x.ravel()))))
         assert verify_equivalence(first_layer_a, spec, samples=7, seed=5) == worst
 

@@ -377,7 +377,7 @@ class TestSerialization:
     def test_tensor_container_frozen_layout(self, tmp_path):
         import struct
         path = tmp_path / "single.nspw"
-        tensorio.write_tensors(path, {"t": np.array([1.0, 2.0])})
+        tensorio.write_tensor(path, "t", np.array([1.0, 2.0]))
         name = b"t"
         header_size = 12 + (4 + len(name) + 4 + 4 + 8)
         expected = (b"NSPW" + struct.pack("<II", 1, 1)
@@ -387,25 +387,11 @@ class TestSerialization:
                     + struct.pack("<2d", 1.0, 2.0))
         assert path.read_bytes() == expected
 
-    def test_tensor_container_roundtrip(self, tmp_path):
-        path = tmp_path / "multi.nspw"
-        tensors = {
-            "a": np.arange(6.0).reshape(2, 3),
-            "b.bias": np.array([-1.0]),
-            "scalar": np.array(3.5),
-        }
-        tensorio.write_tensors(path, tensors)
-        back = tensorio.read_tensors(path)
-        assert list(back) == ["a", "b.bias", "scalar"]
-        for k in tensors:
-            np.testing.assert_array_equal(back[k], tensors[k])
-            assert back[k].shape == tensors[k].shape
-
     def test_tensor_container_bad_magic(self, tmp_path):
         path = tmp_path / "bad.nspw"
         path.write_bytes(b"JUNK" + b"\x00" * 8)
         with pytest.raises(ValueError, match="magic"):
-            tensorio.read_tensors(path)
+            tensorio.read_tensor(path)
 
 
 JSON_VALUES = st.recursive(
