@@ -11,8 +11,9 @@ Measured between OPENBLAS_NUM_THREADS=1 and =2 at seed 1234 (OpenBLAS
 0.3.31, 2-core x86-64): the staircase QR's GEMMs add in a thread-dependent
 order, so the first layer's basis differs in its last bits. Only rounding
 residuals of verify_report.json move, with and without the sweep, and in
-privacy_report.json the ascent fields (MSE 1.6e-13 relative) and the
-output deviations. Before the least-harmful direction of the sparse
+privacy_report.json the ascent fields (MSE 7.8e-14 relative; 1.6e-13
+while the ascent re-projected through the BLAS every ~266 iterations) and
+the output deviations. Before the least-harmful direction of the sparse
 second conv came from SuperLU and ARPACK instead of a dense eigh, its six
 RMSE rows and the rmse-least-harmful-* checks differed by up to 8.1e-15
 relative. The six runs take about 15 s on 2 cores, 6.7 s of them the two
@@ -45,7 +46,7 @@ RUNS = {
 # computed that direction).
 RELATIVE = 1e-12
 # Fields the 2,300-iteration privacy ascent produces, where rounding
-# compounds; measured: 1.6e-13 (an earlier coefficient-space ascent moved
+# compounds; measured: 7.8e-14 (an earlier coefficient-space ascent moved
 # the MSE by 3.3e-10 and the bound violation by 4.3e-5 relative).
 ASCENT_RELATIVE = {"mse": 1e-9, "ssim": 1e-9, "ssim_gaussian_matched": 1e-9,
                    "privacy-mse-floor": 1e-9, "privacy-reconstruction-distinct": 1e-9,

@@ -11,7 +11,7 @@ from nullspan.network import NetworkSpec, forward, init_network
 from nullspan.privacy import (
     DivergenceError,
     PrivacyConfig,
-    _objective_and_gradient,
+    _ascent_terms,
     maximize_dissimilarity,
     sample_reconstructions,
 )
@@ -252,14 +252,18 @@ class TestMaximizeDissimilarity:
             maximize_dissimilarity(image, small_basis, PrivacyConfig(), [0])
 
 
-def dense_objective_and_gradient(y, p, x_flat, n, penalty_weight):
+def dense_terms(y, p, x_flat, n, penalty_weight):
     """Reference: the penalty term as the dense product of the sign matrix G and P."""
     x_hat = x_flat + y
     g = (x_hat > 1.0).astype(np.float64) - (x_hat < 0.0)
     penalty = np.einsum("ij,ij->i", x_hat, g)
     objective = np.einsum("ij,ij->i", y, y) / n - penalty_weight * penalty
-    gradient = (2.0 / n) * y - penalty_weight * (g @ p)
-    return objective, penalty, gradient, g, x_hat
+    return objective, penalty, g @ p, g, x_hat
+
+
+def ascent_terms(y, p, x, w):
+    """_ascent_terms of the offset y itself (scale 1, so x_hat is x + y)."""
+    return _ascent_terms(y, 1.0, x, np.empty_like(x), p, w)
 
 
 class TestSparsePenaltyGradient:
@@ -292,8 +296,8 @@ class TestSparsePenaltyGradient:
     def test_matches_dense_formula(self, kind, b):
         y, p, x = self.case(kind, b)
         n, w = self.N, self.W
-        objective, penalty, gradient = _objective_and_gradient(y, p, x, n, w)
-        ref_obj, ref_pen, ref_grad, g, x_hat = dense_objective_and_gradient(y, p, x, n, w)
+        objective, penalty, penalty_grad = ascent_terms(y, p, x, w)
+        ref_obj, ref_pen, ref_grad, g, x_hat = dense_terms(y, p, x, n, w)
         out = np.count_nonzero(g, axis=1)
         expected_out = {"inside": [0] * b, "few": list(self.FEW[:b]), "all": [n] * b,
                         "bounds": [2] * b}[kind]
@@ -307,22 +311,19 @@ class TestSparsePenaltyGradient:
         gamma = n * eps / (1 - n * eps)
         pen_tol = 2 * gamma * np.einsum("ij,ij->i", np.abs(x_hat), np.abs(g))
         assert np.all(np.abs(penalty - ref_pen) <= pen_tol)
-        grad_terms = np.abs(g) @ np.abs(p)
-        grad_tol = (2 * gamma * w * grad_terms
-                    + 4 * eps * (np.abs(2.0 / n * y) + w * grad_terms))
-        assert np.all(np.abs(gradient - ref_grad) <= grad_tol)
+        grad_tol = 2 * gamma * (np.abs(g) @ np.abs(p))
+        assert np.all(np.abs(penalty_grad - ref_grad) <= grad_tol)
         obj_tol = w * pen_tol + 4 * eps * (np.abs(ref_obj) + w * ref_pen)
         assert np.all(np.abs(objective - ref_obj) <= obj_tol)
         if kind == "inside":
-            assert np.array_equal(gradient, ref_grad) and np.all(penalty == 0.0)
+            assert np.array_equal(penalty_grad, ref_grad) and np.all(penalty == 0.0)
 
     @pytest.mark.parametrize("b", [1, 4])
     @pytest.mark.parametrize("kind", KINDS)
     def test_matches_per_image_sum_exactly(self, kind, b):
-        # Every term of P @ g is +-1 times an entry of P, so summing the same
+        # Every term of G @ P is +-1 times an entry of P, so summing the same
         # terms in the same (ascending pixel) order gives the same bits.
         y, p, x = self.case(kind, b)
-        n, w = self.N, self.W
         x_hat = x + y
         penalty_grad = np.zeros_like(y)
         for i, row in enumerate(x_hat):
@@ -330,8 +331,8 @@ class TestSparsePenaltyGradient:
             if pixel.size:
                 signed = p[pixel] * np.where(row[pixel] > 1.0, 1.0, -1.0)[:, None]
                 penalty_grad[i] = signed.sum(axis=0)
-        _, _, gradient = _objective_and_gradient(y, p, x, n, w)
-        assert np.array_equal(gradient, (2.0 / n) * y - w * penalty_grad)
+        _, _, got = ascent_terms(y, p, x, self.W)
+        assert np.array_equal(got, penalty_grad)
 
     def test_no_gather_of_out_of_box_rows(self):
         # Every pixel of 8 images out of the box: gathering their rows of P
@@ -343,9 +344,10 @@ class TestSparsePenaltyGradient:
         x = np.empty((b, n))
         x[:, ::2], x[:, 1::2] = -1.0, 2.0
         y = 1e-3 * rng.standard_normal((b, 64)) @ u.T
+        x_hat = np.empty_like(x)
         tracemalloc.start()
         try:
-            _, penalty, _ = _objective_and_gradient(y, p, x, n, self.W)
+            _, penalty, _ = _ascent_terms(y, 1.0, x, x_hat, p, self.W)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -355,7 +357,7 @@ class TestSparsePenaltyGradient:
     def test_overflow_stays_non_finite(self):
         y, p, x = self.case("few", 2)
         y[1] = 1e300
-        objective, _, _ = _objective_and_gradient(y, p, x, self.N, self.W)
+        objective, _, _ = ascent_terms(y, p, x, self.W)
         assert np.isfinite(objective[0]) and not np.isfinite(objective[1])
 
 
@@ -410,6 +412,61 @@ class TestPixelSpaceAscent:
         delta = (res.image[0] - image).ravel()
         leak = orthogonal_decompose(small_basis, delta).orthogonal
         assert np.linalg.norm(leak) <= 1e-12 * np.linalg.norm(delta)
+
+
+def counting_basis(u):
+    """u as an ndarray subclass whose matrix products, its transpose's
+    included, are recorded: the returned list gets the left operand of each."""
+    left_operands = []
+
+    class CountingBasis(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            plain = [a.view(np.ndarray) if isinstance(a, CountingBasis) else a for a in inputs]
+            if ufunc is np.matmul:
+                left_operands.append(plain[0])
+            return getattr(ufunc, method)(*plain, **kwargs)
+
+    return u.view(CountingBasis), left_operands
+
+
+def out_of_span(u, y):
+    """The largest relative part of a row of y outside span(u)."""
+    return np.max(np.linalg.norm(y - (y @ u) @ u.T, axis=1) / np.linalg.norm(y, axis=1))
+
+
+class TestScaledIterate:
+    def test_default_run_makes_only_the_start_and_end_products(self, first_layer_basis):
+        # Products with U: P = U U.T, then (y U) U.T at the end, and two more
+        # per re-projection. The default run on the 3072-pixel first layer
+        # grows by (1 + 8/3072)^2000 (1 + 0.1/3072)^300, about 183, in all,
+        # so its loop makes none.
+        u, products = counting_basis(first_layer_basis)
+        scramble(synthetic_image(10, (3, 32, 32)), u, PrivacyConfig(), 3)
+        assert len(products) == 3
+        assert out_of_span(first_layer_basis, products[-2]) <= 1e-12
+
+    def test_small_net_reprojects_once_per_growth_of_1024(self, small_basis, image):
+        # At n = 192 the default step grows y by 1 + 8/192 per iteration, so
+        # the growth reaches 1024 every 170 iterations: 11 times in the 2000
+        # growth iterations, and the remaining growth of e^(130 * 0.0408)
+        # times the settle phase's 1.17 stays below 1024.
+        u, products = counting_basis(small_basis)
+        scramble(image, u, PrivacyConfig(), 3)
+        assert len(products) == 3 + 2 * 11
+        assert out_of_span(small_basis, products[-2]) <= 1e-12
+
+    def test_long_run_stays_finite_and_in_span(self, small_basis, image):
+        # 20,000 growth iterations at n = 192 grow y by about e^816 in all:
+        # without the re-projections its out-of-span part explodes, and a
+        # scale never folded back into v overflows after about 17,400.
+        u, products = counting_basis(small_basis)
+        res = scramble(image, u, PrivacyConfig(max_iters=20_000), 3)
+        assert np.all(np.isfinite(res.objective_history))
+        assert np.all(np.isfinite(res.penalty_history))
+        assert res.max_bound_violation[0] <= 0.01
+        # the unprojected final iterate, and the offset of the result
+        assert out_of_span(small_basis, products[-2]) <= 1e-12
+        assert out_of_span(small_basis, (res.image - image).reshape(1, -1)) <= 1e-12
 
 
 class TestSpanOnly:
