@@ -3,7 +3,7 @@
 Subcommands: lower, dim-sweep, verify, contour, privacy. Every command
 takes an explicit --seed (no environment entropy) and an --out
 directory; given the same arguments it writes byte-identical reports
-for the same provenance (machine, BLAS library and BLAS thread count).
+for the same provenance (machine and BLAS library).
 Floats in CSV files carry 17 significant digits so parsing them back
 recovers the exact float64 value; JSON uses Python's shortest
 round-trip float form.
@@ -27,7 +27,7 @@ from .layers import (
     predict_nullspace_dim,
     verify_equivalence,
 )
-from .linalg import decide_rank
+from .linalg import _blas_threads, decide_rank
 from .network import load_network_spec
 from .imaging import SSIM_WINDOW, read_ppm, save_float_image, write_ppm
 from .seeding import make_rng
@@ -430,7 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    with _blas_threads(1):
+        return args.func(args)
 
 
 if __name__ == "__main__":

@@ -33,13 +33,26 @@ through a dense eigh.
 
 All functions are pure and deterministic: repeated calls on identical
 input return bit-identical results.
+
+The BLAS thread count is fixed per call site, not taken from the
+environment: _blas_threads(n) pins both OpenBLAS pools that the numpy and
+scipy wheels bundle for the length of a block. cli.main runs every
+command at 1 thread, and the SVD fallback pins 2, the one call site where
+the second thread pays. A command's results therefore do not depend on
+OPENBLAS_NUM_THREADS; on a BLAS without those pools the pin does nothing.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
+import scipy
 import scipy.sparse as sp
 
 __all__ = [
@@ -87,10 +100,54 @@ def _checked(m) -> sp.csr_matrix:
     return m
 
 
+# Thread-count symbols of the wheels' OpenBLAS (ILP64 and LP64 builds) and
+# of a plain OpenBLAS build.
+_OPENBLAS_THREADS = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads")
+
+
+@functools.cache
+def _openblas_pools() -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS bundled with the
+    numpy and scipy wheels (numpy's ILP64 copy, scipy's LP64 copy); empty
+    where neither wheel bundles one."""
+    pools = []
+    for package in (np, scipy):
+        libdir = Path(package.__file__).resolve().parent.parent / f"{package.__name__}.libs"
+        for lib in sorted(glob.glob(str(libdir / "*openblas*"))):
+            dll = ctypes.CDLL(lib)
+            for name in _OPENBLAS_THREADS:
+                get, put = (getattr(dll, name.format(verb), None) for verb in ("get", "set"))
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    pools.append((get, put))
+                    break
+    return tuple(pools)
+
+
+@contextlib.contextmanager
+def _blas_threads(n: int):
+    """Run the block with every OpenBLAS pool at n threads, then restore the
+    counts found on entry; a no-op where no pool is found."""
+    pools = _openblas_pools()
+    found = [get() for get, _ in pools]
+    for _, put in pools:
+        put(n)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(pools, found):
+            put(count)
+
+
 def _lapack_svd(m, **kw):
     a = _checked(m).toarray()
     try:
-        return np.linalg.svd(a, **kw)
+        # The declined rank-sweep draws take 1.10-1.48 s each at 2 threads
+        # and 1.67-2.15 s at 1 (1728 columns, 2 vCPU, OpenBLAS 0.3.31).
+        with _blas_threads(2):
+            return np.linalg.svd(a, **kw)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(
             f"SVD did not converge for a {a.shape[0]}x{a.shape[1]} matrix"
@@ -342,9 +399,11 @@ def _certify_full_rank(m, row_rank: np.ndarray,
 
 
 # Columns per block of the staircase QR, and per geqrt call within a block.
-# Past 32 columns OpenBLAS threads geqrt's inner products, which made a
-# wider geqrt slower after a large GEMM than before it; a block of three
-# geqrt panels gives the trailing update a GEMM of depth 96.
+# A block of three geqrt panels gives the trailing update a GEMM of depth
+# 96. At one BLAS thread the panel width does not matter beyond the noise:
+# the first layer's decide_rank(with_basis=True), best of 5 at seeds 1234
+# and 7 over three sweeps (2 vCPU, OpenBLAS 0.3.31), took 0.39-0.55 s with
+# 32-column panels, 0.39-0.51 s with 64 and 0.40-0.49 s with 96.
 _QR_BLOCK, _GEQRT_COLS = 96, 32
 # Largest product buffer of a trailing update, in float64 entries (4 MiB);
 # wider updates are applied a slice of columns at a time.

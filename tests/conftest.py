@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from nullspan.layers import build_equivalent
+from nullspan.linalg import _blas_threads
 from nullspan.subspace import harmless_basis
 from nullspan.verification import seeded_network
 
@@ -33,6 +34,14 @@ def raw_qr_basis(m):
     q, _, info = ormqr("L", "N", h, tau, c, lwork)
     assert info == 0
     return q
+
+
+@pytest.fixture(scope="session", autouse=True)
+def cli_blas_threads():
+    # In-process tests run at the BLAS thread count of the CLI's commands,
+    # so their results match the CLI's bit for bit.
+    with _blas_threads(1):
+        yield
 
 
 @pytest.fixture(scope="session")

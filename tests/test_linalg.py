@@ -1,14 +1,23 @@
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+import scipy
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nullspan import linalg
-from nullspan.layers import ConvLayerSpec, build_conv_equivalent, build_equivalent
+from nullspan.cli import main
+from nullspan.layers import (
+    ConvLayerSpec,
+    FcLayerSpec,
+    build_conv_equivalent,
+    build_equivalent,
+    save_layer_json,
+)
 from nullspan.linalg import (
     CERTIFIED_PATH,
     SVD_PATH,
@@ -585,3 +594,90 @@ class TestSparseShiftInvert:
 
 def test_factorization_error_is_runtime_error():
     assert issubclass(FactorizationError, RuntimeError)
+
+
+class TestBlasThreads:
+    """linalg._blas_threads pins every OpenBLAS pool for a block and then
+    restores what it found; cli.main runs each command at 1 thread and the
+    SVD fallback at 2."""
+
+    @staticmethod
+    def fake_pools(monkeypatch, *counts):
+        # (get, set) pairs over a list of thread counts, one per pool
+        state = list(counts)
+        pools = tuple((lambda i=i: state[i], lambda n, i=i: state.__setitem__(i, n))
+                      for i in range(len(state)))
+        monkeypatch.setattr(linalg, "_openblas_pools", lambda: pools)
+        return state
+
+    @staticmethod
+    def real_counts():
+        return [get() for get, _ in linalg._openblas_pools()]
+
+    @staticmethod
+    def rank_one_layer(tmp_path):
+        # rank 1, so the certificate declines and the SVD decides
+        path = tmp_path / "layer.json"
+        save_layer_json(FcLayerSpec(4, 3, weight=np.ones((4, 3))), path)
+        return str(path)
+
+    def test_each_pool_is_pinned_and_gets_its_own_count_back(self, monkeypatch):
+        state = self.fake_pools(monkeypatch, 3, 5)
+        with linalg._blas_threads(1):
+            assert state == [1, 1]
+        assert state == [3, 5]
+
+    def test_counts_are_restored_when_the_block_raises(self, monkeypatch):
+        state = self.fake_pools(monkeypatch, 3, 5)
+        with pytest.raises(KeyError):
+            with linalg._blas_threads(2):
+                raise KeyError("inside")
+        assert state == [3, 5]
+
+    def test_nested_pins_restore_in_order(self, monkeypatch):
+        state = self.fake_pools(monkeypatch, 3, 5)
+        with linalg._blas_threads(1):
+            with linalg._blas_threads(2):
+                assert state == [2, 2]
+            assert state == [1, 1]
+        assert state == [3, 5]
+
+    def test_without_openblas_the_pin_is_a_no_op(self, monkeypatch, tmp_path):
+        real = linalg._openblas_pools()
+        before = [get() for get, _ in real]
+        with monkeypatch.context() as m:
+            m.setattr(linalg.glob, "glob", lambda pattern: [])
+            pools = linalg._openblas_pools.__wrapped__()
+        assert pools == ()
+        monkeypatch.setattr(linalg, "_openblas_pools", lambda: pools)
+        with linalg._blas_threads(3):
+            assert [get() for get, _ in real] == before
+        assert main(["lower", "--layer", self.rank_one_layer(tmp_path), "--seed", "1",
+                     "--out", str(tmp_path / "out")]) == 0
+
+    def test_both_wheel_pools_are_found(self):
+        bundled = [lib for package in (np, scipy) for lib in
+                   Path(package.__file__).resolve().parent.parent.glob(
+                       f"{package.__name__}.libs/*openblas*")]
+        assert len(linalg._openblas_pools()) == len(bundled)
+        with linalg._blas_threads(3):
+            assert self.real_counts() == [3] * len(bundled)
+
+    def test_main_runs_at_one_thread_and_the_svd_at_two(self, monkeypatch, tmp_path):
+        if not linalg._openblas_pools():
+            pytest.skip("no OpenBLAS thread pool to observe")
+        seen = {}
+
+        def recording(name, fn):
+            def wrapper(*args, **kw):
+                seen.setdefault(name, set()).update(self.real_counts())
+                return fn(*args, **kw)
+            return wrapper
+
+        monkeypatch.setattr(linalg, "_band_order", recording("command", linalg._band_order))
+        monkeypatch.setattr(np.linalg, "svd", recording("svd", np.linalg.svd))
+        with linalg._blas_threads(3):
+            assert main(["lower", "--layer", self.rank_one_layer(tmp_path), "--seed", "1",
+                         "--out", str(tmp_path / "out")]) == 0
+            assert self.real_counts() == [3] * len(linalg._openblas_pools())
+        assert seen == {"command": {1}, "svd": {2}}
