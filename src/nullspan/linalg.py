@@ -12,7 +12,8 @@ of a wide matrix is the trailing columns of Q in a Householder QR of
 A.T (Golub & Van Loan, Matrix Computations, 4th ed., section 5.2). When
 it declines, the singular values decide against rank_tolerance, exactly
 as a plain SVD rank query does; the evidence for either decision is
-returned with it. smallest_eigenpair_gram solves for one eigenpair of
+returned with it. certified_rank is the certified branch alone: it
+returns None where decide_rank would run the SVD. smallest_eigenpair_gram solves for one eigenpair of
 A.T @ A only.
 
 Both the certificate and the QR work in band order (_band_order): rows
@@ -66,6 +67,7 @@ __all__ = [
     "rank_tolerance",
     "rank_tolerance_bound",
     "numerical_rank",
+    "certified_rank",
     "decide_rank",
     "orthonormal_nullspace",
     "smallest_eigenpair_gram",
@@ -144,8 +146,14 @@ def _blas_threads(n: int):
 def _lapack_svd(m, **kw):
     a = _checked(m).toarray()
     try:
-        # The declined rank-sweep draws take 1.10-1.48 s each at 2 threads
-        # and 1.67-2.15 s at 1 (1728 columns, 2 vCPU, OpenBLAS 0.3.31).
+        # The declined rank-sweep draws (1584 to 1872 rows, 1728 columns)
+        # gain from the second thread: 0.88-1.48 s each at 2 threads against
+        # 1.35-2.15 s at 1 (2 vCPU, OpenBLAS 0.3.31). A small matrix does
+        # not: on the same host a 2-thread SVD can stall for 0.2-0.8 s while
+        # the main and worker threads take turns on one CPU, as an 81x168
+        # one did in 0.19 s against 0.8 ms at 1 thread, and a random 200x240
+        # as the first 2-thread call in 0.40-0.52 s against 8-9 ms. Hence
+        # callers that only want a certified decision ask certified_rank.
         with _blas_threads(2):
             return np.linalg.svd(a, **kw)
     except np.linalg.LinAlgError as exc:
@@ -516,38 +524,53 @@ def _row_space_complement(m, row_rank: np.ndarray, col_rank: np.ndarray) -> np.n
     return q.T.take(col_rank, axis=1).T
 
 
-def decide_rank(m, with_basis: bool = False) -> RankDecision:
-    """Numerical rank, nullity and (with_basis) orthonormal nullspace basis.
+def certified_rank(m, with_basis: bool = False) -> RankDecision | None:
+    """decide_rank's decision when _certify_full_rank proves full rank,
+    else None; no SVD runs either way.
 
-    When _certify_full_rank proves full rank, the nullity is cols -
-    min(rows, cols) and the basis is empty for a tall or square m, or the
-    QR complement of m's row space for a wide m (_row_space_complement).
-    Both work on m in band order (_band_order), which for a sparse layer
-    lowering turns the Gram matrix into a band and m.T into a staircase.
-    The certificate factors that band with a band Cholesky; the
-    inequality it rests on bounds the rounding of any Cholesky of the
-    symmetrically permuted Gram matrix, and its shift and evidence are
-    computed in m's own order, so the evidence and the decision are those
-    of a dense Cholesky up to a pivot at rounding level. The QR follows the
-    staircase, skipping only exact zeros. Otherwise the singular
-    values decide: the rank counts those above rank_tolerance, and the
-    basis is the right singular vectors past the rank, re-orthonormalized
-    by QR. Either way the basis is one orthonormal basis of N(m), with no
-    sign or order convention for its columns: callers must depend on its
-    span only. Both routes are deterministic, so it repeats bit for bit.
+    The nullity is then cols - min(rows, cols), and the basis (with_basis)
+    is empty for a tall or square m, or the QR complement of m's row space
+    for a wide m (_row_space_complement). Both work on m in band order
+    (_band_order), which for a sparse layer lowering turns the Gram matrix
+    into a band and m.T into a staircase. The certificate factors that
+    band with a band Cholesky; the inequality it rests on bounds the
+    rounding of any Cholesky of the symmetrically permuted Gram matrix,
+    and its shift and evidence are computed in m's own order, so the
+    evidence and the decision are those of a dense Cholesky up to a pivot
+    at rounding level. The QR follows the staircase, skipping only exact
+    zeros.
     """
     m = _checked(m)
     rows, cols = m.shape
     order = _band_order(m)
     certificate = _certify_full_rank(m, *order)
-    if certificate is not None:
-        rank = min(rows, cols)
-        basis = None
-        if with_basis:
-            basis = _row_space_complement(m, *order) if rows < cols else np.zeros((cols, 0))
-        evidence = {"sigma_min_lower": certificate[0], "tau_ub": certificate[1]}
-        return RankDecision(rank, cols - rank, CERTIFIED_PATH, evidence, basis)
+    if certificate is None:
+        return None
+    rank = min(rows, cols)
+    basis = None
+    if with_basis:
+        basis = _row_space_complement(m, *order) if rows < cols else np.zeros((cols, 0))
+    evidence = {"sigma_min_lower": certificate[0], "tau_ub": certificate[1]}
+    return RankDecision(rank, cols - rank, CERTIFIED_PATH, evidence, basis)
 
+
+def decide_rank(m, with_basis: bool = False) -> RankDecision:
+    """Numerical rank, nullity and (with_basis) orthonormal nullspace basis.
+
+    certified_rank decides when its certificate holds. Otherwise the
+    singular values decide: the rank counts those above rank_tolerance,
+    and the basis is the right singular vectors past the rank,
+    re-orthonormalized by QR. Either way the basis is one orthonormal
+    basis of N(m), with no sign or order convention for its columns:
+    callers must depend on its span only. Both routes are deterministic,
+    so it repeats bit for bit.
+    """
+    m = _checked(m)
+    decision = certified_rank(m, with_basis)
+    if decision is not None:
+        return decision
+
+    rows, cols = m.shape
     basis = None
     if with_basis:
         _, sv, vt = svd(m)

@@ -25,7 +25,7 @@ from .layers import (
     predict_nullspace_dim,
     verify_equivalence,
 )
-from .linalg import CERTIFIED_PATH, decide_rank, sigma_max_bound, singular_values
+from .linalg import certified_rank, decide_rank, sigma_max_bound, singular_values
 from .network import (
     NetworkSpec,
     forward,
@@ -207,13 +207,15 @@ def seeded_geometries(root_seed: int, count: int = 50):
     """Random desk-scale layer geometries with seeded weights, as
     (spec, A, RankDecision) triples.
 
-    Convolutions are resampled until decide_rank certifies the drawn
+    Convolutions are resampled until certified_rank certifies the drawn
     kernels' full rank; that decision is the triple's, and a certified full
-    rank proves the nullity max(0, n - m). The certificate declines on
-    ill-conditioned draws and on shapes that drop rank for every kernel,
-    such as conv 3x9x9 -> 5x7x7 k3 s1 p0 (rank 240 of 243 over GF(p) for
-    integer kernels), which root seed 1010146033 draws; hence up to 100
-    attempts per geometry. Fully-connected draws are taken as drawn.
+    rank proves the nullity max(0, n - m). The sweep asks the certificate
+    alone, so no SVD runs for a draw it resamples. The certificate
+    declines on ill-conditioned draws and on shapes that drop rank for
+    every kernel, such as conv 3x9x9 -> 5x7x7 k3 s1 p0 (rank 240 of 243
+    over GF(p) for integer kernels), which root seed 1010146033 draws;
+    hence up to 100 attempts per geometry. Fully-connected draws are taken
+    as drawn, with decide_rank's decision.
     """
     out = []
     for i in range(count):
@@ -238,9 +240,10 @@ def seeded_geometries(root_seed: int, count: int = 50):
                     rng, in_channels=c_in, in_height=h_in, in_width=w_in,
                     out_channels=c_out, kernel_h=kh, kernel_w=kw,
                     stride=stride, zero_padding=pad)
-                geometry = with_rank(spec)
-                if geometry[2].path == CERTIFIED_PATH:
-                    out.append(geometry)
+                a = build_equivalent(spec)
+                decision = certified_rank(a)
+                if decision is not None:
+                    out.append((spec, a, decision))
                     break
             else:
                 raise RuntimeError("no conv geometry drawn in 100 attempts had a certified rank")

@@ -11,10 +11,10 @@ import time
 import numpy as np
 import pytest
 
-from nullspan import verification
+from nullspan import linalg, verification
 from nullspan.imaging import ssim, synthetic_image
 from nullspan.layers import ConvLayerSpec, FcLayerSpec, Flatten, Relu, build_equivalent
-from nullspan.linalg import CERTIFIED_PATH, RankDecision, rank_tolerance_bound
+from nullspan.linalg import CERTIFIED_PATH, RankDecision, certified_rank, rank_tolerance_bound
 from nullspan.network import NetworkSpec
 from nullspan.seeding import make_rng
 from nullspan.subspace import EmptySubspaceError, classify_pair, harmless_basis
@@ -128,10 +128,58 @@ def test_every_conv_draw_is_certified(seed, monkeypatch):
         return make_rng(*key)
 
     monkeypatch.setattr(verification, "make_rng", recording_make_rng)
-    monkeypatch.setattr(verification, "decide_rank",
+    monkeypatch.setattr(verification, "certified_rank",
                         lambda m: RankDecision(0, 0, CERTIFIED_PATH, {}))
     seeded_geometries(seed)
     assert attempts == [(i, 0) for i in range(0, 50, 2)]
+
+
+def counted_svds(monkeypatch) -> list:
+    """Shapes of the matrices that reach LAPACK's SVD from now on."""
+    shapes = []
+    lapack_svd = linalg._lapack_svd
+
+    def counted(m, **kw):
+        shapes.append(m.shape)
+        return lapack_svd(m, **kw)
+
+    monkeypatch.setattr(linalg, "_lapack_svd", counted)
+    return shapes
+
+
+@pytest.mark.parametrize("seed, resampled", [(ROOT_SEED, 1), (7, 4)])
+def test_resampled_conv_draws_run_no_svd(seed, resampled, monkeypatch):
+    # The sweep asks the certificate alone, so a draw it resamples costs no
+    # SVD; these seeds draw only fc geometries that certify, so none runs.
+    svds = counted_svds(monkeypatch)
+    declined = []
+
+    def recording_certified_rank(m):
+        decision = certified_rank(m)
+        if decision is None:
+            declined.append(m.shape)
+        return decision
+
+    monkeypatch.setattr(verification, "certified_rank", recording_certified_rank)
+    seeded_geometries(seed)
+    assert len(declined) == resampled
+    assert svds == []
+
+
+def test_every_conv_draw_declined_raises_without_svd(monkeypatch):
+    svds = counted_svds(monkeypatch)
+    draws = []
+
+    def declined(m):
+        draws.append(m.shape)
+        return None
+
+    monkeypatch.setattr(verification, "certified_rank", declined)
+    with pytest.raises(RuntimeError,
+                       match="no conv geometry drawn in 100 attempts had a certified rank"):
+        seeded_geometries(ROOT_SEED, count=1)
+    assert len(draws) == 100
+    assert svds == []
 
 
 def test_certificate_evidence_is_the_tolerance_bound(geometries):

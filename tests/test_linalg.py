@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nullspan import linalg
@@ -22,6 +22,7 @@ from nullspan.linalg import (
     CERTIFIED_PATH,
     SVD_PATH,
     FactorizationError,
+    certified_rank,
     decide_rank,
     numerical_rank,
     orthonormal_nullspace,
@@ -225,6 +226,50 @@ def test_band_route_matches_svd(rows, cols, seed, density, blocks):
     if u.shape[1]:
         assert np.max(np.abs(u.T @ u - np.eye(u.shape[1]))) <= 1e-13
         assert np.max(np.abs(m @ u)) <= 1e-13 * max(1.0, singular_values(m)[0])
+
+
+@st.composite
+def small_lowerings(draw):
+    """The lowered matrix of a small conv or fc layer. Ternary kernels and
+    fc weights of inner rank below min(n_in, n_out) make some of them rank
+    deficient, so the certificate declines on those."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if draw(st.booleans()):
+        c_in, c_out = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+        height, width = draw(st.integers(3, 7)), draw(st.integers(3, 7))
+        kernel = draw(st.integers(1, 3))
+        stride, padding = draw(st.integers(1, 2)), draw(st.integers(0, kernel - 1))
+        kernels = rng.integers(-1, 2, size=(c_out, c_in, kernel, kernel)).astype(float)
+        spec = ConvLayerSpec(c_in, height, width, c_out, kernel, kernel, stride=stride,
+                             zero_padding=padding, kernels=kernels)
+    else:
+        n_in, n_out = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+        inner = max(1, min(n_in, n_out) - draw(st.integers(0, 2)))
+        weight = rng.standard_normal((n_in, inner)) @ rng.standard_normal((inner, n_out))
+        spec = FcLayerSpec(in_features=n_in, out_features=n_out, weight=weight)
+    return build_equivalent(spec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=small_lowerings())
+@example(m=build_equivalent(ConvLayerSpec(2, 5, 5, 3, 3, 3, kernels=np.zeros((3, 2, 3, 3)))))
+@example(m=build_equivalent(FcLayerSpec(in_features=12, out_features=9,
+                                        weight=np.random.default_rng(6).standard_normal((12, 9)))))
+def test_certified_rank_is_the_certified_branch_of_decide_rank(m):
+    # certified_rank declines exactly where decide_rank runs the SVD, and
+    # elsewhere returns decide_rank's decision: the same evidence, and the
+    # same basis bytes.
+    decision = decide_rank(m)
+    certified = certified_rank(m)
+    assert (certified is None) == (decision.path == SVD_PATH)
+    if certified is None:
+        assert certified_rank(m, with_basis=True) is None
+        return
+    assert certified.path == CERTIFIED_PATH and certified.basis is None
+    assert (certified.rank, certified.nullity) == (decision.rank, decision.nullity)
+    assert certified.evidence == decision.evidence
+    u, v = certified_rank(m, with_basis=True).basis, decide_rank(m, with_basis=True).basis
+    assert u.shape == v.shape and u.tobytes() == v.tobytes()
 
 
 class TestRankCertificate:
