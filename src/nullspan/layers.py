@@ -266,19 +266,23 @@ def _check_batched(x: np.ndarray, shape: tuple[int, ...], what: str = "input") -
 def conv_forward(spec: ConvLayerSpec, x: np.ndarray) -> np.ndarray:
     """Direct evaluation (no lowering) of a (B, C_in, H_in, W_in) batch
     to (B, C_out, H_out, W_out), plus spec.bias when it is set. Each kernel
-    tap contracts one strided slice of the padded input, so no window
-    (im2col) copy is formed."""
+    row contracts its kernel_w taps at once: one tensordot of depth C_in *
+    kernel_w over a strided window view of the padded input, so a window
+    copy holds one kernel row, never the whole kernel (im2col)."""
     _check_batched(x, spec.input_shape)
     if spec.kernels is None:
         raise ValueError("spec.kernels is None")
     o, s = spec.zero_padding, spec.stride
     xp = np.pad(x, ((0, 0), (0, 0), (o, o), (o, o))) if o else x
     _, h_out, w_out = spec.output_shape
+    # (B, C_in, H_pad, W_out, kernel_w): the taps of one kernel row at
+    # every output column
+    windows = np.lib.stride_tricks.sliding_window_view(
+        xp, spec.kernel_w, axis=3)[:, :, :, ::s][:, :, :, :w_out]
     out = np.zeros((len(x), h_out, w_out, spec.out_channels))
     for dy in range(spec.kernel_h):
-        for dx in range(spec.kernel_w):
-            tap = xp[:, :, dy::s, dx::s][:, :, :h_out, :w_out]
-            out += np.tensordot(tap, spec.kernels[:, :, dy, dx], axes=([1], [1]))
+        rows = windows[:, :, dy::s][:, :, :h_out]
+        out += np.tensordot(rows, spec.kernels[:, :, dy], axes=([1, 4], [1, 2]))
     if spec.bias is not None:
         out += spec.bias
     return out.transpose(0, 3, 1, 2)
