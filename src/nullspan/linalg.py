@@ -13,8 +13,8 @@ A.T (Golub & Van Loan, Matrix Computations, 4th ed., section 5.2). When
 it declines, the singular values decide against rank_tolerance, exactly
 as a plain SVD rank query does; the evidence for either decision is
 returned with it. certified_rank is the certified branch alone: it
-returns None where decide_rank would run the SVD. smallest_eigenpair_gram solves for one eigenpair of
-A.T @ A only.
+returns None where decide_rank would run the SVD. smallest_eigenpair_gram
+solves for one eigenpair of A.T @ A only.
 
 Both the certificate and the QR work in band order (_band_order): rows
 sorted by their first nonzero column, columns by the first sorted row
@@ -152,8 +152,9 @@ def _lapack_svd(m, **kw):
         # not: on the same host a 2-thread SVD can stall for 0.2-0.8 s while
         # the main and worker threads take turns on one CPU, as an 81x168
         # one did in 0.19 s against 0.8 ms at 1 thread, and a random 200x240
-        # as the first 2-thread call in 0.40-0.52 s against 8-9 ms. Hence
-        # callers that only want a certified decision ask certified_rank.
+        # as the first 2-thread call in 0.40-0.52 s against under 10 ms.
+        # Hence callers that only want a certified decision ask
+        # certified_rank.
         with _blas_threads(2):
             return np.linalg.svd(a, **kw)
     except np.linalg.LinAlgError as exc:

@@ -149,8 +149,8 @@ def counted_svds(monkeypatch) -> list:
 
 @pytest.mark.parametrize("seed, resampled", [(ROOT_SEED, 1), (7, 4)])
 def test_resampled_conv_draws_run_no_svd(seed, resampled, monkeypatch):
-    # The sweep asks the certificate alone, so a draw it resamples costs no
-    # SVD; these seeds draw only fc geometries that certify, so none runs.
+    # The sweep asks the certificate alone, so a conv draw it resamples
+    # costs no SVD. Every fc draw at these seeds certifies, so none runs.
     svds = counted_svds(monkeypatch)
     declined = []
 
