@@ -26,7 +26,8 @@ staircase. Every input is taken as a CSR matrix, and its fill alone
 picks the Gram product: sparse below _DENSE_GRAM_FILL, one dense BLAS
 product above it. LAPACK's band Cholesky (pbtrf) factors the band, and
 the QR follows the staircase (George & Heath, Linear Algebra Appl. 34,
-1980, on row orders for sparse QR); neither touches more than the band
+1980, on row orders for sparse QR) with one LAPACK geqrt per block of
+columns and one gemqrt per update; neither touches more than the band
 or the staircase holds. The SVD fallback densifies its input.
 smallest_eigenpair_gram factors a Gram matrix formed sparse (SuperLU)
 and runs shift-invert Lanczos (ARPACK) on it, and one formed dense
@@ -38,8 +39,9 @@ input return bit-identical results.
 The BLAS thread count is fixed per call site, not taken from the
 environment: _blas_threads(n) pins both OpenBLAS pools that the numpy and
 scipy wheels bundle for the length of a block. cli.main runs every
-command at 1 thread, and the SVD fallback pins 2, the one call site where
-the second thread pays. A command's results therefore do not depend on
+command at 1 thread, and the SVD fallback pins 2 from
+_SVD_TWO_THREAD_ENTRIES entries on, the one call site and size where the
+second thread pays. A command's results therefore do not depend on
 OPENBLAS_NUM_THREADS; on a BLAS without those pools the pin does nothing.
 """
 
@@ -143,19 +145,24 @@ def _blas_threads(n: int):
             put(count)
 
 
+# Entries from which the SVD fallback runs at two BLAS threads. Timed at
+# seed 0 (2 vCPU, OpenBLAS 0.3.31, singular values only, 4 calls each): up
+# to 512x1024 the second thread gains nothing, and a small SVD can stall
+# while the main and worker threads take turns on one CPU (81x168 in
+# 0.19-0.23 s against 0.8-5 ms at one thread; 720x768 once in 1.0 s).
+# From 640x1024 it gains: 155-157 ms against 163-180 ms there, 0.93-0.95 s
+# against 1.38-1.45 s at 1584x1728, the size of the declined rank-sweep
+# draws (1584 to 1872 rows, 1728 columns).
+_SVD_TWO_THREAD_ENTRIES = 600_000
+
+
 def _lapack_svd(m, **kw):
     a = _checked(m).toarray()
+    # Below the size rule the SVD runs at the caller's count. Callers that
+    # only want a certified decision ask certified_rank.
+    pin = _blas_threads(2) if a.size >= _SVD_TWO_THREAD_ENTRIES else contextlib.nullcontext()
     try:
-        # The declined rank-sweep draws (1584 to 1872 rows, 1728 columns)
-        # gain from the second thread: 0.88-1.48 s each at 2 threads against
-        # 1.35-2.15 s at 1 (2 vCPU, OpenBLAS 0.3.31). A small matrix does
-        # not: on the same host a 2-thread SVD can stall for 0.2-0.8 s while
-        # the main and worker threads take turns on one CPU, as an 81x168
-        # one did in 0.19 s against 0.8 ms at 1 thread, and a random 200x240
-        # as the first 2-thread call in 0.40-0.52 s against under 10 ms.
-        # Hence callers that only want a certified decision ask
-        # certified_rank.
-        with _blas_threads(2):
+        with pin:
             return np.linalg.svd(a, **kw)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(
@@ -407,16 +414,13 @@ def _certify_full_rank(m, row_rank: np.ndarray,
     return float(margin * tau_ub), float(tau_ub)
 
 
-# Columns per block of the staircase QR, and per geqrt call within a block.
-# A block of three geqrt panels gives the trailing update a GEMM of depth
-# 96. At one BLAS thread the panel width does not matter beyond the noise:
-# the first layer's decide_rank(with_basis=True), best of 5 at seeds 1234
-# and 7 over three sweeps (2 vCPU, OpenBLAS 0.3.31), took 0.39-0.55 s with
-# 32-column panels, 0.39-0.51 s with 64 and 0.40-0.49 s with 96.
-_QR_BLOCK, _GEQRT_COLS = 96, 32
-# Largest product buffer of a trailing update, in float64 entries (4 MiB);
-# wider updates are applied a slice of columns at a time.
-_UPDATE_ENTRIES = 1 << 19
+# Columns per block of the staircase QR: one geqrt factors a block and one
+# gemqrt applies it. At one BLAS thread the first layer's
+# decide_rank(with_basis=True), 16 warm calls per set at seeds 1234 and 7
+# alternating with the former code (2 vCPU, OpenBLAS 0.3.31), took medians
+# of 0.41, 0.40 and 0.28 s over three sets, against 0.42, 0.42 and 0.31 s
+# for 32-column geqrt panels merged into one 96-column factor.
+_QR_BLOCK = 96
 
 
 def _row_space_complement(m, row_rank: np.ndarray, col_rank: np.ndarray) -> np.ndarray:
@@ -426,22 +430,19 @@ def _row_space_complement(m, row_rank: np.ndarray, col_rank: np.ndarray) -> np.n
     Right-looking blocked Householder QR (Golub & Van Loan, Matrix
     Computations, 4th ed., sections 5.1.7 and 5.2.3) that follows B's
     staircase. The block of columns [j0, j1) is factored over rows [j0,
-    r1), r1 one past the last row any column up to j1 reaches, by LAPACK
-    geqrt panels whose compact WY factors I - V T V.T are merged into one
-    for the block (Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 10,
-    1989). Its update reaches only the trailing columns with a nonzero
-    above r1, a prefix in band order: below r1, and past that prefix, the
-    block's reflectors would meet only exact zeros. The reflectors stay
-    where geqrt puts them, below the diagonal of B. Q[:, k:] is then
-    [0; I] with the blocks applied in reverse, each to the columns of
-    [0; I] it reaches, and its rows are put back in m's column order. A
-    fully filled m has a full staircase, so the same loop is a plain
-    blocked QR.
+    r1), r1 one past the last row any column up to j1 reaches, by one
+    LAPACK geqrt, which leaves its reflectors below the diagonal of B and
+    their compact WY factor I - V T V.T in T. One gemqrt applies that
+    factor to the trailing columns with a nonzero above r1, a prefix in
+    band order: below r1, and past that prefix, the block's reflectors
+    would meet only exact zeros. Q[:, k:] is then [0; I] with the blocks
+    applied in reverse by gemqrt, each to the columns of [0; I] it
+    reaches, and its rows are put back in m's column order. A fully
+    filled m has a full staircase, so the same loop is a plain blocked QR.
 
     B is held in the layout of LAPACK's band storage when that is shorter
     than n rows: column j keeps rows [j - ku, j + kl] at stride kl + ku, so
-    every block the loop touches is a strided view that the GEMMs read and
-    update in place.
+    every block the loop touches is a strided view of that store.
     """
     import scipy.linalg
     k, n = m.shape
@@ -478,49 +479,22 @@ def _row_space_complement(m, row_rank: np.ndarray, col_rank: np.ndarray) -> np.n
             store[c0 * stride + r0 + origin:], (r1 - r0, c1 - c0),
             (store.itemsize, store.itemsize * stride))
 
-    buffer = np.empty(max(_UPDATE_ENTRIES, n))
-
-    def reflect(x, v, t):
-        # x <- x - v (t (v.T x)); the last product goes through the buffer
-        # in x's Fortran order, a slice of columns at a time.
-        w = t @ (v.T @ x)
-        step = buffer.size // x.shape[0]
-        for c0 in range(0, x.shape[1], step):
-            part = w[:, c0:c0 + step]
-            out = buffer[:x.shape[0] * part.shape[1]].reshape((x.shape[0], -1), order="F")
-            x[:, c0:c0 + step] -= np.matmul(v, part, out=out)
-
-    def reflectors(j0, j1, r1):
-        v = np.tril(block(j0, r1, j0, j1), -1)
-        np.fill_diagonal(v, 1.0)
-        return v
-
-    (geqrt,) = scipy.linalg.get_lapack_funcs(("geqrt",), (store,))
+    geqrt, gemqrt = scipy.linalg.get_lapack_funcs(("geqrt", "gemqrt"), (store,))
     factors = []
     for j0, j1, r1, end in spans:
-        t = np.zeros((j1 - j0, j1 - j0))
-        for s0 in range(j0, j1, _GEQRT_COLS):
-            s1 = min(s0 + _GEQRT_COLS, j1)
-            h, t_s, info = geqrt(s1 - s0, block(s0, r1, s0, s1))
-            if info != 0:
-                raise FactorizationError(f"geqrt failed with info={info}")
-            block(s0, r1, s0, s1)[...] = h
-            v = reflectors(j0, s1, r1)
-            if s1 < j1:
-                reflect(block(s0, r1, s1, j1), v[s0 - j0:, s0 - j0:], t_s.T)
-            # T of the block's reflectors so far, I - V T V.T their product
-            a, b = slice(0, s0 - j0), slice(s0 - j0, s1 - j0)
-            t[b, b] = t_s
-            t[a, b] = -t[a, a] @ (v[:, a].T @ v[:, b]) @ t_s
+        h, t, info = geqrt(j1 - j0, block(j0, r1, j0, j1))
+        if info != 0:
+            raise FactorizationError(f"geqrt failed with info={info}")
+        block(j0, r1, j0, j1)[...] = h
         if end > j1:
-            reflect(block(j0, r1, j1, end), v, t.T)
+            block(j0, r1, j1, end)[...] = gemqrt(h, t, block(j0, r1, j1, end), trans="T")[0]
         factors.append((j0, j1, r1, t))
     np.fill_diagonal(q[k:], 1.0)
     reached = 0
     for j0, j1, r1, t in reversed(factors):
         reached = max(reached, r1 - k)
         if reached > 0:
-            reflect(q[j0:r1, :reached], reflectors(j0, j1, r1), t)
+            q[j0:r1, :reached] = gemqrt(block(j0, r1, j0, j1), t, q[j0:r1, :reached])[0]
     # gather along the contiguous axis of the Fortran-order q
     return q.T.take(col_rank, axis=1).T
 
@@ -560,10 +534,10 @@ def decide_rank(m, with_basis: bool = False) -> RankDecision:
 
     certified_rank decides when its certificate holds. Otherwise the
     singular values decide: the rank counts those above rank_tolerance,
-    and the basis is the right singular vectors past the rank,
-    re-orthonormalized by QR. Either way the basis is one orthonormal
-    basis of N(m), with no sign or order convention for its columns:
-    callers must depend on its span only. Both routes are deterministic,
+    and the basis is the right singular vectors past the rank, which
+    LAPACK already returns orthonormal. Either way the basis is one
+    orthonormal basis of N(m), with no sign or order convention for its
+    columns: callers must depend on its span only. Both routes are deterministic,
     so it repeats bit for bit.
     """
     m = _checked(m)
@@ -576,7 +550,7 @@ def decide_rank(m, with_basis: bool = False) -> RankDecision:
     if with_basis:
         _, sv, vt = svd(m)
         rank = numerical_rank(sv, rows, cols)
-        basis = np.linalg.qr(vt[rank:].T)[0]
+        basis = np.ascontiguousarray(vt[rank:].T)
     else:
         sv = singular_values(m)
         rank = numerical_rank(sv, rows, cols)

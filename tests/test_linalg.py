@@ -202,9 +202,9 @@ def test_certified_nullity_equals_svd_nullity(rows, cols, seed, deficiency, deca
     cols=st.integers(min_value=1, max_value=40),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     density=st.sampled_from([0.0, 0.05, 0.2]),
-    blocks=st.sampled_from([(96, 32), (5, 2), (3, 3), (1, 1)]),
+    block=st.sampled_from([96, 5, 3, 1]),
 )
-def test_band_route_matches_svd(rows, cols, seed, density, blocks):
+def test_band_route_matches_svd(rows, cols, seed, density, block):
     # Sparse matrices in shuffled order, most of full rank through one
     # pivot per row in a random column; zero rows and columns appear at low
     # density. Band order, the band certificate and the staircase QR must
@@ -217,8 +217,7 @@ def test_band_route_matches_svd(rows, cols, seed, density, blocks):
     m = (m + sp.csr_matrix((np.full(pivots, 3.0),
                             (rng.permutation(rows)[:pivots], rng.permutation(cols)[:pivots])),
                            shape=(rows, cols))).tocsr()
-    with mock.patch.object(linalg, "_QR_BLOCK", blocks[0]), \
-            mock.patch.object(linalg, "_GEQRT_COLS", blocks[1]):
+    with mock.patch.object(linalg, "_QR_BLOCK", block):
         decision = decide_rank(m, with_basis=True)
     assert decision.nullity == svd_nullity(m)
     u = decision.basis
@@ -303,10 +302,9 @@ class TestRankCertificate:
         assert with_basis.path == SVD_PATH
         assert with_basis.basis.shape == (eq.shape[1], with_basis.nullity)
         # Declined calls run the plain SVD basis: right singular vectors past
-        # the rank, re-orthonormalized by QR. The same LAPACK calls on the same
+        # the rank, as LAPACK returns them. The same LAPACK call on the same
         # matrix, so the bytes match with no sign rule.
-        q, _ = np.linalg.qr(svd_nullspace(eq))
-        assert with_basis.basis.tobytes() == q.tobytes()
+        assert with_basis.basis.tobytes() == svd_nullspace(eq).tobytes()
 
     def test_zero_matrix_declines_with_rank_zero(self):
         decision = decide_rank(np.zeros((3, 5)))
@@ -460,12 +458,14 @@ class TestQrBasis:
         decision = decide_rank(m, with_basis=True)
         assert decision.path == SVD_PATH
         assert decision.nullity == svd_nullity(m) == 768 - 448
-        assert np.max(np.abs(m @ decision.basis)) <= 1e-14 * singular_values(m)[0]
+        u = decision.basis
+        assert np.max(np.abs(m @ u)) <= 1e-14 * singular_values(m)[0]
+        assert np.max(np.abs(u.T @ u - np.eye(u.shape[1]))) <= 1e-14
 
     def test_first_layer_basis_memory(self):
         # The first layer of the default network, 2560 x 3072 at 4.3% fill.
         # Densifying A.T for LAPACK's QR took a traced peak of 86.6 MiB
-        # (certificate and basis); band storage takes 48.8 MiB.
+        # (certificate and basis); band storage takes 57.3 MiB.
         a = build_equivalent(seeded_network(1234, None).layers[0])
         tracemalloc.start()
         try:
@@ -643,8 +643,8 @@ def test_factorization_error_is_runtime_error():
 
 class TestBlasThreads:
     """linalg._blas_threads pins every OpenBLAS pool for a block and then
-    restores what it found; cli.main runs each command at 1 thread and the
-    SVD fallback at 2."""
+    restores what it found; cli.main runs each command at 1 thread and an
+    SVD fallback of at least _SVD_TWO_THREAD_ENTRIES entries at 2."""
 
     @staticmethod
     def fake_pools(monkeypatch, *counts):
@@ -709,6 +709,9 @@ class TestBlasThreads:
             assert self.real_counts() == [3] * len(bundled)
 
     def test_main_runs_at_one_thread_and_the_svd_at_two(self, monkeypatch, tmp_path):
+        # The SVD pins 2 threads only from _SVD_TWO_THREAD_ENTRIES entries
+        # on; a smaller one, like the 4x3 of the rank-one layer, runs at the
+        # caller's count.
         if not linalg._openblas_pools():
             pytest.skip("no OpenBLAS thread pool to observe")
         seen = {}
@@ -725,4 +728,10 @@ class TestBlasThreads:
             assert main(["lower", "--layer", self.rank_one_layer(tmp_path), "--seed", "1",
                          "--out", str(tmp_path / "out")]) == 0
             assert self.real_counts() == [3] * len(linalg._openblas_pools())
-        assert seen == {"command": {1}, "svd": {2}}
+        assert seen == {"command": {1}, "svd": {1}}
+        limit = linalg._SVD_TWO_THREAD_ENTRIES
+        for cols, threads in ((limit - 1, 3), (limit, 2)):
+            seen.clear()
+            with linalg._blas_threads(3):
+                singular_values(sp.csr_matrix((1, cols)))
+            assert seen == {"svd": {threads}}
