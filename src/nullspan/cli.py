@@ -99,10 +99,10 @@ def cmd_lower(args) -> int:
     decision = decide_rank(a)
     residual = verify_equivalence(a, spec, samples=args.samples, seed=args.seed)
 
+    # build_equivalent's CSR has sorted indices: its COO is in (row, col) order
     coo = a.tocoo()
-    order = np.lexsort((coo.col, coo.row))
     _write_csv(out / "equivalent_matrix.csv", ["row", "col", "value"],
-               [[int(coo.row[i]), int(coo.col[i]), float(coo.data[i])] for i in order])
+               [[int(r), int(c), float(v)] for r, c, v in zip(coo.row, coo.col, coo.data)])
 
     stats = {
         "layer_kind": _kind(spec),

@@ -1,7 +1,7 @@
 """Factorizations shared by the rest of the package.
 
-Everything runs in float64 through LAPACK (via numpy and scipy), except
-the sparse eigenpair route below (SuperLU and ARPACK, via scipy).
+Everything runs in float64 through LAPACK (via numpy and scipy); the
+least-harmful eigenpair adds ARPACK's Lanczos (via scipy) on top.
 
 Rank, nullity and harmless basis have one entry point, decide_rank. It
 first tries a cheap certificate that the matrix has full rank: a
@@ -29,9 +29,8 @@ the QR follows the staircase (George & Heath, Linear Algebra Appl. 34,
 1980, on row orders for sparse QR) with one LAPACK geqrt per block of
 columns and one gemqrt per update; neither touches more than the band
 or the staircase holds. The SVD fallback densifies its input.
-smallest_eigenpair_gram factors a Gram matrix formed sparse (SuperLU)
-and runs shift-invert Lanczos (ARPACK) on it, and one formed dense
-through a dense eigh.
+smallest_eigenpair_gram forms A.T @ A the same way, shifts it, and runs
+shift-invert Lanczos (ARPACK) on the same band Cholesky of it.
 
 All functions are pure and deterministic: repeated calls on identical
 input return bit-identical results.
@@ -252,17 +251,6 @@ def _gamma(k: int) -> float:
     return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
 
 
-def _sparse_gram(s) -> bool:
-    """Whether sparse s is sparse enough to form its Gram product sparse."""
-    return s.nnz < _DENSE_GRAM_FILL * s.shape[0] * s.shape[1]
-
-
-def _dense_gram(s) -> np.ndarray:
-    """s @ s.T of sparse s as one dense BLAS product."""
-    d = s.toarray()
-    return d @ d.T
-
-
 def _entry_rows(m) -> np.ndarray:
     """Row index of every stored entry of a CSR matrix, in storage order
     and in the matrix's index dtype."""
@@ -309,7 +297,8 @@ def _band_order(m) -> tuple[np.ndarray, np.ndarray]:
 
 def _banded_gram(s, rank: np.ndarray) -> np.ndarray:
     """g = s @ s.T in LAPACK's lower band storage, ab[i - j, j] = g[i, j]
-    for i >= j, with row and column i of g placed at rank[i].
+    for i >= j, with row and column i of g placed at rank[i], in Fortran
+    order; the only Gram former (_certify_full_rank, smallest_eigenpair_gram).
 
     The rows of s are put in that order first; s's fill then picks the
     product. Below the dense-Gram fill it stays sparse, and the band
@@ -319,8 +308,9 @@ def _banded_gram(s, rank: np.ndarray) -> np.ndarray:
     """
     p = s.shape[0]
     s = s[np.argsort(rank)]
-    if not _sparse_gram(s):
-        flat = _dense_gram(s).reshape(-1)
+    if s.nnz >= _DENSE_GRAM_FILL * p * s.shape[1]:
+        d = s.toarray()
+        flat = (d @ d.T).reshape(-1)
         for j in range(1, p):
             flat[j * p:(j + 1) * p - j] = flat[j * p + j:(j + 1) * p]
         return flat.reshape((p, p), order="F")
@@ -568,67 +558,75 @@ def orthonormal_nullspace(m) -> np.ndarray:
     return decide_rank(m, with_basis=True).basis
 
 
-def _lowest_eigvec_shift_invert(g) -> np.ndarray:
-    """Eigenvector for the smallest eigenvalue of a sparse symmetric positive
-    semidefinite n x n matrix g.
+def _lowest_eigvec_shift_invert(ab: np.ndarray, gram_error: float) -> np.ndarray:
+    """Eigenvector, in band order, for the smallest eigenvalue of an n x n
+    positive semidefinite G given as H = fl(G) in _banded_gram's storage
+    ab (overwritten), with ||H - G||_2 <= gram_error.
 
-    It is the dominant eigenvector of (g + s I)^-1, found by Lanczos (ARPACK)
-    on one SuperLU factorization of g + s I: the spectral transformation of
-    Ericsson & Ruhe (Math. Comp. 35, 1980). The shift s = n u trace(g) +
-    eta, eta the smallest subnormal, is at rounding level, so a singular g
-    still factors. One more solve (a step of inverse iteration) finishes the
-    Ritz vector: in a cluster of equal eigenvalues, such as the null space
-    of a wide matrix, Lanczos mixes in rounding from outside the cluster
-    (||M v||^2 = 1e-14 for g = M.T @ M, M sparse 100x300), which that
-    solve damps by s over the next eigenvalue. An all-zero g, and n = 1,
-    which ARPACK does not take, return the first unit vector.
+    Lanczos (ARPACK) finds the dominant eigenvector of (H + s I)^-1 on one
+    band Cholesky of H + s I (Ericsson & Ruhe, Math. Comp. 35, 1980). One
+    more solve damps, by s over the next eigenvalue, the rounding it mixes
+    into a cluster of equal eigenvalues such as a null space (||M v|| up to
+    5.3 eps sigma_max_bound(M) without it, 0.6 with it, for M sparse
+    100x300). An all-zero H, and n = 1, which ARPACK does not take, give
+    the first unit vector.
+
+    H is first scaled by the power of four that brings h = max_i h_ii into
+    [1/2, 2), exactly, so v is unchanged and no solve overflows. Then, with
+    u = eps / 2, c = n gamma_{n+1} / (1 - gamma_{n+1}) and k = u + c (1 +
+    u), A = fl(H + s I) has lambda_min(A) >= s - gram_error - u (h + s) and
+    max_i a_ii <= (1 + u) (h + s). Cholesky completes if lambda_min(D^-1 A
+    D^-1) > c, D^2 = diag(A) (Demmel; Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., Thm 10.7), so if s (1 - k) > gram_error
+    + k h. s is twice the right side: while k <= 1/4 (n up to 4e7) the
+    slack exceeds u / 4, far above the rounding of s and any underflow in
+    the scaling and the Cholesky (n (n + 2 + sqrt(h)) subnormals). s is
+    2.8e-9 on the default network's second conv layer, lambda_min 0.037.
     """
-    n = g.shape[0]
-    trace = float(g.diagonal().sum())
-    if n == 1 or trace == 0.0:
+    n = ab.shape[1]
+    h = float(ab[0].max(initial=0.0))
+    if n == 1 or h == 0.0:
         return np.eye(n, 1)[:, 0]
-    import scipy.sparse.linalg as spla  # on first use: importing it slows CLI start-up
-    shift = n * _UNIT_ROUNDOFF * trace + _SMALLEST_SUBNORMAL
+    import scipy.linalg  # on first use: importing them slows CLI start-up
+    import scipy.sparse.linalg as spla
+    power = -2 * (np.frexp(h)[1] // 2)
+    h, gram_error = np.ldexp(h, power), np.ldexp(gram_error, power)
+    np.ldexp(ab, power, out=ab)
+    cholesky_gamma = _gamma(n + 1)
+    k = _UNIT_ROUNDOFF + n * cholesky_gamma / (1.0 - cholesky_gamma) * (1.0 + _UNIT_ROUNDOFF)
+    ab[0] += 2.0 * (gram_error + k * h)
     try:
-        lu = spla.splu((g + shift * sp.identity(n)).tocsc(), permc_spec="MMD_AT_PLUS_A")
-        inverse = spla.LinearOperator((n, n), matvec=lu.solve, dtype=np.float64)
+        factor = scipy.linalg.cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
+        solve = functools.partial(scipy.linalg.cho_solve_banded, (factor, True),
+                                  check_finite=False)
+        inverse = spla.LinearOperator((n, n), matvec=solve, dtype=np.float64)
         _, vecs = spla.eigsh(inverse, k=1, which="LM", v0=np.ones(n),
                              ncv=min(20, n), tol=0)
-    except RuntimeError as exc:  # SuperLU's, and ARPACK's ArpackNoConvergence
+    except (np.linalg.LinAlgError, RuntimeError) as exc:  # a pivot; ARPACK
         raise FactorizationError(
             f"shift-invert Lanczos failed for a {n}x{n} Gram matrix: {exc}"
         ) from exc
-    return lu.solve(vecs[:, 0])
+    return solve(vecs[:, 0])
 
 
 def smallest_eigenpair_gram(m) -> tuple[np.ndarray, float]:
     """Unit eigenvector of M.T @ M with the smallest eigenvalue.
 
-    Only the lowest eigenpair is solved for. M's fill picks the route: below
-    the dense-Gram fill its Gram matrix stays sparse and goes through
-    shift-invert Lanczos (_lowest_eigvec_shift_invert), above it through a
-    dense eigh. Returns (v, lam) with lam = ||M v||^2, M taken as CSR, the
-    Rayleigh quotient of the selected eigenvector (consistent with v by
-    construction, and equal to the smallest Gram eigenvalue up to
-    factorization error). Sign convention: the first nonzero component of
-    v is positive. Eigenvalue ties resolve
-    through the fixed start vector (all ones) on the sparse route, and to
-    the lowest index in eigh's ascending order on the dense one.
+    One route for every input: _banded_gram forms the Gram matrix in M's
+    column band order, its rounding is bounded by step 1 of
+    _certify_full_rank plus the underflow of its products, and
+    _lowest_eigvec_shift_invert factors it. Returns (v, lam) with
+    lam = (M v) @ (M v), M taken as CSR, the Rayleigh quotient of the
+    selected eigenvector (consistent with v by construction, and equal to
+    the smallest Gram eigenvalue up to factorization error). Sign
+    convention: the first nonzero component of v is positive. Eigenvalue
+    ties resolve through the fixed start vector (all ones).
     """
     m = _checked(m)
-    cols = m.shape[1]
-    if _sparse_gram(m):
-        v = _lowest_eigvec_shift_invert(m.T @ m)
-    else:
-        import scipy.linalg
-        try:
-            _, vecs = scipy.linalg.eigh(_dense_gram(m.T), subset_by_index=[0, 0],
-                                        overwrite_a=True, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise FactorizationError(
-                f"eigendecomposition did not converge for a {cols}x{cols} Gram matrix"
-            ) from exc
-        v = vecs[:, 0]
+    q = max(m.shape)
+    _, col_rank = _band_order(m)
+    gram_error = _gamma(q) * sigma_max_bound(m) ** 2 + m.shape[1] * q * _SMALLEST_SUBNORMAL
+    v = _lowest_eigvec_shift_invert(_banded_gram(m.T, col_rank), gram_error)[col_rank]
     v = v / np.linalg.norm(v)
     nz = np.flatnonzero(np.abs(v) > np.abs(v).max() * 1e-12)
     if v[nz[0]] < 0:

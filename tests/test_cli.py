@@ -81,6 +81,8 @@ class TestLower:
 
         header, rows = read_csv(out / "equivalent_matrix.csv")
         assert header == ["row", "col", "value"]
+        positions = [(int(r), int(c)) for r, c, _ in rows]
+        assert positions == sorted(positions) and len(set(positions)) == len(positions)
         dense = np.zeros((108, 72))
         for r, c, v in rows:
             dense[int(r), int(c)] = float(v)

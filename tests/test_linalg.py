@@ -493,8 +493,9 @@ class TestSmallestEigenpairGram:
         dense = m.toarray()
         lam_full = float(np.linalg.eigvalsh(dense.T @ dense)[0])
         assert abs(lam - lam_full) <= 1e-12 * lam_full
-        # The fill alone picks the route, so the same matrix takes the
-        # dense eigh only with the dense-Gram fill lowered to zero.
+        # The fill alone picks the Gram product, so the same matrix forms
+        # its band Gram by one dense product only with the dense-Gram fill
+        # lowered to zero.
         monkeypatch.setattr(linalg, "_DENSE_GRAM_FILL", 0.0)
         v_dense, lam_dense = smallest_eigenpair_gram(dense)
         assert abs(lam_dense - lam_full) <= 1e-12 * lam_full
@@ -546,13 +547,35 @@ class TestSmallestEigenpairGram:
         m = rng.standard_normal((3, 5))
         v, lam = smallest_eigenpair_gram(m)
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
-        # lam is measured with the CSR product every input is taken as
-        assert lam <= 1e-24 and np.linalg.norm(sp.csr_matrix(m) @ v) ** 2 == lam
+        # lam is (M v) @ (M v), with the CSR product every input is taken as
+        mv = sp.csr_matrix(m) @ v
+        assert lam <= 1e-24 and mv @ mv == lam
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_tall_rank_deficient_gram_factors(self, sparse):
+        # Tall, scaled by 1e3, with a singular Gram matrix: filled and of
+        # rank 12 (a dense Gram product), or 5% filled with each column
+        # twice (a sparse one, exactly singular in floating point too).
+        # Only the proven shift lets the band Cholesky complete.
+        rng = np.random.default_rng(43)
+        if sparse:
+            half = sp.random(600, 20, density=0.05, random_state=rng,
+                             data_rvs=rng.standard_normal)
+            m = 1e3 * sp.hstack([half, half]).tocsr()
+        else:
+            m = 1e3 * rng.standard_normal((600, 12)) @ rng.standard_normal((12, 40))
+        v, lam = smallest_eigenpair_gram(m)
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+        assert lam <= rank_tolerance_bound(m) ** 2
+        null = svd_nullspace(m)
+        assert null.shape[1] == (20 if sparse else 28)
+        assert np.linalg.norm(v - null @ (null.T @ v)) <= 1e-12
 
 
 class TestSparseShiftInvert:
     """smallest_eigenpair_gram on sparse input below the dense-Gram fill:
-    shift-invert Lanczos on one sparse factorization, not a dense eigh."""
+    the Gram matrix is formed sparse into band storage, and shift-invert
+    Lanczos runs on its band Cholesky."""
 
     @pytest.fixture(scope="class")
     def conv(self):
@@ -579,12 +602,13 @@ class TestSparseShiftInvert:
         assert np.max(np.abs(v - v_ref)) <= 1e-10
 
     def test_conv_lowering_takes_the_sparse_route(self, conv, monkeypatch):
-        import scipy.linalg
+        # Below the dense-Gram fill nothing is densified: the Gram matrix
+        # goes from a sparse product straight into band storage.
+        def no_densify(*args, **kwargs):
+            raise AssertionError("sparse input densified")
 
-        def no_dense_eigh(*args, **kwargs):
-            raise AssertionError("dense eigh called on sparse input")
-
-        monkeypatch.setattr(scipy.linalg, "eigh", no_dense_eigh)
+        for kind in (sp.csr_matrix, sp.csc_matrix):
+            monkeypatch.setattr(kind, "toarray", no_densify)
         v, lam = smallest_eigenpair_gram(conv)
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12) and lam > 0
 
@@ -604,15 +628,33 @@ class TestSparseShiftInvert:
         assert lam <= 1e-24
         assert least_harmful(m).in_nullspace
 
+    def test_null_directions_reach_working_precision(self):
+        # ||M v|| <= eps * sigma_max_bound(M) on ten wide matrices. Lanczos
+        # alone leaves 5.3 eps at seed 5; the finishing solve damps it.
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            m = sp.random(100, 300, density=0.05, random_state=rng, format="csr",
+                          data_rvs=rng.standard_normal)
+            _, lam = smallest_eigenpair_gram(m)
+            assert lam <= (np.finfo(np.float64).eps * sigma_max_bound(m)) ** 2
+
+    def test_scaling_by_a_power_of_two_is_exact(self, conv):
+        # The Gram matrix is brought to unit scale by a power of four, so
+        # entries of 1e-120 give the same vector, and no solve overflows.
+        for m in (conv, np.random.default_rng(53).standard_normal((70, 40))):
+            v, lam = smallest_eigenpair_gram(m)
+            v_tiny, lam_tiny = smallest_eigenpair_gram(np.ldexp(1.0, -400) * m)
+            assert v_tiny.tobytes() == v.tobytes() and lam_tiny == np.ldexp(lam, -800)
+
     def test_single_column(self):
         m = sp.csr_matrix(([2.0], ([3], [0])), shape=(10, 1))
         v, lam = smallest_eigenpair_gram(m)
         assert v.tolist() == [1.0] and lam == 4.0
 
     def test_all_zero_matrix(self):
-        # Every unit vector is a lowest eigenvector. Unshifted, the sparse
-        # factorization stops at an exactly singular pivot, and ARPACK cannot
-        # start on the subnormal-shifted one.
+        # Every unit vector is a lowest eigenvector. Unshifted, the band
+        # Cholesky stops at a zero pivot, and ARPACK cannot start on a
+        # subnormal-shifted one.
         v, lam = smallest_eigenpair_gram(sp.csr_matrix((5, 4)))
         assert v.tolist() == [1.0, 0.0, 0.0, 0.0] and lam == 0.0
 
@@ -627,12 +669,12 @@ class TestSparseShiftInvert:
             smallest_eigenpair_gram(conv)
 
     def test_sparse_factorization_failure_is_a_factorization_error(self, conv, monkeypatch):
-        import scipy.sparse.linalg as spla
+        import scipy.linalg
 
         def singular(*args, **kwargs):
-            raise RuntimeError("Factor is exactly singular")
+            raise np.linalg.LinAlgError("3-th leading minor not positive definite")
 
-        monkeypatch.setattr(spla, "splu", singular)
+        monkeypatch.setattr(scipy.linalg, "cholesky_banded", singular)
         with pytest.raises(FactorizationError, match="400x400 Gram matrix"):
             smallest_eigenpair_gram(conv)
 
