@@ -620,12 +620,17 @@ def smallest_eigenpair_gram(m) -> tuple[np.ndarray, float]:
     selected eigenvector (consistent with v by construction, and equal to
     the smallest Gram eigenvalue up to factorization error). Sign
     convention: the first nonzero component of v is positive. Eigenvalue
-    ties resolve through the fixed start vector (all ones).
-    """
+    ties resolve through the fixed start vector (all ones). Raises
+    ValueError, before any factorization, if M has no columns or M.T @ M
+    overflows."""
     m = _checked(m)
-    q = max(m.shape)
+    (rows, cols), q, beta = m.shape, max(m.shape), sigma_max_bound(m)
+    if cols == 0:
+        raise ValueError(f"a {rows}x0 matrix has no columns, so no eigenvector")
+    gram_error = _gamma(q) * beta * beta + cols * q * _SMALLEST_SUBNORMAL
+    if not np.isfinite(gram_error):
+        raise ValueError(f"Gram overflow for {rows}x{cols} input, sigma_max_bound {beta:.3g}")
     _, col_rank = _band_order(m)
-    gram_error = _gamma(q) * sigma_max_bound(m) ** 2 + m.shape[1] * q * _SMALLEST_SUBNORMAL
     v = _lowest_eigvec_shift_invert(_banded_gram(m.T, col_rank), gram_error)[col_rank]
     v = v / np.linalg.norm(v)
     nz = np.flatnonzero(np.abs(v) > np.abs(v).max() * 1e-12)

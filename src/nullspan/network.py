@@ -2,8 +2,9 @@
 
 Supported layers: the five kinds of layers.py (conv, fc, relu, average
 pooling and flatten). No training, no batch norm, no skip connections.
-forward returns the logits; forward_from_layer and rmse_report inject a
-perturbation at any depth and measure its downstream effect.
+forward returns the logits; forward_from_layer injects a perturbation at
+any depth, and rmse_report measures the downstream effect of a stack of
+them at several scales, with the clean rows, in one forward_from_layer call.
 
 Layer indexing convention: `net.layers[i]` consumes activation z_i and
 produces z_{i+1}, with z_0 the network input. forward_from_layer(net, l,
@@ -176,31 +177,32 @@ def forward_from_layer(net: NetworkSpec, layer_index: int, z: np.ndarray) -> np.
     return z.reshape(len(z), -1)
 
 
-def rmse_report(net: NetworkSpec, inputs: np.ndarray, delta: np.ndarray, scales,
-                inject_layer: int) -> np.ndarray:
-    """RMSE of the logit change caused by adding scale*delta to the
-    activation entering net.layers[inject_layer], one entry per scale.
+def rmse_report(net: NetworkSpec, inputs: np.ndarray, deltas: np.ndarray, scales,
+                inject_layer: int) -> tuple[np.ndarray, np.ndarray]:
+    """Logit RMSE and top-1 changes, as two (K, len(scales)) arrays, from
+    adding scale*delta to the activation entering net.layers[inject_layer].
 
-    inputs is a (B, *input_shape) batch and delta one sample's activation.
+    inputs is a (B, *input_shape) batch and deltas a (K, *shape) stack.
     RMSE = mean over the B inputs of ||perturbed_logits - clean_logits||_2
-    / sqrt(n_out). Only the layers before inject_layer run on the inputs.
-    Clean (scale 0) and perturbed features run the rest as one batch: a
-    BLAS product may round a row differently at another batch size.
+    / sqrt(n_out); a top-1 change is an input whose argmax moved. Only the
+    layers before inject_layer run on the inputs. The clean features, then
+    each delta at each scale, run the rest as one batch: a BLAS product
+    may round a row differently at another batch size.
     """
-    delta = np.asarray(delta, dtype=np.float64)
+    deltas = np.asarray(deltas, dtype=np.float64)
     want = net.activation_shapes()[inject_layer]
-    if delta.shape != want:
-        raise ValueError(f"delta shape {delta.shape} != {want} at layer {inject_layer}")
+    _check_batched(deltas, want, "deltas")
     feats = np.asarray(inputs, dtype=np.float64)
     _check_batched(feats, net.input_shape)
     for layer in net.layers[:inject_layer]:
         feats = apply_layer(layer, feats)
-    scales = np.asarray(scales, dtype=np.float64)
-    shifted = feats + np.append(0.0, scales).reshape(-1, *[1] * feats.ndim) * delta
-    logits = forward_from_layer(net, inject_layer, shifted.reshape(-1, *want))
-    logits = logits.reshape(len(scales) + 1, len(feats), -1)
+    shifted = feats + np.reshape(scales, (-1,) + (1,) * feats.ndim) * deltas[:, None, None]
+    batch = np.concatenate([feats, shifted.reshape(-1, *want)])
+    logits = forward_from_layer(net, inject_layer, batch)
+    logits = logits.reshape(-1, len(feats), logits.shape[1])
     change = np.linalg.norm(logits[1:] - logits[0], axis=2) / np.sqrt(logits.shape[2])
-    return change.mean(axis=1)
+    flipped = np.sum(logits[1:].argmax(axis=2) != logits[0].argmax(axis=1), axis=1)
+    return change.mean(axis=1).reshape(shifted.shape[:2]), flipped.reshape(shifted.shape[:2])
 
 
 # --- serialization ------------------------------------------------------

@@ -103,21 +103,17 @@ def orthogonal_decompose(u: np.ndarray, delta: np.ndarray) -> Decomposition:
     return Decomposition(parallel=parallel, orthogonal=delta - parallel)
 
 
-def sample_harmless(u: np.ndarray, seed: int, target_norm: float,
-                    norm_kind: str = "l2") -> np.ndarray:
+def sample_harmless(u: np.ndarray, seed: int, target_norm: float) -> np.ndarray:
     """Seeded random direction inside the harmless subspace, rescaled so
-    its l2 or linf norm equals target_norm: u @ (u.T @ z) for the n normals
-    z of default_rng(seed), distributed as u @ N(0, I_d) but set by span(u) only."""
+    its linf norm equals target_norm: u @ (u.T @ z) for the n normals z
+    of default_rng(seed), distributed as u @ N(0, I_d) but set by span(u) only."""
     if u.shape[1] == 0:
         raise EmptySubspaceError("harmless subspace is {0}; nothing to sample")
     if target_norm <= 0:
         raise ValueError(f"target_norm must be positive, got {target_norm}")
-    if norm_kind not in ("l2", "linf"):
-        raise ValueError(f"norm_kind must be 'l2' or 'linf', got {norm_kind!r}")
     rng = np.random.default_rng(seed)
     delta = u @ (u.T @ rng.standard_normal(u.shape[0]))
-    cur = np.linalg.norm(delta) if norm_kind == "l2" else np.max(np.abs(delta))
-    return delta * (target_norm / cur)
+    return delta * (target_norm / np.max(np.abs(delta)))
 
 
 def least_harmful(a) -> LeastHarmful:

@@ -11,11 +11,11 @@ import time
 import numpy as np
 import pytest
 
-from nullspan import linalg, verification
+from nullspan import linalg, network, verification
 from nullspan.imaging import ssim, synthetic_image
 from nullspan.layers import ConvLayerSpec, FcLayerSpec, Flatten, Relu, build_equivalent
 from nullspan.linalg import CERTIFIED_PATH, RankDecision, certified_rank, rank_tolerance_bound
-from nullspan.network import NetworkSpec
+from nullspan.network import NetworkSpec, forward_from_layer, rmse_report
 from nullspan.seeding import make_rng
 from nullspan.subspace import EmptySubspaceError, classify_pair, harmless_basis
 from nullspan.verification import (
@@ -228,6 +228,56 @@ def test_criterion_3_harmless_invariance(default_net, first_layer_basis):
     gaussian = rmse["gaussian"]
     assert growing.measured == min(gaussian[0], np.diff(gaussian).min())
     report(3, "harmless/gaussian/least-harmful logit RMSE", checks)
+
+
+def test_rmse_table_runs_one_forward_call_per_injection_point(monkeypatch, default_net,
+                                                             first_layer_basis):
+    # The clean rows of each injection point share a call with every
+    # perturbed row they are compared with, so both were rounded at one
+    # batch size: layer 0 (harmless and gaussian), then the probe layer
+    # (least-harmful and gaussian-feature). argmax-invariance reads the
+    # first call, not a forward pass of its own.
+    calls = []
+
+    def recording_forward_from_layer(net, layer_index, z):
+        calls.append((layer_index, len(z)))
+        return forward_from_layer(net, layer_index, z)
+
+    def no_forward(*args, **kwargs):
+        raise AssertionError("rmse_table ran forward")
+
+    monkeypatch.setattr(network, "forward_from_layer", recording_forward_from_layer)
+    monkeypatch.setattr(network, "forward", no_forward)
+    monkeypatch.setattr(verification, "forward", no_forward)
+    rmse_table(default_net, first_layer_basis, ROOT_SEED)
+    rows = 8 * (1 + 2 * len(RMSE_SCALES))
+    assert calls == [(0, rows), (2, rows)]
+
+
+def test_argmax_invariance_reads_the_harmless_rows(monkeypatch, default_net,
+                                                   first_layer_basis):
+    # With the harmless direction swapped for a large Gaussian one, the
+    # check counts that direction's top-1 changes: the rows it reads are
+    # the harmless ones, not the Gaussian or the clean ones.
+    def gaussian_instead(u, seed, target_norm):
+        z = np.random.default_rng(seed).standard_normal(u.shape[0])
+        return z * (100 * target_norm / np.max(np.abs(z)))
+
+    reports = []
+
+    def recording_rmse_report(*args):
+        reports.append(rmse_report(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(verification, "sample_harmless", gaussian_instead)
+    monkeypatch.setattr(verification, "rmse_report", recording_rmse_report)
+    _, checks = rmse_table(default_net, first_layer_basis, ROOT_SEED)
+    argmax = next(c for c in checks if c.name == "argmax-invariance")
+    harmless_flips, gaussian_flips = reports[0][1].sum(axis=1)
+    assert not argmax.passed and argmax.measured == harmless_flips
+    assert harmless_flips > gaussian_flips
+    total = 8 * len(RMSE_SCALES)
+    assert argmax.detail == f"{total - harmless_flips}/{total} class predictions unchanged"
 
 
 def test_criterion_4_least_harmful(root_seed):

@@ -571,6 +571,29 @@ class TestSmallestEigenpairGram:
         assert null.shape[1] == (20 if sparse else 28)
         assert np.linalg.norm(v - null @ (null.T @ v)) <= 1e-12
 
+    def test_no_columns_is_a_value_error(self):
+        # No unit vector exists in R^0, for the solver or for least_harmful.
+        for call in (smallest_eigenpair_gram, least_harmful):
+            with pytest.raises(ValueError, match="3x0 matrix has no columns"):
+                call(np.zeros((3, 0)))
+
+    def test_no_rows_gives_the_first_unit_vector(self):
+        # Every unit vector has zero energy; the zero-trace rule picks e_1.
+        v, lam = smallest_eigenpair_gram(np.zeros((0, 4)))
+        assert v.tolist() == [1.0, 0.0, 0.0, 0.0] and lam == 0.0
+
+    def test_gram_overflow_is_a_value_error_before_lapack(self, capfd):
+        m = 1e200 * np.random.default_rng(0).standard_normal((8, 5))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(ValueError, match="Gram overflow for 8x5 input"):
+                smallest_eigenpair_gram(m)
+        assert "DLASCL" not in capfd.readouterr().err
+        # The rank decision is unchanged: the certificate declines and the
+        # singular values decide.
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            decision = decide_rank(m)
+        assert (decision.path, decision.rank, decision.nullity) == (SVD_PATH, 5, 0)
+
 
 class TestSparseShiftInvert:
     """smallest_eigenpair_gram on sparse input below the dense-Gram fill:

@@ -1,4 +1,5 @@
 import copy
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -278,8 +279,8 @@ class TestForwardFromLayer:
 
 class TestEndToEndInvariance:
     def test_harmless_all_scales(self, default_net, first_layer_basis):
-        delta = sample_harmless(first_layer_basis, seed=15, target_norm=8 / 255,
-                                norm_kind="linf").reshape(3, 32, 32)
+        delta = sample_harmless(first_layer_basis, seed=15,
+                                target_norm=8 / 255).reshape(3, 32, 32)
         x = synthetic_image(16, (3, 32, 32))
         clean = forward(default_net, x[None])
         clean_class = int(np.argmax(clean))
@@ -290,23 +291,76 @@ class TestEndToEndInvariance:
 
 
 class TestRmseReport:
+    SCALES = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
+
     def test_harmless_tiny_at_table_scales(self, default_net, first_layer_basis):
-        delta = sample_harmless(first_layer_basis, seed=17, target_norm=8 / 255,
-                                norm_kind="linf").reshape(3, 32, 32)
+        delta = sample_harmless(first_layer_basis, seed=17,
+                                target_norm=8 / 255).reshape(3, 32, 32)
         inputs = [synthetic_image(100 + i, (3, 32, 32)) for i in range(4)]
-        scales = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
-        rmse = rmse_report(default_net, inputs, delta, scales, 0)
-        assert rmse.shape == (len(scales),)
+        rmse, flipped = rmse_report(default_net, inputs, delta[None], self.SCALES, 0)
+        assert rmse.shape == flipped.shape == (1, len(self.SCALES))
         assert np.all(rmse <= 1e-10)
+        assert np.all(flipped == 0)
 
     def test_zero_delta_exactly_zero(self, default_net):
         inputs = [synthetic_image(200, (3, 32, 32))]
-        rmse = rmse_report(default_net, inputs, np.zeros((3, 32, 32)), (1.0, 4.0), 0)
-        assert np.all(rmse == 0.0)
+        rmse, flipped = rmse_report(default_net, inputs, np.zeros((2, 3, 32, 32)),
+                                    (1.0, 4.0), 0)
+        assert np.all(rmse == 0.0) and np.all(flipped == 0)
+
+    def test_stack_gives_the_rows_of_one_delta_calls(self):
+        # The rows of a stack [d1, d2] are the rows of the calls on [d1]
+        # and on [d2], bit for bit: each perturbed feature is the same
+        # feats + scale * delta, and on OpenBLAS 0.3.31 this network's
+        # matrix-matrix products round a row alike at 12 and 21 rows (the
+        # README's "Logits depend on the batch size" names sizes where a
+        # row moves).
+        net = init_network(golden_spec(), 42)
+        inputs = [synthetic_image(500 + i, (2, 6, 6)) for i in range(3)]
+        rng = np.random.default_rng(19)
+        deltas = rng.standard_normal((2, 2, 6, 6))
+        rmse, flipped = rmse_report(net, inputs, deltas, (1.0, 8.0, 64.0), 0)
+        for k in range(2):
+            rmse_k, flipped_k = rmse_report(net, inputs, deltas[k:k + 1], (1.0, 8.0, 64.0), 0)
+            assert rmse[k].tobytes() == rmse_k[0].tobytes()
+            assert flipped[k].tolist() == flipped_k[0].tolist()
+        assert rmse[0].tolist() != rmse[1].tolist()
+
+    def test_rows_follow_delta_then_scale(self):
+        # Each (delta, scale) cell is the RMSE and the top-1 count of its
+        # own perturbed batch against the clean batch. The small net's
+        # counts differ from cell to cell, so a transposed or misread row
+        # shows.
+        net = init_network(NetworkSpec(input_shape=(6,), layers=(
+            FcLayerSpec(6, 8), Relu(), FcLayerSpec(8, 4))), 3)
+        rng = np.random.default_rng(23)
+        x = rng.standard_normal((5, 6))
+        deltas = rng.standard_normal((3, 6))
+        scales = (0.25, 1.0, 4.0)
+        rmse, flipped = rmse_report(net, x, deltas, scales, 0)
+        clean = forward(net, x)
+        for k, delta in enumerate(deltas):
+            for j, scale in enumerate(scales):
+                logits = forward(net, x + scale * delta)
+                want = np.mean(np.linalg.norm(logits - clean, axis=1)) / 2.0
+                assert rmse[k, j] == pytest.approx(want, rel=1e-12)
+                assert flipped[k, j] == np.sum(logits.argmax(1) != clean.argmax(1))
+        assert flipped.tolist() == [[0, 0, 3], [1, 2, 3], [1, 1, 1]]
+
+    def test_deltas_shape(self, default_net):
+        # A stack of no deltas has nothing to report; a delta without the
+        # stack axis, or of the wrong shape, is rejected.
+        inputs = [synthetic_image(200, (3, 32, 32))]
+        rmse, flipped = rmse_report(default_net, inputs, np.zeros((0, 3, 32, 32)), (1.0, 2.0), 0)
+        assert rmse.shape == flipped.shape == (0, 2)
+        for shape in ((3, 32, 32), (1, 3, 32, 31)):
+            with pytest.raises(ValueError, match=r"deltas shape .* != \(B, 3, 32, 32\)"):
+                rmse_report(default_net, inputs, np.zeros(shape), (1.0,), 0)
 
     def test_injection_applies_each_layer_once(self, monkeypatch):
         # At injection 0 the features are the inputs themselves, so each
-        # layer runs once per call, on the clean and perturbed batch together.
+        # layer runs once per call, on the clean and every perturbed batch
+        # together, whether the stack holds one delta or two.
         net = init_network(golden_spec(), 42)
         applied = []
 
@@ -316,10 +370,10 @@ class TestRmseReport:
 
         monkeypatch.setattr(network, "apply_layer", counting_apply_layer)
         inputs = [synthetic_image(400 + i, (2, 6, 6)) for i in range(3)]
-        for idx in (0, 2, len(net.layers)):
+        for k, idx in itertools.product((1, 2), (0, 2, len(net.layers))):
             applied.clear()
-            delta = np.full(net.activation_shapes()[idx], 1e-3)
-            rmse_report(net, inputs, delta, (1.0, 2.0), idx)
+            deltas = np.full((k, *net.activation_shapes()[idx]), 1e-3)
+            rmse_report(net, inputs, deltas, (1.0, 2.0), idx)
             assert [id(l) for l in applied] == [id(l) for l in net.layers]
 
     def test_gaussian_grows(self, default_net):
@@ -327,8 +381,7 @@ class TestRmseReport:
         delta = rng.standard_normal((3, 32, 32))
         delta *= (8 / 255) / np.max(np.abs(delta))
         inputs = [synthetic_image(300 + i, (3, 32, 32)) for i in range(4)]
-        scales = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
-        rmse = rmse_report(default_net, inputs, delta, scales, 0)
+        rmse, _ = rmse_report(default_net, inputs, delta[None], self.SCALES, 0)
         assert np.all(rmse > 0)
         assert np.all(np.diff(rmse) > 0)
 

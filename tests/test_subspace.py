@@ -120,28 +120,21 @@ class TestOrthogonalDecompose:
 
 class TestSampleHarmless:
     def test_linf_target(self, fc_basis):
-        delta = sample_harmless(fc_basis, seed=9, target_norm=8 / 255, norm_kind="linf")
+        delta = sample_harmless(fc_basis, seed=9, target_norm=8 / 255)
         assert abs(np.max(np.abs(delta)) - 8 / 255) <= 1e-12
-
-    def test_l2_target(self, fc_basis):
-        delta = sample_harmless(fc_basis, seed=9, target_norm=2.5, norm_kind="l2")
-        assert abs(np.linalg.norm(delta) - 2.5) <= 1e-12
 
     def test_harmless_at_all_scales(self, first_layer_a, first_layer_basis,
                                     first_layer_sigma_max):
-        delta = sample_harmless(first_layer_basis, seed=10, target_norm=8 / 255,
-                                norm_kind="linf")
+        delta = sample_harmless(first_layer_basis, seed=10, target_norm=8 / 255)
         for scale in [2.0 ** k for k in range(9)]:
             residual = np.max(np.abs(first_layer_a @ (scale * delta)))
             assert residual <= 1e-10 * first_layer_sigma_max
 
-    @pytest.mark.parametrize("norm_kind", ["l2", "linf"])
-    def test_depends_on_the_span_only(self, first_layer_basis, norm_kind):
+    def test_depends_on_the_span_only(self, first_layer_basis):
         # The draw is projected onto span(U) in pixel space, so a rotated,
         # column-permuted basis of the same subspace gives the same vector.
-        delta = sample_harmless(first_layer_basis, 10, 8 / 255, norm_kind)
-        delta_other = sample_harmless(rotated_basis(first_layer_basis, 7), 10, 8 / 255,
-                                      norm_kind)
+        delta = sample_harmless(first_layer_basis, 10, 8 / 255)
+        delta_other = sample_harmless(rotated_basis(first_layer_basis, 7), 10, 8 / 255)
         assert np.linalg.norm(delta_other - delta) <= 1e-12 * np.linalg.norm(delta)
 
     def test_empty_subspace(self):
@@ -152,8 +145,6 @@ class TestSampleHarmless:
     def test_bad_arguments(self, fc_basis):
         with pytest.raises(ValueError, match="positive"):
             sample_harmless(fc_basis, seed=0, target_norm=0.0)
-        with pytest.raises(ValueError, match="norm_kind"):
-            sample_harmless(fc_basis, seed=0, target_norm=1.0, norm_kind="l1")
 
 
 class TestLeastHarmful:
