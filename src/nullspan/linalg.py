@@ -30,7 +30,12 @@ the QR follows the staircase (George & Heath, Linear Algebra Appl. 34,
 columns and one gemqrt per update; neither touches more than the band
 or the staircase holds. The SVD fallback densifies its input.
 smallest_eigenpair_gram forms A.T @ A the same way, shifts it, and runs
-shift-invert Lanczos (ARPACK) on the same band Cholesky of it.
+shift-invert Lanczos (ARPACK) on the same band Cholesky of it. The
+copies of A that linalg makes (the rows _banded_gram permutes, the QR's
+band store, sigma_max_bound's |A|) are scaled by 2^-e, e =
+_unit_exponent, so no Gram product overflows or underflows to zero, and
+2^k A with normal entries gets A's results and 2^k times A's evidence.
+The SVD fallback, left to LAPACK, keeps the decision but not all bits.
 
 All functions are pure and deterministic: repeated calls on identical
 input return bit-identical results.
@@ -91,13 +96,16 @@ class FactorizationError(RuntimeError):
 
 
 def _checked(m) -> sp.csr_matrix:
-    """m as a float64 CSR matrix; a CSR input shares its arrays.
+    """m as a float64 CSR matrix; only a canonical CSR input shares its
+    arrays, as scipy sorts and sums any other in place.
 
     Raises ValueError on non-2d input or non-finite entries.
     """
     if np.ndim(m) != 2:
         raise ValueError(f"expected a 2-d matrix, got ndim={np.ndim(m)}")
     m = sp.csr_matrix(m, dtype=np.float64)
+    if not m.has_canonical_format:
+        m = m.tocoo().tocsr()
     if not np.all(np.isfinite(m.data)):
         raise ValueError("matrix contains NaN or Inf entries")
     return m
@@ -181,18 +189,25 @@ def singular_values(m) -> np.ndarray:
     return _lapack_svd(m, compute_uv=False)
 
 
+def _unit_exponent(values: np.ndarray) -> int:
+    """e with max |values| 2^-e in [1/2, 1); 0 if every value is zero."""
+    return int(np.frexp(max(values.max(initial=0.0), -values.min(initial=0.0)))[1])
+
+
 def sigma_max_bound(matrix) -> float:
     """Schur bound sigma_max <= sqrt(||A||_1 * ||A||_inf), computable in O(nnz).
 
     It bounds the spectral norm of |A| too, since |A| has the same 1- and
-    inf-norms.
+    inf-norms. The sums run on |A| 2^-e, so none overflows.
     """
-    a = abs(matrix)
+    a = abs(_checked(matrix))
+    e = _unit_exponent(a.data)
+    np.ldexp(a.data, -e, out=a.data)
     col_sums = np.asarray(a.sum(axis=0)).ravel()
     row_sums = np.asarray(a.sum(axis=1)).ravel()
     if col_sums.size == 0 or row_sums.size == 0:
         return 0.0
-    return float(np.sqrt(col_sums.max() * row_sums.max()))
+    return float(np.ldexp(np.sqrt(col_sums.max() * row_sums.max()), e))
 
 
 def rank_tolerance(sv, rows: int, cols: int) -> float:
@@ -295,19 +310,20 @@ def _band_order(m) -> tuple[np.ndarray, np.ndarray]:
     return row_rank, _ranks(first_row)
 
 
-def _banded_gram(s, rank: np.ndarray) -> np.ndarray:
-    """g = s @ s.T in LAPACK's lower band storage, ab[i - j, j] = g[i, j]
+def _banded_gram(s, rank: np.ndarray, e: int) -> np.ndarray:
+    """g = 4^-e s @ s.T in LAPACK's lower band storage, ab[i - j, j] = g[i, j]
     for i >= j, with row and column i of g placed at rank[i], in Fortran
     order; the only Gram former (_certify_full_rank, smallest_eigenpair_gram).
 
-    The rows of s are put in that order first; s's fill then picks the
-    product. Below the dense-Gram fill it stays sparse, and the band
-    reaches the farthest nonzero of g from its diagonal. Above it, one
-    dense product fills the band: g is symmetric, so shifting row j of its
-    buffer left by j turns the buffer itself into band storage.
+    The rows of s are put in that order and scaled by 2^-e first; s's fill
+    then picks the product. Below the dense-Gram fill it stays sparse, and
+    the band reaches the farthest nonzero of g from its diagonal. Above it,
+    one dense product fills the band: g is symmetric, so shifting row j of
+    its buffer left by j turns the buffer itself into band storage.
     """
     p = s.shape[0]
     s = s[np.argsort(rank)]
+    np.ldexp(s.data, -e, out=s.data)
     if s.nnz >= _DENSE_GRAM_FILL * p * s.shape[1]:
         d = s.toarray()
         flat = (d @ d.T).reshape(-1)
@@ -334,20 +350,23 @@ def _certify_full_rank(m, row_rank: np.ndarray,
     Returns (sigma_min_lower, tau_ub) with sigma_p(m) > sigma_min_lower =
     margin * tau_ub, or None when the certificate does not hold.
 
-    Notation: q = max(rows, cols), u = eps / 2, gamma_k = k u / (1 - k u),
-    beta = sigma_max_bound(m) >= || |m| ||_2, tau_ub = beta * q * eps and
-    S the short side (m if rows <= cols, else m.T), G = S @ S.T exactly.
+    Notation, for m scaled by 2^-e (the evidence is scaled back): q =
+    max(rows, cols), u = eps / 2, gamma_k = k u / (1 - k u), eta the
+    smallest subnormal, beta = sigma_max_bound(m) >= || |m| ||_2, tau_ub =
+    beta * q * eps, S the short side (m if rows <= cols, else m.T), G = S
+    @ S.T exactly.
 
     1. H = fl(S @ S.T) in any summation order satisfies |H - G| <= gamma_q
-       |S| |S|.T entrywise, so ||H - G||_2 <= gamma_q beta^2.
+       |S| |S|.T + q eta entrywise (each stored entry of S is below 1, and
+       off by eta / 2 at most), so ||H - G||_2 <= gamma_q beta^2 + p q eta.
     2. H' = fl(H - shift I) differs from H - shift I by at most
        u (max_i h_ii + shift) in norm.
     3. If Cholesky of H' runs to completion with positive pivots, then
        R.T R = H' + E with ||E||_2 <= gamma_{p+1} / (1 - gamma_{p+1})
        trace(H') (Demmel's bound; Higham, Accuracy and Stability of
        Numerical Algorithms, 2nd ed., section 10.1), so H' + E is
-       positive definite. Gradual underflow adds at most
-       p (p + q + 1 + sqrt(max_i h_ii)) eta, eta the smallest subnormal.
+       positive definite. Gradual underflow adds at most p (p + q + 1 +
+       sqrt(max_i h_ii)) eta.
     Hence lambda_min(G) > shift (1 - u) - [the bounds above], and the
     shift below makes that at least (margin tau_ub)^2: it is twice their
     sum plus (margin tau_ub)^2, the factor two covering (1 - u) and the
@@ -375,21 +394,20 @@ def _certify_full_rank(m, row_rank: np.ndarray,
     p, q = min(rows, cols), max(rows, cols)
     if p == 0 or 2.0 * p * q * np.sqrt(p) * _EPS > 1.0:
         return None
-    beta = sigma_max_bound(m)
+    e = _unit_exponent(m.data)
+    beta = np.ldexp(sigma_max_bound(m), -e)
     tau_ub = beta * q * _EPS
     margin = 2.0 + 2.0 * p * np.sqrt(p)
     rank = row_rank if rows <= cols else col_rank
-    ab = _banded_gram(m if rows <= cols else m.T, rank)
+    ab = _banded_gram(m if rows <= cols else m.T, rank, e)
     diag = ab[0, rank]
     max_h, trace = float(diag.max()), float(diag.sum())
     cholesky_gamma = _gamma(p + 1)
     shift = 2.0 * (_gamma(q) * beta * beta
                    + cholesky_gamma / (1.0 - cholesky_gamma) * trace
                    + _UNIT_ROUNDOFF * max_h
-                   + p * (p + q + 1 + np.sqrt(max_h)) * _SMALLEST_SUBNORMAL
+                   + p * (p + 2 * q + 1 + np.sqrt(max_h)) * _SMALLEST_SUBNORMAL
                    + (margin * tau_ub) ** 2)
-    if not np.isfinite(shift):
-        return None
     import scipy.linalg  # on first use: importing it slows CLI start-up
     ab[0] -= shift
     try:
@@ -401,7 +419,7 @@ def _certify_full_rank(m, row_rank: np.ndarray,
     # certificate needs every pivot positive.
     if not np.all(r[0] > 0):
         return None
-    return float(margin * tau_ub), float(tau_ub)
+    return float(np.ldexp(margin * tau_ub, e)), float(np.ldexp(tau_ub, e))
 
 
 # Columns per block of the staircase QR: one geqrt factors a block and one
@@ -432,7 +450,8 @@ def _row_space_complement(m, row_rank: np.ndarray, col_rank: np.ndarray) -> np.n
 
     B is held in the layout of LAPACK's band storage when that is shorter
     than n rows: column j keeps rows [j - ku, j + kl] at stride kl + ku, so
-    every block the loop touches is a strided view of that store.
+    every block the loop touches is a strided view of that store. m's
+    entries enter it scaled by 2^-e (a pass over it would fault in pages).
     """
     import scipy.linalg
     k, n = m.shape
@@ -461,7 +480,7 @@ def _row_space_complement(m, row_rank: np.ndarray, col_rank: np.ndarray) -> np.n
     # raising peak RSS.
     work = np.zeros(k * lda + n * (n - k))
     store, q = work[:k * lda], work[k * lda:].reshape((n, n - k), order="F")
-    store[b_col * stride + b_row + origin] = m.data
+    store[b_col * stride + b_row + origin] = np.ldexp(m.data, -_unit_exponent(m.data))
     del b_row, b_col
 
     def block(r0, r1, c0, c1):
@@ -571,17 +590,17 @@ def _lowest_eigvec_shift_invert(ab: np.ndarray, gram_error: float) -> np.ndarray
     100x300). An all-zero H, and n = 1, which ARPACK does not take, give
     the first unit vector.
 
-    H is first scaled by the power of four that brings h = max_i h_ii into
-    [1/2, 2), exactly, so v is unchanged and no solve overflows. Then, with
-    u = eps / 2, c = n gamma_{n+1} / (1 - gamma_{n+1}) and k = u + c (1 +
+    H comes scaled by 4^-e, so h = max_i h_ii >= 1/4 unless H = 0. With u
+    = eps / 2, c = n gamma_{n+1} / (1 - gamma_{n+1}) and k = u + c (1 +
     u), A = fl(H + s I) has lambda_min(A) >= s - gram_error - u (h + s) and
     max_i a_ii <= (1 + u) (h + s). Cholesky completes if lambda_min(D^-1 A
     D^-1) > c, D^2 = diag(A) (Demmel; Higham, Accuracy and Stability of
     Numerical Algorithms, 2nd ed., Thm 10.7), so if s (1 - k) > gram_error
     + k h. s is twice the right side: while k <= 1/4 (n up to 4e7) the
-    slack exceeds u / 4, far above the rounding of s and any underflow in
-    the scaling and the Cholesky (n (n + 2 + sqrt(h)) subnormals). s is
-    2.8e-9 on the default network's second conv layer, lambda_min 0.037.
+    slack is over half of it and over k h / 2 >= u / 8, far above the
+    rounding of s and any underflow in the Cholesky (n (n + 2 + sqrt(h))
+    subnormals), and no solve overflows. s is 1.1e-8 on the default
+    network's second conv layer, where lambda_min(H) is 0.15.
     """
     n = ab.shape[1]
     h = float(ab[0].max(initial=0.0))
@@ -589,9 +608,6 @@ def _lowest_eigvec_shift_invert(ab: np.ndarray, gram_error: float) -> np.ndarray
         return np.eye(n, 1)[:, 0]
     import scipy.linalg  # on first use: importing them slows CLI start-up
     import scipy.sparse.linalg as spla
-    power = -2 * (np.frexp(h)[1] // 2)
-    h, gram_error = np.ldexp(h, power), np.ldexp(gram_error, power)
-    np.ldexp(ab, power, out=ab)
     cholesky_gamma = _gamma(n + 1)
     k = _UNIT_ROUNDOFF + n * cholesky_gamma / (1.0 - cholesky_gamma) * (1.0 + _UNIT_ROUNDOFF)
     ab[0] += 2.0 * (gram_error + k * h)
@@ -618,20 +634,20 @@ def smallest_eigenpair_gram(m) -> tuple[np.ndarray, float]:
     _lowest_eigvec_shift_invert factors it. Returns (v, lam) with
     lam = (M v) @ (M v), M taken as CSR, the Rayleigh quotient of the
     selected eigenvector (consistent with v by construction, and equal to
-    the smallest Gram eigenvalue up to factorization error). Sign
+    the smallest Gram eigenvalue up to factorization error; 0 or inf only
+    where that eigenvalue leaves the float64 range). Sign
     convention: the first nonzero component of v is positive. Eigenvalue
     ties resolve through the fixed start vector (all ones). Raises
-    ValueError, before any factorization, if M has no columns or M.T @ M
-    overflows."""
+    ValueError, before any factorization, if M has no columns."""
     m = _checked(m)
-    (rows, cols), q, beta = m.shape, max(m.shape), sigma_max_bound(m)
+    (rows, cols), q = m.shape, max(m.shape)
     if cols == 0:
         raise ValueError(f"a {rows}x0 matrix has no columns, so no eigenvector")
-    gram_error = _gamma(q) * beta * beta + cols * q * _SMALLEST_SUBNORMAL
-    if not np.isfinite(gram_error):
-        raise ValueError(f"Gram overflow for {rows}x{cols} input, sigma_max_bound {beta:.3g}")
+    e = _unit_exponent(m.data)
+    beta = np.ldexp(sigma_max_bound(m), -e)
+    gram_error = _gamma(q) * beta * beta + 2 * cols * q * _SMALLEST_SUBNORMAL
     _, col_rank = _band_order(m)
-    v = _lowest_eigvec_shift_invert(_banded_gram(m.T, col_rank), gram_error)[col_rank]
+    v = _lowest_eigvec_shift_invert(_banded_gram(m.T, col_rank, e), gram_error)[col_rank]
     v = v / np.linalg.norm(v)
     nz = np.flatnonzero(np.abs(v) > np.abs(v).max() * 1e-12)
     if v[nz[0]] < 0:

@@ -121,11 +121,16 @@ def least_harmful(a) -> LeastHarmful:
 
     Meaningful when the layer has no harmless subspace (full column
     rank); if it does have one, the returned direction is harmless
-    (residual ~ 0) and in_nullspace is set.
+    (residual ~ 0) and in_nullspace is set: ||A v|| <= rank_tolerance_bound(A).
     """
     v, lam = smallest_eigenpair_gram(a)
     tol = rank_tolerance_bound(a)
-    return LeastHarmful(direction=v, residual=lam, in_nullspace=lam <= tol * tol)
+    # Both sides are scaled by the 2^-e that brings tol into [1/2, 1): for
+    # entries near 2^-540, lam, tol ** 2 and the squares inside norm(A v)
+    # all underflow to 0.
+    e = np.frexp(tol)[1]
+    in_nullspace = bool(np.linalg.norm(np.ldexp(a @ v, -e)) <= np.ldexp(tol, -e))
+    return LeastHarmful(direction=v, residual=lam, in_nullspace=in_nullspace)
 
 
 def relate_outputs(y: np.ndarray, y_hat: np.ndarray) -> PairVerdict:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy
 import scipy.sparse as sp
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nullspan import linalg
@@ -338,6 +338,29 @@ class TestRankCertificate:
         decide_rank(m, with_basis=True)
         assert m.tobytes() == before.tobytes()
 
+    @pytest.mark.parametrize("duplicate", [False, True])
+    @pytest.mark.parametrize("shape", [(20, 30), (30, 20)])
+    def test_csr_input_is_not_reordered(self, shape, duplicate):
+        # scipy sorts the indices of a CSR matrix and sums its duplicates in
+        # place on first use, so linalg must not hand it the caller's arrays:
+        # each row here lists its columns in reverse, and one entry is stored
+        # as two halves.
+        rows, cols = shape
+        dense = 3.0 * np.random.default_rng(62).standard_normal(shape)
+        data, indices = dense[:, ::-1].ravel(), np.tile(np.arange(cols)[::-1], rows)
+        indptr = np.arange(0, rows * cols + 1, cols)
+        if duplicate:
+            data = np.r_[data[0] / 2, data[0] / 2, data[1:]]
+            indices, indptr = np.r_[indices[0], indices], np.r_[0, indptr[1:] + 1]
+        m = sp.csr_matrix((data, indices, indptr), shape=shape)
+        stored = [a.tobytes() for a in (m.data, m.indices, m.indptr)]
+        for call in (svd, singular_values, sigma_max_bound, rank_tolerance_bound,
+                     orthonormal_nullspace, smallest_eigenpair_gram,
+                     lambda a: certified_rank(a, with_basis=True),
+                     lambda a: decide_rank(a, with_basis=True)):
+            call(m)
+            assert [a.tobytes() for a in (m.data, m.indices, m.indptr)] == stored
+
 
 class TestQrBasis:
     @pytest.fixture(scope="class")
@@ -582,17 +605,23 @@ class TestSmallestEigenpairGram:
         v, lam = smallest_eigenpair_gram(np.zeros((0, 4)))
         assert v.tolist() == [1.0, 0.0, 0.0, 0.0] and lam == 0.0
 
-    def test_gram_overflow_is_a_value_error_before_lapack(self, capfd):
+    def test_gram_of_huge_entries_does_not_overflow(self, capfd):
+        # The Gram product of these entries overflows, but linalg forms it
+        # from a copy scaled by a power of two: decide_rank warns of nothing
+        # (a RuntimeWarning fails the test), LAPACK prints nothing, and both
+        # calls give the results of the same matrix scaled down by 2^600.
         m = 1e200 * np.random.default_rng(0).standard_normal((8, 5))
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            with pytest.raises(ValueError, match="Gram overflow for 8x5 input"):
-                smallest_eigenpair_gram(m)
+        small = np.ldexp(m, -600)
+        decision = decide_rank(m)
+        assert (decision.path, decision.rank, decision.nullity) == (CERTIFIED_PATH, 5, 0)
+        assert decision.evidence == {key: np.ldexp(value, 600)
+                                     for key, value in decide_rank(small).evidence.items()}
+        # lambda_min, about 1e400, is past float64: lam rounds to inf, and
+        # numpy warns of that last product alone.
+        with pytest.warns(RuntimeWarning, match="overflow encountered in matmul"):
+            v, lam = smallest_eigenpair_gram(m)
+        assert v.tobytes() == smallest_eigenpair_gram(small)[0].tobytes() and lam == np.inf
         assert "DLASCL" not in capfd.readouterr().err
-        # The rank decision is unchanged: the certificate declines and the
-        # singular values decide.
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            decision = decide_rank(m)
-        assert (decision.path, decision.rank, decision.nullity) == (SVD_PATH, 5, 0)
 
 
 class TestSparseShiftInvert:
@@ -661,13 +690,59 @@ class TestSparseShiftInvert:
             _, lam = smallest_eigenpair_gram(m)
             assert lam <= (np.finfo(np.float64).eps * sigma_max_bound(m)) ** 2
 
-    def test_scaling_by_a_power_of_two_is_exact(self, conv):
-        # The Gram matrix is brought to unit scale by a power of four, so
-        # entries of 1e-120 give the same vector, and no solve overflows.
-        for m in (conv, np.random.default_rng(53).standard_normal((70, 40))):
-            v, lam = smallest_eigenpair_gram(m)
-            v_tiny, lam_tiny = smallest_eigenpair_gram(np.ldexp(1.0, -400) * m)
-            assert v_tiny.tobytes() == v.tobytes() and lam_tiny == np.ldexp(lam, -800)
+    @settings(max_examples=60, deadline=None)
+    @given(m=small_lowerings(), k=st.integers(min_value=-1000, max_value=1000))
+    @example(m=build_conv_equivalent(ConvLayerSpec(
+        4, 10, 10, 8, 3, 3, stride=1, zero_padding=1,
+        kernels=np.random.default_rng(41).standard_normal((8, 4, 3, 3)))), k=-400)
+    @example(m=sp.csr_matrix(np.random.default_rng(53).standard_normal((70, 40))), k=-400)
+    @example(m=sp.csr_matrix(np.random.default_rng(53).standard_normal((40, 70))), k=1000)
+    # A wide 1x1 conv whose unscaled QR loses its basis bits at 2^-960
+    @example(m=build_conv_equivalent(ConvLayerSpec(
+        3, 3, 3, 2, 1, 1, kernels=np.array([[0.0, 0, 1], [1, -1, -1]]).reshape(2, 3, 1, 1))),
+        k=-960)
+    def test_scaling_by_a_power_of_two_is_exact(self, m, k):
+        # linalg scales each copy it makes by the power of two that brings
+        # the largest |entry| into [1/2, 1), so 2^k m feeds the band Gram,
+        # the staircase QR and Lanczos the bits that m does, wherever the
+        # entries of 2^k m stay normal.
+        exponents = np.frexp(np.abs(m.data[m.data != 0]))[1] + k
+        assume(exponents.size == 0 or (exponents.min() >= -1021 and exponents.max() <= 1024))
+        scaled = m * np.ldexp(1.0, k)
+        base, decision = decide_rank(m, with_basis=True), decide_rank(scaled, with_basis=True)
+        assert (decision.path, decision.rank, decision.nullity) == (base.path, base.rank, base.nullity)
+        if base.path == CERTIFIED_PATH:
+            assert decision.basis.tobytes() == base.basis.tobytes()
+            assert decision.evidence == {key: np.ldexp(value, k)
+                                         for key, value in base.evidence.items()}
+        else:
+            # The SVD path is left to LAPACK's gesdd, whose own scaling and
+            # absolute thresholds keep the decision but not always the bits
+            # (1.7e-18 apart at 2^-348 on a rank-deficient 16x18 conv).
+            null = base.basis
+            assert np.abs(decision.basis - null @ (null.T @ decision.basis)).max(initial=0.0) <= 1e-12
+            for key, value in base.evidence.items():
+                assert (decision.evidence[key] is None) == (value is None)
+                if value is not None:
+                    assert np.ldexp(decision.evidence[key], -k) == pytest.approx(
+                        value, rel=1e-12, abs=1e-12 * sigma_max_bound(m))
+        if m.shape[1] == 0:
+            return
+        v, lam = smallest_eigenpair_gram(m)
+        # lam rounds to inf where 4^k lambda_min leaves float64
+        with np.errstate(over="ignore"):
+            v_k, lam_k = smallest_eigenpair_gram(scaled)
+        dense = m.toarray()
+        lams, vecs = np.linalg.eigh(dense.T @ dense)
+        lowest = vecs[:, lams <= lams[0] + 1e-8 * lams[-1]]
+        if lowest.shape[1] == 1:
+            assert v_k.tobytes() == v.tobytes()
+            if abs(k) <= 400:
+                assert lam_k == np.ldexp(lam, 2 * k)
+        else:
+            # Lanczos can restart from ARPACK's own random vector here, so
+            # only the eigenspace is determined, for m itself too.
+            assert np.linalg.norm(lowest.T @ v_k) == pytest.approx(1.0, abs=1e-8)
 
     def test_single_column(self):
         m = sp.csr_matrix(([2.0], ([3], [0])), shape=(10, 1))

@@ -1,4 +1,5 @@
 import struct
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -182,6 +183,22 @@ class TestLeastHarmful:
         lh = least_harmful(fc_a)
         assert lh.in_nullspace
         assert lh.residual <= 1e-20
+
+    @pytest.mark.parametrize("k", [0, -540, 520])
+    def test_verdict_holds_at_every_scale(self, fc_a, k):
+        # ||A v|| against the tolerance, not squared: at 2^-540 both squares
+        # underflowed to 0 and a full-rank tall layer read as harmless.
+        scale = np.ldexp(1.0, k)
+        tall = scale * np.random.default_rng(22).standard_normal((50, 30))
+        # At 2^520 lambda_min, about 2^1041, is past float64: the residual
+        # rounds to inf, and numpy warns of that product.
+        with pytest.warns(RuntimeWarning, match="overflow") if k == 520 else nullcontext():
+            assert not least_harmful(tall).in_nullspace
+        assert least_harmful(scale * fc_a).in_nullspace
+
+    def test_zero_matrix_is_harmless(self):
+        lh = least_harmful(np.zeros((4, 3)))
+        assert lh.in_nullspace and lh.residual == 0.0
 
 
 class TestClassifyPair:
