@@ -28,17 +28,22 @@ product above it. LAPACK's band Cholesky (pbtrf) factors the band, and
 the QR follows the staircase (George & Heath, Linear Algebra Appl. 34,
 1980, on row orders for sparse QR) with one LAPACK geqrt per block of
 columns and one gemqrt per update; neither touches more than the band
-or the staircase holds. The SVD fallback densifies its input.
-smallest_eigenpair_gram forms A.T @ A the same way, shifts it, and runs
-shift-invert Lanczos (ARPACK) on the same band Cholesky of it. The
-copies of A that linalg makes (the rows _banded_gram permutes, the QR's
-band store, sigma_max_bound's |A|) are scaled by 2^-e, e =
-_unit_exponent, so no Gram product overflows or underflows to zero, and
-2^k A with normal entries gets A's results and 2^k times A's evidence.
-The SVD fallback, left to LAPACK, keeps the decision but not all bits.
+or the staircase holds. smallest_eigenpair_gram forms A.T @ A the same
+way, shifts it, and runs shift-invert Lanczos (ARPACK) on the same band
+Cholesky of it. The SVD fallback makes one dense copy of A, in Fortran
+order, and scipy's LAPACK gesdd factors it in place (numpy's svd would
+copy it once more). The copies of A that linalg makes (the rows
+_banded_gram permutes, the QR's band store, sigma_max_bound's |A|, the
+SVD's dense copy) are scaled by 2^-e, e = _unit_exponent, so no Gram
+product overflows or underflows to zero, and 2^k A with normal entries
+gets A's results and 2^k times A's evidence and singular values, on
+either path of decide_rank.
 
 All functions are pure and deterministic: repeated calls on identical
-input return bit-identical results.
+input return bit-identical results, with one exception. Where the
+smallest eigenvalue of A.T @ A is multiple, ARPACK can restart from its
+own random vector, whose state persists between calls, so
+smallest_eigenpair_gram then fixes only the eigenspace, not the vector.
 
 The BLAS thread count is fixed per call site, not taken from the
 environment: _blas_threads(n) pins both OpenBLAS pools that the numpy and
@@ -161,31 +166,63 @@ def _blas_threads(n: int):
 # against 1.38-1.45 s at 1584x1728, the size of the declined rank-sweep
 # draws (1584 to 1872 rows, 1728 columns).
 _SVD_TWO_THREAD_ENTRIES = 600_000
+# Entries per block of rows that _lapack_svd scatters at a time; a block's
+# row indices and scaled values take 16 bytes per stored entry.
+_DENSIFY_BLOCK = 1 << 15
 
 
-def _lapack_svd(m, **kw):
-    a = _checked(m).toarray()
+def _lapack_svd(m, compute_uv: bool = True, full_matrices: bool = False):
+    """LAPACK's gesdd (via scipy) on the one dense copy of m that linalg
+    makes: (u, s, vt), or s alone without compute_uv.
+
+    m's entries are scattered into a zeroed Fortran-order array, the layout
+    LAPACK works in, one block of rows at a time and scaled by 2^-e, e =
+    _unit_exponent, on the way in. (toarray(order="F") would first convert
+    m to CSC, 12 bytes per stored entry: 1.5 dense copies more for a filled
+    m.) gesdd then factors the array in place, and only the singular values
+    are scaled back, so 2^k m with normal entries gets m's singular vectors
+    and 2^k times its singular values, bit for bit.
+    """
+    import scipy.linalg  # on first use: importing it slows CLI start-up
+    m = _checked(m)
+    rows, cols = m.shape
+    e = _unit_exponent(m.data)
+    a = np.zeros((rows, cols), order="F")
+    step = max(1, _DENSIFY_BLOCK // max(cols, 1))
+    for r0 in range(0, rows, step):
+        r1 = min(r0 + step, rows)
+        lo, hi = m.indptr[r0], m.indptr[r1]
+        # a canonical CSR matrix stores each entry once
+        a[np.repeat(np.arange(r0, r1), np.diff(m.indptr[r0:r1 + 1])),
+          m.indices[lo:hi]] = np.ldexp(m.data[lo:hi], -e)
     # Below the size rule the SVD runs at the caller's count. Callers that
     # only want a certified decision ask certified_rank.
     pin = _blas_threads(2) if a.size >= _SVD_TWO_THREAD_ENTRIES else contextlib.nullcontext()
     try:
         with pin:
-            return np.linalg.svd(a, **kw)
+            out = scipy.linalg.svd(a, full_matrices=full_matrices, compute_uv=compute_uv,
+                                   overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(
-            f"SVD did not converge for a {a.shape[0]}x{a.shape[1]} matrix"
+            f"SVD did not converge for a {rows}x{cols} matrix"
         ) from exc
+    if not compute_uv:
+        return np.ldexp(out, e)
+    u, s, vt = out
+    return u, np.ldexp(s, e), vt
 
 
 def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Full SVD (u, s, vt) of a dense or sparse matrix, as numpy returns it:
-    u is m x m and vt is n x n, both orthogonal, and s is non-increasing
-    and non-negative."""
+    """Full SVD (u, s, vt) of a dense or sparse matrix: u is m x m and vt
+    is n x n, both orthogonal, and s is non-increasing and non-negative.
+    LAPACK's gesdd factors one dense copy of m, scaled by a power of two
+    (see _lapack_svd)."""
     return _lapack_svd(m, full_matrices=True)
 
 
 def singular_values(m) -> np.ndarray:
-    """Singular values only (much faster than a full SVD for rank queries)."""
+    """Singular values only (much faster than a full SVD for rank queries),
+    from the same one scaled dense copy as svd."""
     return _lapack_svd(m, compute_uv=False)
 
 
@@ -555,17 +592,24 @@ def decide_rank(m, with_basis: bool = False) -> RankDecision:
         return decision
 
     rows, cols = m.shape
+    # The singular values of 2^-e m decide and the evidence is scaled back,
+    # as on the certified path, so that no singular value or tolerance
+    # overflows or rounds into the subnormals before the decision.
+    e = _unit_exponent(m.data)
+    unit = sp.csr_matrix((np.ldexp(m.data, -e), m.indices, m.indptr), shape=m.shape)
     basis = None
     if with_basis:
-        _, sv, vt = svd(m)
+        # Only V's rows past a wide m's rank need full matrices; a tall m
+        # would get a rows x rows U that is thrown away.
+        _, sv, vt = _lapack_svd(unit, full_matrices=rows < cols)
         rank = numerical_rank(sv, rows, cols)
         basis = np.ascontiguousarray(vt[rank:].T)
     else:
-        sv = singular_values(m)
+        sv = singular_values(unit)
         rank = numerical_rank(sv, rows, cols)
-    evidence = {"sigma_r": float(sv[rank - 1]) if rank else None,
-                "sigma_r1": float(sv[rank]) if rank < sv.size else 0.0,
-                "tolerance": rank_tolerance(sv, rows, cols)}
+    evidence = {"sigma_r": float(np.ldexp(sv[rank - 1], e)) if rank else None,
+                "sigma_r1": float(np.ldexp(sv[rank], e)) if rank < sv.size else 0.0,
+                "tolerance": float(np.ldexp(rank_tolerance(sv, rows, cols), e))}
     return RankDecision(rank, cols - rank, SVD_PATH, evidence, basis)
 
 
@@ -636,8 +680,11 @@ def smallest_eigenpair_gram(m) -> tuple[np.ndarray, float]:
     selected eigenvector (consistent with v by construction, and equal to
     the smallest Gram eigenvalue up to factorization error; 0 or inf only
     where that eigenvalue leaves the float64 range). Sign
-    convention: the first nonzero component of v is positive. Eigenvalue
-    ties resolve through the fixed start vector (all ones). Raises
+    convention: the first nonzero component of v is positive. Where the
+    smallest eigenvalue is multiple, Lanczos from the fixed start vector
+    (all ones) can break down early, and ARPACK then restarts from its own
+    random vector, whose state persists between calls: v is then some unit
+    vector of the eigenspace, which repeated calls need not repeat. Raises
     ValueError, before any factorization, if M has no columns."""
     m = _checked(m)
     (rows, cols), q = m.shape, max(m.shape)

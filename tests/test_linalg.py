@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -5,6 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy
+import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -49,13 +54,15 @@ class TestSvd:
         np.testing.assert_allclose(s, [3.0, 0.0], rtol=0, atol=0)
 
     def test_seeded_reconstruction(self):
-        rng = np.random.default_rng(42)
-        m = rng.standard_normal((5, 8))
-        u, s, vt = svd(m)
-        k = s.size
-        recon = (u[:, :k] * s) @ vt[:k]
-        err = np.max(np.abs(m - recon))
-        assert err <= 1e-10 * max(1.0, s[0])
+        # A 16-entry block densifies the 5x8 matrix 2 rows at a time.
+        m = np.random.default_rng(42).standard_normal((5, 8))
+        for block in (linalg._DENSIFY_BLOCK, 16):
+            with mock.patch.object(linalg, "_DENSIFY_BLOCK", block):
+                u, s, vt = svd(m)
+            k = s.size
+            recon = (u[:, :k] * s) @ vt[:k]
+            err = np.max(np.abs(m - recon))
+            assert err <= 1e-10 * max(1.0, s[0])
 
     def test_orthonormal_blocks(self):
         rng = np.random.default_rng(3)
@@ -81,6 +88,42 @@ class TestSvd:
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError):
             svd(np.zeros(4))
+
+    def test_one_dense_copy(self):
+        # LAPACK factors the one dense copy that the SVD makes. numpy's svd
+        # would copy it once more, out of tracemalloc's sight, so a child
+        # process reads its peak RSS before and after the singular values of
+        # a filled 1200x1300 CSR matrix, after a warm-up call has mapped
+        # LAPACK and the buffers of both BLAS threads. In dense copies of
+        # the matrix, two copies read about 2.1 and one reads 1.1.
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+        probe = textwrap.dedent("""
+            import resource
+            import numpy as np, scipy.sparse as sp
+            from nullspan.linalg import _blas_threads, singular_values
+            rows, cols = 1200, 1300
+            # no temporary of the matrix's size, which would raise the peak
+            # that the SVD's copy has to pass
+            indices = np.empty((rows, cols), dtype=np.int32)
+            indices[:] = np.arange(cols, dtype=np.int32)
+            m = sp.csr_matrix((np.random.default_rng(0).standard_normal(rows * cols),
+                               indices.reshape(-1),
+                               np.arange(0, rows * cols + 1, cols, dtype=np.int32)),
+                              shape=(rows, cols))
+            with _blas_threads(2):
+                singular_values(np.random.default_rng(1).standard_normal((300, 300)))
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            singular_values(m)
+            print(before, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+        """)
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        before, after = map(int, proc.stdout.split())
+        # ru_maxrss counts KiB on Linux
+        assert (after - before) * 1024 < 1.5 * 1200 * 1300 * 8
 
 
 class TestNumericalRank:
@@ -249,6 +292,13 @@ def small_lowerings(draw):
     return build_equivalent(spec)
 
 
+# A 16x18 conv lowering of rank 8 (ternary 1x1 kernels, stride 2), which the
+# certificate declines.
+DECLINED_CONV = build_conv_equivalent(ConvLayerSpec(
+    2, 3, 3, 4, 1, 1, stride=2,
+    kernels=np.random.default_rng(0).integers(-1, 2, size=(4, 2, 1, 1)).astype(float)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(m=small_lowerings())
 @example(m=build_equivalent(ConvLayerSpec(2, 5, 5, 3, 3, 3, kernels=np.zeros((3, 2, 3, 3)))))
@@ -305,6 +355,35 @@ class TestRankCertificate:
         # the rank, as LAPACK returns them. The same LAPACK call on the same
         # matrix, so the bytes match with no sign rule.
         assert with_basis.basis.tobytes() == svd_nullspace(eq).tobytes()
+
+    def test_svd_path_decides_where_the_singular_values_overflow(self):
+        # Every entry of 2^1023 m is normal, but its largest singular value
+        # passes 2^1024. The singular values of the scaled copy decide, so
+        # the rank stays m's where the overflowed values would give rank 0.
+        m = DECLINED_CONV
+        base = decide_rank(m, with_basis=True)
+        with np.errstate(over="ignore"):
+            decision = decide_rank(m * np.ldexp(1.0, 1023), with_basis=True)
+            evidence = {key: np.ldexp(value, 1023) for key, value in base.evidence.items()}
+        assert (base.path, base.rank) == (SVD_PATH, 8)
+        assert (decision.path, decision.rank, decision.nullity) == (SVD_PATH, 8, 10)
+        assert decision.basis.tobytes() == base.basis.tobytes()
+        assert decision.evidence == evidence
+
+    def test_tall_svd_basis_skips_the_square_u(self):
+        # A declined 2000x100 fc needs V only; a full SVD would also return
+        # a 2000x2000 U (30.5 MiB) and take a traced peak of 34.1 MiB.
+        rng = np.random.default_rng(0)
+        weight = rng.standard_normal((100, 90)) @ rng.standard_normal((90, 2000))
+        m = build_equivalent(FcLayerSpec(in_features=100, out_features=2000, weight=weight))
+        tracemalloc.start()
+        try:
+            decision = decide_rank(m, with_basis=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (decision.path, decision.rank, decision.basis.shape) == (SVD_PATH, 90, (100, 10))
+        assert peak < 2000 * 2000 * 8 / 2
 
     def test_zero_matrix_declines_with_rank_zero(self):
         decision = decide_rank(np.zeros((3, 5)))
@@ -594,6 +673,20 @@ class TestSmallestEigenpairGram:
         assert null.shape[1] == (20 if sparse else 28)
         assert np.linalg.norm(v - null @ (null.T @ v)) <= 1e-12
 
+    def test_multiple_lambda_min_fixes_the_eigenspace_only(self):
+        # lambda_min = 1 is triple, so the Krylov space of the all-ones start
+        # vector breaks down early and ARPACK restarts from its own random
+        # vector, whose state persists between calls: the returned vector
+        # changes from call to call. Each one lies in the eigenspace.
+        m = sp.diags([1.0, 1.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0], format="csr")
+        lams, vecs = np.linalg.eigh((m.T @ m).toarray())
+        lowest = vecs[:, lams <= lams[0] + 1e-8 * lams[-1]]
+        assert lowest.shape[1] == 3
+        for _ in range(4):
+            v, lam = smallest_eigenpair_gram(m)
+            assert np.linalg.norm(lowest.T @ v) == pytest.approx(1.0, abs=1e-12)
+            assert lam == pytest.approx(1.0, rel=1e-12)
+
     def test_no_columns_is_a_value_error(self):
         # No unit vector exists in R^0, for the solver or for least_harmful.
         for call in (smallest_eigenpair_gram, least_harmful):
@@ -701,31 +794,32 @@ class TestSparseShiftInvert:
     @example(m=build_conv_equivalent(ConvLayerSpec(
         3, 3, 3, 2, 1, 1, kernels=np.array([[0.0, 0, 1], [1, -1, -1]]).reshape(2, 3, 1, 1))),
         k=-960)
+    # Declined layers whose unscaled SVD lost bits: a rank-deficient 16x18
+    # conv at 2^-348 (basis 1.7e-18 off), where gesdd's absolute thresholds
+    # act, and the 768x768 polyphase conv at 2^460, past which gesdd
+    # rescales by a ratio that is not a power of two.
+    @example(m=DECLINED_CONV, k=-348)
+    @example(m=build_conv_equivalent(ConvLayerSpec(
+        3, 16, 16, 12, 3, 3, stride=2, zero_padding=1,
+        kernels=np.random.default_rng(1603).integers(-9, 10, size=(12, 3, 3, 3)).astype(float))),
+        k=460)
     def test_scaling_by_a_power_of_two_is_exact(self, m, k):
         # linalg scales each copy it makes by the power of two that brings
         # the largest |entry| into [1/2, 1), so 2^k m feeds the band Gram,
-        # the staircase QR and Lanczos the bits that m does, wherever the
-        # entries of 2^k m stay normal.
+        # the staircase QR, Lanczos and the SVD the bits that m does,
+        # wherever the entries of 2^k m stay normal.
         exponents = np.frexp(np.abs(m.data[m.data != 0]))[1] + k
         assume(exponents.size == 0 or (exponents.min() >= -1021 and exponents.max() <= 1024))
         scaled = m * np.ldexp(1.0, k)
         base, decision = decide_rank(m, with_basis=True), decide_rank(scaled, with_basis=True)
         assert (decision.path, decision.rank, decision.nullity) == (base.path, base.rank, base.nullity)
-        if base.path == CERTIFIED_PATH:
-            assert decision.basis.tobytes() == base.basis.tobytes()
-            assert decision.evidence == {key: np.ldexp(value, k)
-                                         for key, value in base.evidence.items()}
-        else:
-            # The SVD path is left to LAPACK's gesdd, whose own scaling and
-            # absolute thresholds keep the decision but not always the bits
-            # (1.7e-18 apart at 2^-348 on a rank-deficient 16x18 conv).
-            null = base.basis
-            assert np.abs(decision.basis - null @ (null.T @ decision.basis)).max(initial=0.0) <= 1e-12
-            for key, value in base.evidence.items():
-                assert (decision.evidence[key] is None) == (value is None)
-                if value is not None:
-                    assert np.ldexp(decision.evidence[key], -k) == pytest.approx(
-                        value, rel=1e-12, abs=1e-12 * sigma_max_bound(m))
+        assert decision.basis.tobytes() == base.basis.tobytes()
+        assert decision.evidence == {key: None if value is None else np.ldexp(value, k)
+                                     for key, value in base.evidence.items()}
+        # singular_values scales its own copy; 2^k sigma_max may leave float64
+        with np.errstate(over="ignore"):
+            sv_k, sv = singular_values(scaled), np.ldexp(singular_values(m), k)
+        assert sv_k.tobytes() == sv.tobytes()
         if m.shape[1] == 0:
             return
         v, lam = smallest_eigenpair_gram(m)
@@ -863,7 +957,8 @@ class TestBlasThreads:
             return wrapper
 
         monkeypatch.setattr(linalg, "_band_order", recording("command", linalg._band_order))
-        monkeypatch.setattr(np.linalg, "svd", recording("svd", np.linalg.svd))
+        # the one LAPACK call site of the SVD fallback
+        monkeypatch.setattr(scipy.linalg, "svd", recording("svd", scipy.linalg.svd))
         with linalg._blas_threads(3):
             assert main(["lower", "--layer", self.rank_one_layer(tmp_path), "--seed", "1",
                          "--out", str(tmp_path / "out")]) == 0
