@@ -30,20 +30,18 @@ the QR follows the staircase (George & Heath, Linear Algebra Appl. 34,
 columns and one gemqrt per update; neither touches more than the band
 or the staircase holds. smallest_eigenpair_gram forms A.T @ A the same
 way, shifts it, and runs shift-invert Lanczos (ARPACK) on the same band
-Cholesky of it. The SVD fallback makes one dense copy of A, in Fortran
-order, and scipy's LAPACK gesdd factors it in place (numpy's svd would
-copy it once more). The copies of A that linalg makes (the rows
-_banded_gram permutes, the QR's band store, sigma_max_bound's |A|, the
-SVD's dense copy) are scaled by 2^-e, e = _unit_exponent, so no Gram
-product overflows or underflows to zero, and 2^k A with normal entries
-gets A's results and 2^k times A's evidence and singular values, on
-either path of decide_rank.
+Cholesky of it (_banded_gram, with its rounding bound; _band_cholesky).
+The SVD fallback makes one dense copy of A, in Fortran order, and
+scipy's LAPACK gesdd factors it in place (numpy's svd would copy it once
+more). The copies of A that linalg makes (the rows _banded_gram permutes,
+the QR's band store, _unit_schur's |A|, the SVD's dense copy) are scaled
+by 2^-e, e = _unit_exponent, found once per entry point, so nothing
+overflows or underflows to zero, and 2^k A with normal entries gets A's
+results and 2^k times A's evidence and singular values, on either path
+of decide_rank.
 
 All functions are pure and deterministic: repeated calls on identical
-input return bit-identical results, with one exception. Where the
-smallest eigenvalue of A.T @ A is multiple, ARPACK can restart from its
-own random vector, whose state persists between calls, so
-smallest_eigenpair_gram then fixes only the eigenspace, not the vector.
+input return bit-identical results (ARPACK restarts from a seeded draw).
 
 The BLAS thread count is fixed per call site, not taken from the
 environment: _blas_threads(n) pins both OpenBLAS pools that the numpy and
@@ -231,20 +229,22 @@ def _unit_exponent(values: np.ndarray) -> int:
     return int(np.frexp(max(values.max(initial=0.0), -values.min(initial=0.0)))[1])
 
 
-def sigma_max_bound(matrix) -> float:
-    """Schur bound sigma_max <= sqrt(||A||_1 * ||A||_inf), computable in O(nnz).
-
-    It bounds the spectral norm of |A| too, since |A| has the same 1- and
-    inf-norms. The sums run on |A| 2^-e, so none overflows.
+def _unit_schur(m) -> tuple[float, int]:
+    """(beta, e) for a CSR m: e = _unit_exponent(m.data), and beta the
+    Schur bound sqrt(||A||_1 ||A||_inf) >= || |A| ||_2 >= sigma_max(A) of
+    A = 2^-e m, in O(nnz). The sums run on |A|, whose largest entry lies in
+    [1/2, 1), so none overflows, and beta >= 1/2 unless m = 0.
     """
-    a = abs(_checked(matrix))
+    a = abs(m)
     e = _unit_exponent(a.data)
     np.ldexp(a.data, -e, out=a.data)
-    col_sums = np.asarray(a.sum(axis=0)).ravel()
-    row_sums = np.asarray(a.sum(axis=1)).ravel()
-    if col_sums.size == 0 or row_sums.size == 0:
-        return 0.0
-    return float(np.ldexp(np.sqrt(col_sums.max() * row_sums.max()), e))
+    col_sums, row_sums = (np.asarray(a.sum(axis=axis)) for axis in (0, 1))
+    return float(np.sqrt(col_sums.max(initial=0.0) * row_sums.max(initial=0.0))), e
+
+
+def sigma_max_bound(matrix) -> float:
+    """Schur bound sigma_max <= sqrt(||A||_1 * ||A||_inf); see _unit_schur."""
+    return float(np.ldexp(*_unit_schur(_checked(matrix))))
 
 
 def rank_tolerance(sv, rows: int, cols: int) -> float:
@@ -347,26 +347,34 @@ def _band_order(m) -> tuple[np.ndarray, np.ndarray]:
     return row_rank, _ranks(first_row)
 
 
-def _banded_gram(s, rank: np.ndarray, e: int) -> np.ndarray:
-    """g = 4^-e s @ s.T in LAPACK's lower band storage, ab[i - j, j] = g[i, j]
-    for i >= j, with row and column i of g placed at rank[i], in Fortran
-    order; the only Gram former (_certify_full_rank, smallest_eigenpair_gram).
+def _banded_gram(s, rank: np.ndarray, e: int, beta: float) -> tuple[np.ndarray, float]:
+    """(ab, bound): H = fl(S @ S.T), S = 2^-e s (p x k), in LAPACK's lower
+    band storage, ab[i - j, j] = H[i, j] for i >= j, with row and column i
+    of H placed at rank[i], in Fortran order; and bound >= ||H - G||_2, G =
+    S @ S.T exactly, with (beta, e) from _unit_schur of s.
+
+    bound = gamma_k beta^2 + 2 p k eta, u = eps / 2, gamma_k = k u / (1 - k
+    u), eta the smallest subnormal. Each entry of S is below 1 and stored
+    off by eta / 2 at most, and each product rounds by a relative u or, in
+    underflow, by eta / 2, so in any summation order |H - G| <= gamma_k |S|
+    |S|.T + 2 k eta entrywise, and beta >= || |S| ||_2.
 
     The rows of s are put in that order and scaled by 2^-e first; s's fill
     then picks the product. Below the dense-Gram fill it stays sparse, and
-    the band reaches the farthest nonzero of g from its diagonal. Above it,
-    one dense product fills the band: g is symmetric, so shifting row j of
+    the band reaches the farthest nonzero of H from its diagonal. Above it,
+    one dense product fills the band: H is symmetric, so shifting row j of
     its buffer left by j turns the buffer itself into band storage.
     """
-    p = s.shape[0]
+    p, k = s.shape
+    bound = _gamma(k) * beta * beta + 2 * p * k * _SMALLEST_SUBNORMAL
     s = s[np.argsort(rank)]
     np.ldexp(s.data, -e, out=s.data)
-    if s.nnz >= _DENSE_GRAM_FILL * p * s.shape[1]:
+    if s.nnz >= _DENSE_GRAM_FILL * p * k:
         d = s.toarray()
         flat = (d @ d.T).reshape(-1)
         for j in range(1, p):
             flat[j * p:(j + 1) * p - j] = flat[j * p + j:(j + 1) * p]
-        return flat.reshape((p, p), order="F")
+        return flat.reshape((p, p), order="F"), bound
     g = (s @ s.T).tocsr()
     del s
     i = _entry_rows(g)
@@ -377,25 +385,35 @@ def _banded_gram(s, rank: np.ndarray, e: int) -> np.ndarray:
     ab = np.zeros((kd + 1, p), order="F")
     # ab[i - j, j] sits at j * (kd + 1) + i - j of the Fortran-order buffer
     ab.reshape(-1, order="F")[j.astype(np.int64) * kd + i] = data
-    return ab
+    return ab, bound
 
 
-def _certify_full_rank(m, row_rank: np.ndarray,
-                       col_rank: np.ndarray) -> tuple[float, float] | None:
+def _band_cholesky(ab: np.ndarray) -> np.ndarray | None:
+    """LAPACK's band Cholesky (pbtrf) of ab, in _banded_gram's storage and
+    overwritten; None unless it completes with every pivot positive."""
+    import scipy.linalg  # on first use: importing it slows CLI start-up
+    try:
+        r = scipy.linalg.cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        return None
+    # A NaN pivot can slip through some factorization implementations.
+    return r if np.all(r[0] > 0) else None
+
+
+def _certify_full_rank(m, row_rank: np.ndarray, col_rank: np.ndarray,
+                       beta: float, e: int) -> tuple[float, float] | None:
     """Prove that m has full rank min(rows, cols) = p with margin, or decline.
 
     Returns (sigma_min_lower, tau_ub) with sigma_p(m) > sigma_min_lower =
     margin * tau_ub, or None when the certificate does not hold.
 
-    Notation, for m scaled by 2^-e (the evidence is scaled back): q =
-    max(rows, cols), u = eps / 2, gamma_k = k u / (1 - k u), eta the
-    smallest subnormal, beta = sigma_max_bound(m) >= || |m| ||_2, tau_ub =
-    beta * q * eps, S the short side (m if rows <= cols, else m.T), G = S
-    @ S.T exactly.
+    Notation, for m scaled by 2^-e (the evidence is scaled back), with
+    (beta, e) from _unit_schur and u, gamma_k, eta as in _banded_gram: q =
+    max(rows, cols), tau_ub = beta * q * eps, S the short side (m if rows
+    <= cols, else m.T), G = S @ S.T exactly.
 
-    1. H = fl(S @ S.T) in any summation order satisfies |H - G| <= gamma_q
-       |S| |S|.T + q eta entrywise (each stored entry of S is below 1, and
-       off by eta / 2 at most), so ||H - G||_2 <= gamma_q beta^2 + p q eta.
+    1. H = fl(S @ S.T) satisfies ||H - G||_2 <= gamma_q beta^2 + 2 p q eta,
+       the bound _banded_gram returns with it (the proof is there).
     2. H' = fl(H - shift I) differs from H - shift I by at most
        u (max_i h_ii + shift) in norm.
     3. If Cholesky of H' runs to completion with positive pivots, then
@@ -431,30 +449,20 @@ def _certify_full_rank(m, row_rank: np.ndarray,
     p, q = min(rows, cols), max(rows, cols)
     if p == 0 or 2.0 * p * q * np.sqrt(p) * _EPS > 1.0:
         return None
-    e = _unit_exponent(m.data)
-    beta = np.ldexp(sigma_max_bound(m), -e)
     tau_ub = beta * q * _EPS
     margin = 2.0 + 2.0 * p * np.sqrt(p)
     rank = row_rank if rows <= cols else col_rank
-    ab = _banded_gram(m if rows <= cols else m.T, rank, e)
+    ab, gram_error = _banded_gram(m if rows <= cols else m.T, rank, e, beta)
     diag = ab[0, rank]
     max_h, trace = float(diag.max()), float(diag.sum())
     cholesky_gamma = _gamma(p + 1)
-    shift = 2.0 * (_gamma(q) * beta * beta
+    shift = 2.0 * (gram_error
                    + cholesky_gamma / (1.0 - cholesky_gamma) * trace
                    + _UNIT_ROUNDOFF * max_h
-                   + p * (p + 2 * q + 1 + np.sqrt(max_h)) * _SMALLEST_SUBNORMAL
+                   + p * (p + q + 1 + np.sqrt(max_h)) * _SMALLEST_SUBNORMAL
                    + (margin * tau_ub) ** 2)
-    import scipy.linalg  # on first use: importing it slows CLI start-up
     ab[0] -= shift
-    try:
-        r = scipy.linalg.cholesky_banded(ab, overwrite_ab=True, lower=True,
-                                         check_finite=False)
-    except np.linalg.LinAlgError:
-        return None
-    # A NaN pivot can slip through some factorization implementations; the
-    # certificate needs every pivot positive.
-    if not np.all(r[0] > 0):
+    if _band_cholesky(ab) is None:
         return None
     return float(np.ldexp(margin * tau_ub, e)), float(np.ldexp(tau_ub, e))
 
@@ -468,7 +476,7 @@ def _certify_full_rank(m, row_rank: np.ndarray,
 _QR_BLOCK = 96
 
 
-def _row_space_complement(m, row_rank: np.ndarray, col_rank: np.ndarray) -> np.ndarray:
+def _row_space_complement(m, row_rank: np.ndarray, col_rank: np.ndarray, e: int) -> np.ndarray:
     """Orthonormal basis of N(m) for a wide k x n m of full row rank: the
     trailing n - k columns of Q in B = Q R, B the n x k m.T in band order.
 
@@ -517,7 +525,7 @@ def _row_space_complement(m, row_rank: np.ndarray, col_rank: np.ndarray) -> np.n
     # raising peak RSS.
     work = np.zeros(k * lda + n * (n - k))
     store, q = work[:k * lda], work[k * lda:].reshape((n, n - k), order="F")
-    store[b_col * stride + b_row + origin] = np.ldexp(m.data, -_unit_exponent(m.data))
+    store[b_col * stride + b_row + origin] = np.ldexp(m.data, -e)
     del b_row, b_col
 
     def block(r0, r1, c0, c1):
@@ -552,25 +560,19 @@ def certified_rank(m, with_basis: bool = False) -> RankDecision | None:
     The nullity is then cols - min(rows, cols), and the basis (with_basis)
     is empty for a tall or square m, or the QR complement of m's row space
     for a wide m (_row_space_complement). Both work on m in band order
-    (_band_order), which for a sparse layer lowering turns the Gram matrix
-    into a band and m.T into a staircase. The certificate factors that
-    band with a band Cholesky; the inequality it rests on bounds the
-    rounding of any Cholesky of the symmetrically permuted Gram matrix,
-    and its shift and evidence are computed in m's own order, so the
-    evidence and the decision are those of a dense Cholesky up to a pivot
-    at rounding level. The QR follows the staircase, skipping only exact
-    zeros.
+    (_band_order), with one (beta, e) from _unit_schur.
     """
     m = _checked(m)
     rows, cols = m.shape
     order = _band_order(m)
-    certificate = _certify_full_rank(m, *order)
+    beta, e = _unit_schur(m)
+    certificate = _certify_full_rank(m, *order, beta, e)
     if certificate is None:
         return None
     rank = min(rows, cols)
     basis = None
     if with_basis:
-        basis = _row_space_complement(m, *order) if rows < cols else np.zeros((cols, 0))
+        basis = _row_space_complement(m, *order, e) if rows < cols else np.zeros((cols, 0))
     evidence = {"sigma_min_lower": certificate[0], "tau_ub": certificate[1]}
     return RankDecision(rank, cols - rank, CERTIFIED_PATH, evidence, basis)
 
@@ -631,8 +633,9 @@ def _lowest_eigvec_shift_invert(ab: np.ndarray, gram_error: float) -> np.ndarray
     more solve damps, by s over the next eigenvalue, the rounding it mixes
     into a cluster of equal eigenvalues such as a null space (||M v|| up to
     5.3 eps sigma_max_bound(M) without it, 0.6 with it, for M sparse
-    100x300). An all-zero H, and n = 1, which ARPACK does not take, give
-    the first unit vector.
+    100x300). ARPACK restarts from a seeded draw where the Krylov space of
+    the all-ones start vector breaks down early. An all-zero H, and n = 1,
+    which ARPACK does not take, give the first unit vector.
 
     H comes scaled by 4^-e, so h = max_i h_ii >= 1/4 unless H = 0. With u
     = eps / 2, c = n gamma_{n+1} / (1 - gamma_{n+1}) and k = u + c (1 +
@@ -655,14 +658,15 @@ def _lowest_eigvec_shift_invert(ab: np.ndarray, gram_error: float) -> np.ndarray
     cholesky_gamma = _gamma(n + 1)
     k = _UNIT_ROUNDOFF + n * cholesky_gamma / (1.0 - cholesky_gamma) * (1.0 + _UNIT_ROUNDOFF)
     ab[0] += 2.0 * (gram_error + k * h)
+    factor = _band_cholesky(ab)
+    if factor is None:
+        raise FactorizationError(f"band Cholesky failed for a shifted {n}x{n} Gram matrix")
+    solve = functools.partial(scipy.linalg.cho_solve_banded, (factor, True), check_finite=False)
+    inverse = spla.LinearOperator((n, n), matvec=solve, dtype=np.float64)
     try:
-        factor = scipy.linalg.cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
-        solve = functools.partial(scipy.linalg.cho_solve_banded, (factor, True),
-                                  check_finite=False)
-        inverse = spla.LinearOperator((n, n), matvec=solve, dtype=np.float64)
         _, vecs = spla.eigsh(inverse, k=1, which="LM", v0=np.ones(n),
-                             ncv=min(20, n), tol=0)
-    except (np.linalg.LinAlgError, RuntimeError) as exc:  # a pivot; ARPACK
+                             ncv=min(20, n), tol=0, rng=0)
+    except RuntimeError as exc:  # ARPACK
         raise FactorizationError(
             f"shift-invert Lanczos failed for a {n}x{n} Gram matrix: {exc}"
         ) from exc
@@ -672,29 +676,22 @@ def _lowest_eigvec_shift_invert(ab: np.ndarray, gram_error: float) -> np.ndarray
 def smallest_eigenpair_gram(m) -> tuple[np.ndarray, float]:
     """Unit eigenvector of M.T @ M with the smallest eigenvalue.
 
-    One route for every input: _banded_gram forms the Gram matrix in M's
-    column band order, its rounding is bounded by step 1 of
-    _certify_full_rank plus the underflow of its products, and
-    _lowest_eigvec_shift_invert factors it. Returns (v, lam) with
-    lam = (M v) @ (M v), M taken as CSR, the Rayleigh quotient of the
-    selected eigenvector (consistent with v by construction, and equal to
-    the smallest Gram eigenvalue up to factorization error; 0 or inf only
-    where that eigenvalue leaves the float64 range). Sign
-    convention: the first nonzero component of v is positive. Where the
-    smallest eigenvalue is multiple, Lanczos from the fixed start vector
-    (all ones) can break down early, and ARPACK then restarts from its own
-    random vector, whose state persists between calls: v is then some unit
-    vector of the eigenspace, which repeated calls need not repeat. Raises
-    ValueError, before any factorization, if M has no columns."""
+    One route for every input: _banded_gram forms the Gram matrix of 2^-e
+    M, (beta, e) from _unit_schur, in M's column band order with its
+    rounding bound, and _lowest_eigvec_shift_invert factors it. Returns
+    (v, lam) with lam = (M v) @ (M v), M taken as CSR, the Rayleigh
+    quotient of the selected eigenvector (consistent with v by
+    construction, and equal to the smallest Gram eigenvalue up to
+    factorization error; 0 or inf only where that eigenvalue leaves the
+    float64 range). Sign convention: the first nonzero component of v is
+    positive. Raises ValueError, before any factorization, if M has no
+    columns."""
     m = _checked(m)
-    (rows, cols), q = m.shape, max(m.shape)
-    if cols == 0:
-        raise ValueError(f"a {rows}x0 matrix has no columns, so no eigenvector")
-    e = _unit_exponent(m.data)
-    beta = np.ldexp(sigma_max_bound(m), -e)
-    gram_error = _gamma(q) * beta * beta + 2 * cols * q * _SMALLEST_SUBNORMAL
+    if m.shape[1] == 0:
+        raise ValueError(f"a {m.shape[0]}x0 matrix has no columns, so no eigenvector")
+    beta, e = _unit_schur(m)
     _, col_rank = _band_order(m)
-    v = _lowest_eigvec_shift_invert(_banded_gram(m.T, col_rank, e), gram_error)[col_rank]
+    v = _lowest_eigvec_shift_invert(*_banded_gram(m.T, col_rank, e, beta))[col_rank]
     v = v / np.linalg.norm(v)
     nz = np.flatnonzero(np.abs(v) > np.abs(v).max() * 1e-12)
     if v[nz[0]] < 0:

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .linalg import orthonormal_nullspace, rank_tolerance_bound, smallest_eigenpair_gram
 from .tensorio import read_tensor, write_tensor
@@ -124,12 +125,12 @@ def least_harmful(a) -> LeastHarmful:
     (residual ~ 0) and in_nullspace is set: ||A v|| <= rank_tolerance_bound(A).
     """
     v, lam = smallest_eigenpair_gram(a)
-    tol = rank_tolerance_bound(a)
-    # Both sides are scaled by the 2^-e that brings tol into [1/2, 1): for
-    # entries near 2^-540, lam, tol ** 2 and the squares inside norm(A v)
-    # all underflow to 0.
-    e = np.frexp(tol)[1]
-    in_nullspace = bool(np.linalg.norm(np.ldexp(a @ v, -e)) <= np.ldexp(tol, -e))
+    # Both sides for A scaled by the 2^-e that puts its largest |entry| in
+    # [1/2, 1): near 2^-540 the squares (lam too) underflow to 0, and near
+    # 2^1020 the unscaled bound overflows.
+    a = sp.csr_matrix(a, dtype=np.float64)
+    a.data = np.ldexp(a.data, -np.frexp(np.abs(a.data).max(initial=0.0))[1])
+    in_nullspace = bool(np.linalg.norm(a @ v) <= rank_tolerance_bound(a))
     return LeastHarmful(direction=v, residual=lam, in_nullspace=in_nullspace)
 
 

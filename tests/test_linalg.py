@@ -400,16 +400,24 @@ class TestRankCertificate:
             smallest_eigenpair_gram(m)
 
     def test_certificate_evaluates_sigma_max_bound_once(self, monkeypatch):
+        # The Schur bound and the scale exponent come from one _unit_schur
+        # call per entry point: the certificate and the QR of a certified
+        # decide_rank share it, and so do the Gram bound and the band Gram of
+        # smallest_eigenpair_gram.
         calls = []
+        unit_schur = linalg._unit_schur
 
         def counted(m):
             calls.append(m.shape)
-            return sigma_max_bound(m)
+            return unit_schur(m)
 
-        monkeypatch.setattr(linalg, "sigma_max_bound", counted)
-        decision = decide_rank(np.random.default_rng(3).standard_normal((20, 30)))
+        monkeypatch.setattr(linalg, "_unit_schur", counted)
+        m = np.random.default_rng(3).standard_normal((20, 30))
+        decision = decide_rank(m, with_basis=True)
         assert decision.path == CERTIFIED_PATH
         assert calls == [(20, 30)]
+        smallest_eigenpair_gram(m.T)
+        assert calls == [(20, 30), (30, 20)]
 
     def test_dense_input_is_not_overwritten(self):
         m = np.random.default_rng(4).standard_normal((20, 30))
@@ -673,19 +681,22 @@ class TestSmallestEigenpairGram:
         assert null.shape[1] == (20 if sparse else 28)
         assert np.linalg.norm(v - null @ (null.T @ v)) <= 1e-12
 
-    def test_multiple_lambda_min_fixes_the_eigenspace_only(self):
-        # lambda_min = 1 is triple, so the Krylov space of the all-ones start
-        # vector breaks down early and ARPACK restarts from its own random
-        # vector, whose state persists between calls: the returned vector
-        # changes from call to call. Each one lies in the eigenspace.
-        m = sp.diags([1.0, 1.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0], format="csr")
+    @pytest.mark.parametrize("m", [
+        sp.diags([1.0, 1.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0], format="csr"),
+        sp.identity(9, format="csr")], ids=["triple", "identity"])
+    def test_multiple_lambda_min_repeats_bit_for_bit(self, m):
+        # lambda_min = 1 is triple (or ninefold), so the Krylov space of the
+        # all-ones start vector breaks down early and ARPACK restarts from a
+        # vector of its own. That vector comes from a fixed seed, so every
+        # call returns the same bytes, a unit vector of the eigenspace.
         lams, vecs = np.linalg.eigh((m.T @ m).toarray())
         lowest = vecs[:, lams <= lams[0] + 1e-8 * lams[-1]]
-        assert lowest.shape[1] == 3
-        for _ in range(4):
-            v, lam = smallest_eigenpair_gram(m)
-            assert np.linalg.norm(lowest.T @ v) == pytest.approx(1.0, abs=1e-12)
-            assert lam == pytest.approx(1.0, rel=1e-12)
+        v, lam = smallest_eigenpair_gram(m)
+        assert np.linalg.norm(lowest.T @ v) == pytest.approx(1.0, abs=1e-12)
+        assert lam == pytest.approx(1.0, rel=1e-12)
+        for _ in range(3):
+            v_again, lam_again = smallest_eigenpair_gram(m)
+            assert v_again.tobytes() == v.tobytes() and lam_again == lam
 
     def test_no_columns_is_a_value_error(self):
         # No unit vector exists in R^0, for the solver or for least_harmful.
@@ -784,12 +795,18 @@ class TestSparseShiftInvert:
             assert lam <= (np.finfo(np.float64).eps * sigma_max_bound(m)) ** 2
 
     @settings(max_examples=60, deadline=None)
-    @given(m=small_lowerings(), k=st.integers(min_value=-1000, max_value=1000))
+    @given(m=small_lowerings(), k=st.integers(min_value=-1100, max_value=1100))
     @example(m=build_conv_equivalent(ConvLayerSpec(
         4, 10, 10, 8, 3, 3, stride=1, zero_padding=1,
         kernels=np.random.default_rng(41).standard_normal((8, 4, 3, 3)))), k=-400)
     @example(m=sp.csr_matrix(np.random.default_rng(53).standard_normal((70, 40))), k=-400)
     @example(m=sp.csr_matrix(np.random.default_rng(53).standard_normal((40, 70))), k=1000)
+    # At the top of the range, where the Schur bound of 2^k m passes 2^1024
+    # although every entry is normal, and only its unit-scale value is finite
+    @example(m=sp.csr_matrix(np.random.default_rng(53).standard_normal((70, 40))), k=1020)
+    @example(m=sp.csr_matrix(np.random.default_rng(53).standard_normal((70, 40))), k=1022)
+    @example(m=sp.csr_matrix(np.random.default_rng(53).standard_normal((40, 70))), k=1020)
+    @example(m=sp.csr_matrix(np.random.default_rng(53).standard_normal((40, 70))), k=1022)
     # A wide 1x1 conv whose unscaled QR loses its basis bits at 2^-960
     @example(m=build_conv_equivalent(ConvLayerSpec(
         3, 3, 3, 2, 1, 1, kernels=np.array([[0.0, 0, 1], [1, -1, -1]]).reshape(2, 3, 1, 1))),
@@ -826,17 +843,17 @@ class TestSparseShiftInvert:
         # lam rounds to inf where 4^k lambda_min leaves float64
         with np.errstate(over="ignore"):
             v_k, lam_k = smallest_eigenpair_gram(scaled)
+        # Where lambda_min is multiple, Lanczos can restart from ARPACK's own
+        # vector, which comes from a fixed seed: v is repeated there too.
+        assert v_k.tobytes() == v.tobytes()
         dense = m.toarray()
         lams, vecs = np.linalg.eigh(dense.T @ dense)
         lowest = vecs[:, lams <= lams[0] + 1e-8 * lams[-1]]
         if lowest.shape[1] == 1:
-            assert v_k.tobytes() == v.tobytes()
             if abs(k) <= 400:
                 assert lam_k == np.ldexp(lam, 2 * k)
         else:
-            # Lanczos can restart from ARPACK's own random vector here, so
-            # only the eigenspace is determined, for m itself too.
-            assert np.linalg.norm(lowest.T @ v_k) == pytest.approx(1.0, abs=1e-8)
+            assert np.linalg.norm(lowest.T @ v) == pytest.approx(1.0, abs=1e-8)
 
     def test_single_column(self):
         m = sp.csr_matrix(([2.0], ([3], [0])), shape=(10, 1))
@@ -869,6 +886,95 @@ class TestSparseShiftInvert:
         monkeypatch.setattr(scipy.linalg, "cholesky_banded", singular)
         with pytest.raises(FactorizationError, match="400x400 Gram matrix"):
             smallest_eigenpair_gram(conv)
+
+
+class TestProvenShifts:
+    """The band Cholesky sees each Gram matrix shifted by exactly the bound
+    that its docstring proves, term for term. The bounds are far from tight,
+    so a shift made smaller (unproven) or larger changes no decision the
+    other tests see."""
+
+    U = np.finfo(np.float64).eps / 2
+    ETA = np.finfo(np.float64).smallest_subnormal
+
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        grams, factored = [], []
+        banded_gram, band_cholesky = linalg._banded_gram, linalg._band_cholesky
+
+        def gram(s, rank, e, beta):
+            ab, bound = banded_gram(s, rank, e, beta)
+            grams.append((s.shape, ab[0].copy(), bound))
+            return ab, bound
+
+        def cholesky(ab):
+            factored.append(ab[0].copy())
+            return band_cholesky(ab)
+
+        monkeypatch.setattr(linalg, "_banded_gram", gram)
+        monkeypatch.setattr(linalg, "_band_cholesky", cholesky)
+        return grams, factored
+
+    @classmethod
+    def gamma(cls, k):
+        return k * cls.U / (1 - k * cls.U)
+
+    @staticmethod
+    def unit_beta(m):
+        # the Schur bound of m scaled by the 2^-e that puts its largest
+        # |entry| in [1/2, 1)
+        return np.ldexp(sigma_max_bound(m), -np.frexp(np.abs(m).max())[1])
+
+    @pytest.mark.parametrize("shape", [(30, 50), (50, 30)])
+    def test_certificate_shift(self, recorded, shape):
+        grams, factored = recorded
+        m = 3.0 * np.random.default_rng(5).standard_normal(shape)
+        assert certified_rank(m) is not None
+        p, q = min(shape), max(shape)
+        [(gram_shape, diag, bound)] = grams
+        beta = self.unit_beta(m)
+        # the product S @ S.T of the short side has inner length q
+        assert gram_shape == (p, q)
+        assert bound == self.gamma(q) * beta * beta + 2 * p * q * self.ETA
+        row_rank, col_rank = linalg._band_order(sp.csr_matrix(m))
+        h = diag[row_rank if shape[0] <= shape[1] else col_rank]
+        max_h, trace = float(h.max()), float(h.sum())
+        c = self.gamma(p + 1)
+        margin_tau = (2.0 + 2.0 * p * np.sqrt(p)) * (beta * q * np.finfo(np.float64).eps)
+        shift = 2.0 * (bound + c / (1.0 - c) * trace + self.U * max_h
+                       + p * (p + q + 1 + np.sqrt(max_h)) * self.ETA + margin_tau ** 2)
+        assert factored[0].tobytes() == (diag - shift).tobytes()
+
+    @pytest.mark.parametrize("shape", [(50, 30), (20, 40)])
+    def test_eigenpair_shift(self, recorded, shape):
+        grams, factored = recorded
+        m = 3.0 * np.random.default_rng(6).standard_normal(shape)
+        smallest_eigenpair_gram(m)
+        rows, n = shape
+        [(gram_shape, diag, bound)] = grams
+        beta = self.unit_beta(m)
+        # the product M.T @ M has inner length rows, also for a wide M
+        assert gram_shape == (n, rows)
+        assert bound == self.gamma(rows) * beta * beta + 2 * n * rows * self.ETA
+        c = self.gamma(n + 1)
+        k = self.U + n * c / (1.0 - c) * (1.0 + self.U)
+        assert factored[0].tobytes() == (diag + 2.0 * (bound + k * float(diag.max()))).tobytes()
+
+    def test_a_nan_pivot_proves_nothing(self, monkeypatch):
+        # Some factorization implementations let a NaN pivot through without
+        # an error: neither the certificate nor the eigenpair takes it.
+        factor = scipy.linalg.cholesky_banded
+
+        def nan_pivot(ab, **kwargs):
+            r = factor(ab, **kwargs)
+            r[0, -1] = np.nan
+            return r
+
+        monkeypatch.setattr(scipy.linalg, "cholesky_banded", nan_pivot)
+        m = np.random.default_rng(7).standard_normal((50, 30))
+        assert certified_rank(m) is None
+        with pytest.raises(FactorizationError, match="30x30 Gram matrix"):
+            smallest_eigenpair_gram(m)
 
 
 def test_factorization_error_is_runtime_error():

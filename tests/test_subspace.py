@@ -196,6 +196,20 @@ class TestLeastHarmful:
             assert not least_harmful(tall).in_nullspace
         assert least_harmful(scale * fc_a).in_nullspace
 
+    @pytest.mark.parametrize("k", [1020, 1022])
+    def test_verdict_holds_at_the_top_of_the_range(self, k):
+        # Every entry of 2^k A is normal, but its tolerance bound passes
+        # 2^1024: compared unscaled, the inf bound read a full-rank layer as
+        # harmless. The direction is A's own, bit for bit.
+        tall = np.random.default_rng(53).standard_normal((70, 40))
+        base = least_harmful(tall)
+        # lambda_min, about 2^2045, rounds to inf
+        with np.errstate(over="ignore"):
+            scaled = least_harmful(np.ldexp(tall, k))
+        assert not base.in_nullspace and not scaled.in_nullspace
+        assert scaled.direction.tobytes() == base.direction.tobytes()
+        assert scaled.residual == np.inf
+
     def test_zero_matrix_is_harmless(self):
         lh = least_harmful(np.zeros((4, 3)))
         assert lh.in_nullspace and lh.residual == 0.0
