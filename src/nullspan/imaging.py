@@ -124,7 +124,7 @@ def save_float_image(path, image: np.ndarray) -> None:
 
 def synthetic_image(seed: int, shape: tuple[int, int, int] = (3, 32, 32)) -> np.ndarray:
     """Deterministic smooth test image: per channel a random mixture of six
-    low-frequency cosines, rescaled into [0.02, 0.98]."""
+    low-frequency cosines, rescaled into [0.02, 0.98] (a constant one to 0.5)."""
     c, h, w = shape
     rng = np.random.default_rng(seed)
     yy, xx = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
@@ -136,6 +136,6 @@ def synthetic_image(seed: int, shape: tuple[int, int, int] = (3, 32, 32)) -> np.
             phase = rng.uniform(0.0, 2.0 * np.pi)
             amp = rng.uniform(0.3, 1.0)
             acc += amp * np.cos(2.0 * np.pi * (fy * yy + fx * xx) + phase)
-        lo, hi = acc.min(), acc.max()
-        img[ch] = 0.02 + 0.96 * (acc - lo) / (hi - lo)
+        span = acc.max() - acc.min()
+        img[ch] = 0.02 + 0.96 * (acc - acc.min()) / span if span > 0 else 0.5
     return img

@@ -28,9 +28,10 @@ product above it. LAPACK's band Cholesky (pbtrf) factors the band, and
 the QR follows the staircase (George & Heath, Linear Algebra Appl. 34,
 1980, on row orders for sparse QR) with one LAPACK geqrt per block of
 columns and one gemqrt per update; neither touches more than the band
-or the staircase holds. smallest_eigenpair_gram forms A.T @ A the same
-way, shifts it, and runs shift-invert Lanczos (ARPACK) on the same band
-Cholesky of it (_banded_gram, with its rounding bound; _band_cholesky).
+or the staircase holds. smallest_eigenpair_gram runs shift-invert Lanczos
+(ARPACK) on the same band Gram (_banded_gram) and band Cholesky
+(_band_cholesky) of A.T @ A. One proven slack (_cholesky_slack) sets both
+shifts: subtracted for the certificate, added for the eigenpair.
 The SVD fallback makes one dense copy of A, in Fortran order, and
 scipy's LAPACK gesdd factors it in place (numpy's svd would copy it once
 more). The copies of A that linalg makes (the rows _banded_gram permutes,
@@ -388,10 +389,40 @@ def _banded_gram(s, rank: np.ndarray, e: int, beta: float) -> tuple[np.ndarray, 
     return ab, bound
 
 
-def _band_cholesky(ab: np.ndarray) -> np.ndarray | None:
-    """LAPACK's band Cholesky (pbtrf) of ab, in _banded_gram's storage and
-    overwritten; None unless it completes with every pivot positive."""
+def _cholesky_slack(ab: np.ndarray, gram_error: float) -> float:
+    """t = gram_error + k h, the one slack behind both band Cholesky
+    shifts, for an n x n H in _banded_gram's storage, h = max_i h_ii, with
+    ||H - G||_2 <= gram_error and G positive semidefinite.
+
+    With u = eps / 2, c = gamma_{n+1} / (1 - gamma_{n+1}) and k = u + n c
+    (1 + u), A = fl(H + s I) lies within u (h + |s|) of H + s I. A Cholesky
+    of A that completes with positive pivots gives R.T R = A + E, |E| <= c
+    d d.T, d_i^2 = a_ii, and one completes if lambda_min(D^-1 A D^-1) > n
+    c, D^2 = diag(A) (Demmel; Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., section 10.1 and Thm 10.7). So:
+    - fl(H + 2 t I) always factors: lambda_min(A) >= s - gram_error - u (h
+      + s) and max_i a_ii <= (1 + u) (h + s), so s (1 - k) > t suffices.
+    - If fl(H - 2 (t + mu) I) factors with positive pivots, lambda_min(G)
+      > mu: each a_ii is positive and at most h, so ||E||_2 <= c trace(A)
+      <= (k - u) h, and A + E is positive definite, so lambda_min(G) > s
+      (1 - u) - t = mu + (t + mu) (1 - 2 u).
+    At unit scale h >= 1/4 unless H = 0, and k <= 1/4 for n up to 4e7 (the
+    certificate declines early beyond n = 1.4e6), so the factor 2 leaves at
+    least t / 2 >= u / 8 spare either way, far above the rounding of s and t
+    and the Cholesky's underflow (n (n + 2 + sqrt(h)) subnormals). t is
+    5.7e-9 on the default network's second conv layer (lambda_min(H) 0.15).
+    """
+    n = ab.shape[1]
+    cholesky_gamma = _gamma(n + 1)
+    k = _UNIT_ROUNDOFF + n * cholesky_gamma / (1.0 - cholesky_gamma) * (1.0 + _UNIT_ROUNDOFF)
+    return gram_error + k * float(ab[0].max(initial=0.0))
+
+
+def _band_cholesky(ab: np.ndarray, shift: float) -> np.ndarray | None:
+    """LAPACK's band Cholesky (pbtrf) of ab + shift I, ab in _banded_gram's
+    storage and overwritten; None unless every pivot is positive."""
     import scipy.linalg  # on first use: importing it slows CLI start-up
+    ab[0] += shift
     try:
         r = scipy.linalg.cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
     except np.linalg.LinAlgError:
@@ -408,33 +439,19 @@ def _certify_full_rank(m, row_rank: np.ndarray, col_rank: np.ndarray,
     margin * tau_ub, or None when the certificate does not hold.
 
     Notation, for m scaled by 2^-e (the evidence is scaled back), with
-    (beta, e) from _unit_schur and u, gamma_k, eta as in _banded_gram: q =
-    max(rows, cols), tau_ub = beta * q * eps, S the short side (m if rows
-    <= cols, else m.T), G = S @ S.T exactly.
-
-    1. H = fl(S @ S.T) satisfies ||H - G||_2 <= gamma_q beta^2 + 2 p q eta,
-       the bound _banded_gram returns with it (the proof is there).
-    2. H' = fl(H - shift I) differs from H - shift I by at most
-       u (max_i h_ii + shift) in norm.
-    3. If Cholesky of H' runs to completion with positive pivots, then
-       R.T R = H' + E with ||E||_2 <= gamma_{p+1} / (1 - gamma_{p+1})
-       trace(H') (Demmel's bound; Higham, Accuracy and Stability of
-       Numerical Algorithms, 2nd ed., section 10.1), so H' + E is
-       positive definite. Gradual underflow adds at most p (p + q + 1 +
-       sqrt(max_i h_ii)) eta.
-    Hence lambda_min(G) > shift (1 - u) - [the bounds above], and the
-    shift below makes that at least (margin tau_ub)^2: it is twice their
-    sum plus (margin tau_ub)^2, the factor two covering (1 - u) and the
-    rounding in evaluating the bounds (Rump, "Verification of positive
-    definiteness", BIT 46, 2006, uses the same construction).
+    (beta, e) from _unit_schur and u, eps as in _banded_gram: q = max(rows,
+    cols), tau_ub = beta * q * eps, S the short side (m if rows <= cols,
+    else m.T) and mu = (margin tau_ub)^2. _banded_gram gives H = fl(S @
+    S.T) and a bound on ||H - S @ S.T||_2; if the band Cholesky of fl(H - 2
+    (t + mu) I), t = _cholesky_slack, completes with positive pivots, then
+    sigma_p(m)^2 > mu (the proofs are there; Rump, "Verification of
+    positive definiteness", BIT 46, 2006, uses the same construction).
 
     The Gram matrix is formed and factored in band order (rows of a wide
-    m, columns of a tall one; see _band_order), by LAPACK's band Cholesky
-    pbtrf. Permuting G symmetrically changes none of the bounds, and a
-    band Cholesky is a Cholesky that skips exact zeros: its rounding obeys
-    the same bound 3, with the same trace. So the shift, summed over the
-    diagonal in m's own order, is bit for bit what a dense Cholesky of G
-    would need, and the evidence never depends on the factorization.
+    m, columns of a tall one; see _band_order). Permuting it symmetrically
+    changes none of the bounds, and a band Cholesky (LAPACK pbtrf) is a
+    Cholesky that skips exact zeros, so the evidence never depends on the
+    factorization.
 
     Why this margin: LAPACK's SVD returns singular values with
     |hat sigma_i - sigma_i| <= c u ||m||_2 (LAPACK Users' Guide, section
@@ -453,16 +470,8 @@ def _certify_full_rank(m, row_rank: np.ndarray, col_rank: np.ndarray,
     margin = 2.0 + 2.0 * p * np.sqrt(p)
     rank = row_rank if rows <= cols else col_rank
     ab, gram_error = _banded_gram(m if rows <= cols else m.T, rank, e, beta)
-    diag = ab[0, rank]
-    max_h, trace = float(diag.max()), float(diag.sum())
-    cholesky_gamma = _gamma(p + 1)
-    shift = 2.0 * (gram_error
-                   + cholesky_gamma / (1.0 - cholesky_gamma) * trace
-                   + _UNIT_ROUNDOFF * max_h
-                   + p * (p + q + 1 + np.sqrt(max_h)) * _SMALLEST_SUBNORMAL
-                   + (margin * tau_ub) ** 2)
-    ab[0] -= shift
-    if _band_cholesky(ab) is None:
+    shift = -2.0 * (_cholesky_slack(ab, gram_error) + (margin * tau_ub) ** 2)
+    if _band_cholesky(ab, shift) is None:
         return None
     return float(np.ldexp(margin * tau_ub, e)), float(np.ldexp(tau_ub, e))
 
@@ -629,36 +638,22 @@ def _lowest_eigvec_shift_invert(ab: np.ndarray, gram_error: float) -> np.ndarray
     ab (overwritten), with ||H - G||_2 <= gram_error.
 
     Lanczos (ARPACK) finds the dominant eigenvector of (H + s I)^-1 on one
-    band Cholesky of H + s I (Ericsson & Ruhe, Math. Comp. 35, 1980). One
-    more solve damps, by s over the next eigenvalue, the rounding it mixes
-    into a cluster of equal eigenvalues such as a null space (||M v|| up to
-    5.3 eps sigma_max_bound(M) without it, 0.6 with it, for M sparse
-    100x300). ARPACK restarts from a seeded draw where the Krylov space of
-    the all-ones start vector breaks down early. An all-zero H, and n = 1,
-    which ARPACK does not take, give the first unit vector.
-
-    H comes scaled by 4^-e, so h = max_i h_ii >= 1/4 unless H = 0. With u
-    = eps / 2, c = n gamma_{n+1} / (1 - gamma_{n+1}) and k = u + c (1 +
-    u), A = fl(H + s I) has lambda_min(A) >= s - gram_error - u (h + s) and
-    max_i a_ii <= (1 + u) (h + s). Cholesky completes if lambda_min(D^-1 A
-    D^-1) > c, D^2 = diag(A) (Demmel; Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., Thm 10.7), so if s (1 - k) > gram_error
-    + k h. s is twice the right side: while k <= 1/4 (n up to 4e7) the
-    slack is over half of it and over k h / 2 >= u / 8, far above the
-    rounding of s and any underflow in the Cholesky (n (n + 2 + sqrt(h))
-    subnormals), and no solve overflows. s is 1.1e-8 on the default
-    network's second conv layer, where lambda_min(H) is 0.15.
+    band Cholesky of H + s I (Ericsson & Ruhe, Math. Comp. 35, 1980), s = 2
+    _cholesky_slack(H, gram_error), which it provably completes, with no
+    solve overflowing. One more solve damps, by s over the next eigenvalue,
+    the rounding it mixes into a cluster of equal eigenvalues such as a
+    null space (||M v|| up to 5.3 eps sigma_max_bound(M) without it, 0.6
+    with it, for M sparse 100x300). ARPACK restarts from a seeded draw
+    where the Krylov space of the all-ones start vector breaks down early.
+    An all-zero H, and n = 1, which ARPACK does not take, give the first
+    unit vector.
     """
     n = ab.shape[1]
-    h = float(ab[0].max(initial=0.0))
-    if n == 1 or h == 0.0:
+    if n == 1 or not ab[0].any():
         return np.eye(n, 1)[:, 0]
     import scipy.linalg  # on first use: importing them slows CLI start-up
     import scipy.sparse.linalg as spla
-    cholesky_gamma = _gamma(n + 1)
-    k = _UNIT_ROUNDOFF + n * cholesky_gamma / (1.0 - cholesky_gamma) * (1.0 + _UNIT_ROUNDOFF)
-    ab[0] += 2.0 * (gram_error + k * h)
-    factor = _band_cholesky(ab)
+    factor = _band_cholesky(ab, 2.0 * _cholesky_slack(ab, gram_error))
     if factor is None:
         raise FactorizationError(f"band Cholesky failed for a shifted {n}x{n} Gram matrix")
     solve = functools.partial(scipy.linalg.cho_solve_banded, (factor, True), check_finite=False)

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +53,16 @@ def conv_layer_json(tmp_path):
     return str(path), spec
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def read_json(path):
+    """A JSON report, parsed strictly: NaN, Infinity and -Infinity raise
+    ValueError, where json.loads would accept them."""
+    return json.loads(path.read_text(), parse_constant=_no_constant)
+
+
 def read_csv(path):
     lines = path.read_text().splitlines()
     header = lines[0].split(",")
@@ -65,7 +76,7 @@ class TestLower:
         rc = main(["lower", "--layer", path, "--seed", "5", "--out", str(out),
                    "--format", "json"])
         assert rc == 0
-        stats = json.loads((out / "lower_stats.json").read_text())
+        stats = read_json(out / "lower_stats.json")
         eq = build_equivalent(spec)
         assert stats["rows"] == 108 and stats["cols"] == 72
         assert stats["nnz"] == eq.nnz
@@ -100,7 +111,7 @@ class TestLower:
         rc = main(["lower", "--layer", str(path), "--seed", "1", "--out", str(out),
                    "--format", "json"])
         assert rc == 0
-        stats = json.loads((out / "lower_stats.json").read_text())
+        stats = read_json(out / "lower_stats.json")
         assert stats["rank_path"] == "svd"
         assert stats["nullity"] > 0
         assert stats["sigma_r"] > stats["tolerance"] >= stats["sigma_r1"]
@@ -167,7 +178,7 @@ class TestDimSweep:
         main(["dim-sweep", "--kind", "fc", "--in-features", "10",
               "--out-features", "4", "--seed", "14", "--out", str(out),
               "--format", "json"])
-        doc = json.loads((out / "dim_sweep.json").read_text())
+        doc = read_json(out / "dim_sweep.json")
         assert doc == [{"in_dim": 10, "out_dim": 4, "predicted": 6,
                         "numerical": 6, "agree": True}]
 
@@ -178,7 +189,7 @@ class TestVerify:
         rc = main(["verify", "--net", net_json, "--seed", "21", "--out", str(out),
                    "--skip-sweep", "--trials", "200", "--format", "json"])
         assert rc == 0
-        doc = json.loads((out / "verify_report.json").read_text())
+        doc = read_json(out / "verify_report.json")
         assert doc["passed"] is True
         names = {c["name"] for c in doc["checks"]}
         assert {"basis-orthonormality", "rmse-harmless", "law-pair-classification",
@@ -202,9 +213,22 @@ class TestVerify:
         rc = main(["verify", "--net", str(path), "--seed", "21", "--out", str(out),
                    "--skip-sweep", "--trials", "100", "--format", "json"])
         assert rc == 0
-        doc = json.loads((out / "verify_report.json").read_text())
+        doc = read_json(out / "verify_report.json")
         assert {row["kind"] for row in doc["rmse"]} == {"harmless", "gaussian"}
         assert not any("least-harmful-growing" in c["name"] for c in doc["checks"])
+
+    def test_one_pixel_input_plane(self, tmp_path):
+        # A 1x1 plane makes every synthetic image channel constant.
+        path = tmp_path / "net.json"
+        path.write_bytes(b'{"input_shape": [3, 1, 1], "layers": '
+                         b'[{"kind": "fc", "in_features": 3, "out_features": 2}]}')
+        out = tmp_path / "out"
+        rc = main(["verify", "--net", str(path), "--seed", "1234", "--out", str(out),
+                   "--skip-sweep", "--trials", "100", "--format", "json"])
+        assert rc == 0
+        doc = read_json(out / "verify_report.json")
+        assert doc["passed"] is True
+        assert all(c["passed"] for c in doc["checks"])
 
     def test_reports_byte_identical(self, tmp_path, net_json):
         args = ["verify", "--net", net_json, "--seed", "21", "--skip-sweep",
@@ -250,7 +274,7 @@ class TestVerify:
                    "--skip-sweep", "--trials", "10", "--format", "json",
                    "--basis", str(path)])
         assert rc == 1
-        doc = json.loads((out / "verify_report.json").read_text())
+        doc = read_json(out / "verify_report.json")
         failed = [c for c in doc["checks"] if not c["passed"]]
         assert [c["name"] for c in failed] == ["basis-dimension"]
         assert failed[0]["detail"] == f"d={half} against the layer's nullity {basis.shape[1]}"
@@ -280,6 +304,26 @@ class TestContour:
                    "--grid", "21"])
         assert rc == 1  # that layer has nullity 0: no harmless subspace
         assert "no harmless subspace" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", [
+        ConvLayerSpec(1, 3, 3, 1, 3, 3, stride=1, zero_padding=1, kernels=np.zeros((1, 1, 3, 3))),
+        FcLayerSpec(4, 2, weight=np.zeros((4, 2))),
+    ], ids=["conv", "fc"])
+    def test_all_zero_layer(self, tmp_path, spec, capsys):
+        # Every direction is harmless, so the whole grid is exactly zero:
+        # 0 / 0 measures 0, with no warning and no traceback.
+        path = tmp_path / "zero.json"
+        save_layer_json(spec, path)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["contour", "--layer", str(path), "--seed", "1", "--out", str(out)])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "[PASS] contour-row-constancy", "[PASS] contour-column-linearity",
+            "[PASS] contour-zero-row"]
+        assert {float(row[2]) for row in read_csv(out / "contour.csv")[1]} == {0.0}
 
     def test_grid_and_invariants(self, tmp_path):
         rng = np.random.default_rng(61)
@@ -327,7 +371,7 @@ class TestContour:
                      "--format", "json"]) == 0
         assert not (json_out / "contour.csv").exists()
         header, rows = read_csv(csv_out / "contour.csv")
-        doc = json.loads((json_out / "contour.json").read_text())
+        doc = read_json(json_out / "contour.json")
         assert doc == [dict(zip(header, map(float, row))) for row in rows]
 
 

@@ -171,5 +171,10 @@ class TestSyntheticImage:
         assert img.shape == (2, 5, 9)
         assert img.min() >= 0.02 - 1e-12 and img.max() <= 0.98 + 1e-12
 
+    @pytest.mark.parametrize("shape", [(3, 1, 1), (1, 1, 1)])
+    def test_constant_channel_is_mid_range(self, shape):
+        # a 1x1 plane has no range to rescale: 0.5, not 0 / 0
+        assert synthetic_image(5, shape).tolist() == np.full(shape, 0.5).tolist()
+
     def test_seed_variation(self):
         assert not np.array_equal(synthetic_image(1), synthetic_image(2))

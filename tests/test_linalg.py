@@ -890,34 +890,44 @@ class TestSparseShiftInvert:
 
 class TestProvenShifts:
     """The band Cholesky sees each Gram matrix shifted by exactly the bound
-    that its docstring proves, term for term. The bounds are far from tight,
-    so a shift made smaller (unproven) or larger changes no decision the
-    other tests see."""
+    that _cholesky_slack's docstring proves, term for term: minus twice the
+    slack plus (margin tau_ub)^2 for the certificate, plus twice the slack
+    for the eigenpair. The bounds are far from tight, so a shift made
+    smaller (unproven) or larger changes no decision the other tests see."""
 
     U = np.finfo(np.float64).eps / 2
     ETA = np.finfo(np.float64).smallest_subnormal
 
     @pytest.fixture
     def recorded(self, monkeypatch):
+        # each Gram band as formed, with its bound, and each band as LAPACK
+        # is handed it
         grams, factored = [], []
-        banded_gram, band_cholesky = linalg._banded_gram, linalg._band_cholesky
+        banded_gram, factor = linalg._banded_gram, scipy.linalg.cholesky_banded
 
         def gram(s, rank, e, beta):
             ab, bound = banded_gram(s, rank, e, beta)
-            grams.append((s.shape, ab[0].copy(), bound))
+            grams.append((s.shape, ab.copy(), bound))
             return ab, bound
 
-        def cholesky(ab):
+        def cholesky(ab, **kwargs):
             factored.append(ab[0].copy())
-            return band_cholesky(ab)
+            return factor(ab, **kwargs)
 
         monkeypatch.setattr(linalg, "_banded_gram", gram)
-        monkeypatch.setattr(linalg, "_band_cholesky", cholesky)
+        monkeypatch.setattr(scipy.linalg, "cholesky_banded", cholesky)
         return grams, factored
 
     @classmethod
     def gamma(cls, k):
         return k * cls.U / (1 - k * cls.U)
+
+    @classmethod
+    def slack(cls, diag, bound):
+        # gram_error + k h, k = u + n c (1 + u), c = gamma_{n+1} / (1 - gamma_{n+1})
+        n = diag.size
+        c = cls.gamma(n + 1)
+        return bound + (cls.U + n * c / (1.0 - c) * (1.0 + cls.U)) * float(diag.max())
 
     @staticmethod
     def unit_beta(m):
@@ -925,25 +935,34 @@ class TestProvenShifts:
         # |entry| in [1/2, 1)
         return np.ldexp(sigma_max_bound(m), -np.frexp(np.abs(m).max())[1])
 
+    @pytest.mark.parametrize("caller, shape", [
+        ("certificate", (30, 50)), ("certificate", (50, 30)),
+        ("eigenpair", (50, 30)), ("eigenpair", (20, 40))],
+        ids=["certificate-wide", "certificate-tall", "eigenpair-tall", "eigenpair-wide"])
+    def test_slack(self, recorded, caller, shape):
+        grams, _ = recorded
+        m = 3.0 * np.random.default_rng(8).standard_normal(shape)
+        if caller == "certificate":
+            assert certified_rank(m) is not None
+        else:
+            smallest_eigenpair_gram(m)
+        [(_, ab, bound)] = grams
+        assert linalg._cholesky_slack(ab, bound) == self.slack(ab[0], bound)
+
     @pytest.mark.parametrize("shape", [(30, 50), (50, 30)])
     def test_certificate_shift(self, recorded, shape):
         grams, factored = recorded
         m = 3.0 * np.random.default_rng(5).standard_normal(shape)
         assert certified_rank(m) is not None
         p, q = min(shape), max(shape)
-        [(gram_shape, diag, bound)] = grams
+        [(gram_shape, ab, bound)] = grams
         beta = self.unit_beta(m)
         # the product S @ S.T of the short side has inner length q
         assert gram_shape == (p, q)
         assert bound == self.gamma(q) * beta * beta + 2 * p * q * self.ETA
-        row_rank, col_rank = linalg._band_order(sp.csr_matrix(m))
-        h = diag[row_rank if shape[0] <= shape[1] else col_rank]
-        max_h, trace = float(h.max()), float(h.sum())
-        c = self.gamma(p + 1)
         margin_tau = (2.0 + 2.0 * p * np.sqrt(p)) * (beta * q * np.finfo(np.float64).eps)
-        shift = 2.0 * (bound + c / (1.0 - c) * trace + self.U * max_h
-                       + p * (p + q + 1 + np.sqrt(max_h)) * self.ETA + margin_tau ** 2)
-        assert factored[0].tobytes() == (diag - shift).tobytes()
+        shift = 2.0 * (self.slack(ab[0], bound) + margin_tau ** 2)
+        assert factored[0].tobytes() == (ab[0] - shift).tobytes()
 
     @pytest.mark.parametrize("shape", [(50, 30), (20, 40)])
     def test_eigenpair_shift(self, recorded, shape):
@@ -951,14 +970,12 @@ class TestProvenShifts:
         m = 3.0 * np.random.default_rng(6).standard_normal(shape)
         smallest_eigenpair_gram(m)
         rows, n = shape
-        [(gram_shape, diag, bound)] = grams
+        [(gram_shape, ab, bound)] = grams
         beta = self.unit_beta(m)
         # the product M.T @ M has inner length rows, also for a wide M
         assert gram_shape == (n, rows)
         assert bound == self.gamma(rows) * beta * beta + 2 * n * rows * self.ETA
-        c = self.gamma(n + 1)
-        k = self.U + n * c / (1.0 - c) * (1.0 + self.U)
-        assert factored[0].tobytes() == (diag + 2.0 * (bound + k * float(diag.max()))).tobytes()
+        assert factored[0].tobytes() == (ab[0] + 2.0 * self.slack(ab[0], bound)).tobytes()
 
     def test_a_nan_pivot_proves_nothing(self, monkeypatch):
         # Some factorization implementations let a NaN pivot through without
